@@ -21,7 +21,6 @@ import os
 import sys
 
 from .anisotropic import AnisotropicSpec, assemble, exact_field
-from .cutoff import CutoffParams
 from .grids import Grid2D, l2_norm, write_field_csv
 from .harness import (
     ExperimentConfig,
@@ -54,7 +53,6 @@ def _add_common(p, default_dt, default_tend):
     p.add_argument("--cutoff", choices=("off", "nonneg", "delta"), default="nonneg")
     p.add_argument("--delta-coeff", type=float, default=1.0,
                    help="delta = coeff * dt * h^2 when --cutoff delta")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,14 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cutoff_from_args(args, h) -> CutoffParams | None:
-    if args.cutoff == "off":
-        return None
-    if args.cutoff == "nonneg":
-        return CutoffParams(0.0)
-    return CutoffParams(args.delta_coeff * args.dt * h * h)
-
-
 def _experiment_config(args, name, resolutions, **extra) -> ExperimentConfig:
     return ExperimentConfig(
         experiment=name,
@@ -124,7 +114,6 @@ def _experiment_config(args, name, resolutions, **extra) -> ExperimentConfig:
         cutoff_mode=args.cutoff,
         delta_coefficient=args.delta_coeff,
         out_dir=args.out,
-        seed=args.seed,
         **extra,
     )
 
@@ -148,8 +137,11 @@ def _cmd_aniso_run(args) -> int:
     spec = (AnisotropicSpec.with_convection(grid) if args.convection
             else AnisotropicSpec.pure_diffusion(grid))
     problem = assemble(spec)
+    exp = _experiment_config(args, "aniso-run", [args.grid],
+                             convection=args.convection,
+                             integrator=args.integrator, theta=args.theta)
     cfg = StepperConfig(dt=args.dt, t_end=args.t_end,
-                        cutoff=_cutoff_from_args(args, grid.hx),
+                        cutoff=exp.cutoff_for(grid.hx),
                         integrator=args.integrator, theta=args.theta)
     final, trace = run(problem, cfg)
     err = l2_norm(final - exact_field(spec, args.t_end))
@@ -160,18 +152,15 @@ def _cmd_aniso_run(args) -> int:
         ensure_dir(args.out)
         trace.write_csv(os.path.join(args.out, "trace.csv"))
         write_field_csv(final, os.path.join(args.out, "final.csv"))
-        write_metadata(os.path.join(args.out, "metadata.txt"),
-                       _experiment_config(args, "aniso-run", [args.grid],
-                                          convection=args.convection,
-                                          integrator=args.integrator,
-                                          theta=args.theta))
+        write_metadata(os.path.join(args.out, "metadata.txt"), exp)
     return 0
 
 
-def _run_lubrication_cmd(args, name, spec) -> int:
+def _run_lubrication_cmd(args, name, spec, h) -> int:
+    exp = _experiment_config(args, name, [args.grid], epsilon=args.epsilon)
     cfg = StepperConfig(
         dt=args.dt, t_end=args.t_end,
-        cutoff=_cutoff_from_args(args, spec.grid.h if hasattr(spec.grid, "h") else spec.grid.hx),
+        cutoff=exp.cutoff_for(h),
         snapshot_every=args.snapshot_every,
         snapshot_times=_parse_snapshots(args.snapshots),
     )
@@ -192,20 +181,18 @@ def _run_lubrication_cmd(args, name, spec) -> int:
         for t, snap in trace.snapshots:
             if any(abs(t - ts) <= 0.5 * args.dt for ts in cfg.snapshot_times):
                 write_field_csv(snap, os.path.join(args.out, f"snapshot_t{t:.6g}.csv"))
-        write_metadata(os.path.join(args.out, "metadata.txt"),
-                       _experiment_config(args, name, [args.grid],
-                                          epsilon=args.epsilon))
+        write_metadata(os.path.join(args.out, "metadata.txt"), exp)
     return 0
 
 
 def _cmd_lub1d(args) -> int:
-    return _run_lubrication_cmd(
-        args, "lub1d", LubricationSpec.default_1d(args.grid, epsilon=args.epsilon))
+    spec = LubricationSpec.default_1d(args.grid, epsilon=args.epsilon)
+    return _run_lubrication_cmd(args, "lub1d", spec, spec.grid.h)
 
 
 def _cmd_lub2d(args) -> int:
-    return _run_lubrication_cmd(
-        args, "lub2d", LubricationSpec.default_2d(args.grid, epsilon=args.epsilon))
+    spec = LubricationSpec.default_2d(args.grid, epsilon=args.epsilon)
+    return _run_lubrication_cmd(args, "lub2d", spec, spec.grid.hx)
 
 
 def _cmd_reg_compare(args) -> int:

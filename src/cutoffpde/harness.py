@@ -49,7 +49,6 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
     snapshot_times: Sequence[float] = ()
     snapshot_every: Optional[int] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.cutoff_mode not in CUTOFF_MODES:
@@ -256,7 +255,6 @@ def write_metadata(path, cfg: ExperimentConfig):
         "touching_area_2d": "trapezoid_weight_sum",
         "onset_definition": "first step with pre-cutoff min <= 0",
         "solver": "banded_lu_or_sparse_lu_with_refinement",
-        "seed": str(cfg.seed),
     }
     with open(path, "w") as fh:
         for k, v in lines.items():

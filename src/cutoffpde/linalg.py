@@ -7,9 +7,11 @@ at most BANDED_BANDWIDTH_MAX on each side go through LAPACK banded LU
 of iterative refinement and then re-verifies the max-norm residual against
 the configured tolerance, so a returned solution is always a checked one.
 
-The one-step scheme pair is bundled in SparseOperator: B1 u^{n+1} =
-B0 u^n + F^n, with F either a fixed vector or a callback evaluated at the
-step's start time.
+The steppers factor one shifted system I - a_ii*dt*L per operator
+(identity_plus) and solve every implicit stage against it.  SparseOperator
+bundles the theta-method's matrix pair B1 u^{n+1} = B0 u^n + F^n, with F a
+fixed vector or a callback evaluated at the step's start time; it feeds the
+max-norm scheme diagnostics and the one-step reference step_linear.
 """
 
 from __future__ import annotations
@@ -135,14 +137,6 @@ def identity_plus(a: SparseMatrix, scale: float) -> SparseMatrix:
     return SparseMatrix(sp.identity(a.dimension, format="csr") + float(scale) * a.csr)
 
 
-def matvec(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    return a.matvec(x)
-
-
-def operator_norm_inf(a: SparseMatrix) -> float:
-    return a.operator_norm_inf()
-
-
 @dataclass(frozen=True)
 class SolveReport:
     residual_norm: float
@@ -225,10 +219,6 @@ class Factorization:
         return x, SolveReport(residual, 0, self._method, self._tol)
 
 
-def factorize(a: SparseMatrix, tol: float = None) -> Factorization:
-    return Factorization(a, tol)
-
-
 def solve(a: SparseMatrix, rhs: np.ndarray, tol: float = None) -> tuple:
     """One-shot factor + solve; returns (x, SolveReport)."""
     return Factorization(a, tol).solve(rhs)
@@ -242,14 +232,12 @@ class SparseOperator:
     """One-step scheme pair: B1 u^{n+1} = B0 u^n + F^n.
 
     ``source`` is the fixed vector F, or a callable t_n -> F^n when the
-    forcing or boundary data move in time.  ``time_independent`` asserts the
-    matrices never change between steps, which lets a run factor B1 once.
+    forcing or boundary data move in time.
     """
 
     b1: SparseMatrix
     b0: SparseMatrix
     source: SourceTerm
-    time_independent: bool = True
 
     def __post_init__(self):
         n = self.b1.dimension

@@ -36,7 +36,7 @@ solver residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -45,14 +45,7 @@ import scipy.sparse as sp
 from .cutoff import CutoffParams
 from .grids import Field, Grid1D, Grid2D, trapezoid_weights
 from .linalg import SparseMatrix
-from .stepping import (
-    RunTrace,
-    StepperConfig,
-    StepRecord,
-    DivergenceError,
-    _Sdirk3Stepper,
-    _floor_values,
-)
+from .stepping import DirkStepper, StepperConfig, march, sdirk3_tableau
 
 #: default snapshot cadence (steps) for singularity tracking
 SNAPSHOT_EVERY_DEFAULT = 10
@@ -345,11 +338,14 @@ def track_singularity(snapshots: Sequence, threshold: float = 0.0) -> Singularit
 def run_lubrication(spec: LubricationSpec, cfg: StepperConfig) -> tuple:
     """Advance the thin-film problem with lagged mobilities.
 
-    Per step: floor the state, assemble the operator from the floored state,
-    take one SDIRK step (stages share the step's factorization), record
-    statistics.  Returns (final_field, trace, singularity_record); the final
-    field is post-cutoff.  Refuses to start without a cutoff when epsilon = 0
-    since the bare mobility rejects negative arguments.
+    Per step (see stepping.march): floor the state, assemble the operator
+    from the floored state, take one SDIRK step (stages share the step's
+    factorization), record statistics.  Snapshots default to every
+    SNAPSHOT_EVERY_DEFAULT steps.  Returns (final_field, trace,
+    singularity_record); the final field is post-cutoff.  Refuses to start
+    without a cutoff when epsilon = 0 since the bare mobility rejects
+    negative arguments; a mollified run without cutoff whose state goes
+    negative stops with a DivergenceError carrying the trace.
     """
     if cfg.integrator != "sdirk3":
         raise ValueError("the lubrication driver runs the sdirk3 integrator only")
@@ -358,48 +354,19 @@ def run_lubrication(spec: LubricationSpec, cfg: StepperConfig) -> tuple:
             "the unregularized mobility needs the cutoff enabled; "
             "pass CutoffParams(0.0) or a positive epsilon"
         )
+    if cfg.snapshot_every is None:
+        cfg = replace(cfg, snapshot_every=SNAPSHOT_EVERY_DEFAULT)
     grid = spec.grid
-    weights = trapezoid_weights(grid)
-    cadence = cfg.snapshot_every if cfg.snapshot_every is not None else SNAPSHOT_EVERY_DEFAULT
+    tableau = sdirk3_tableau()
 
-    values = spec.initial_field().values.copy()
-    trace = RunTrace()
-    snaps = trace.snapshots
+    def stepper_for(floored: np.ndarray) -> DirkStepper:
+        return DirkStepper(tableau, _assemble(Field(grid, floored), spec), cfg.dt,
+                           tol=cfg.solver_tol)
 
-    def record(step: int, t: float, vals: np.ndarray, floored: np.ndarray, residual: float):
-        trace.records.append(StepRecord(
-            step=step, t=t,
-            min_pre=float(vals.min()), min_post=float(floored.min()),
-            mass_pre=float(weights @ vals), mass_post=float(weights @ floored),
-            residual=residual,
-        ))
-        wants = step % cadence == 0 or any(
-            abs(t - ts) <= 0.5 * cfg.dt for ts in cfg.snapshot_times
-        )
-        if wants:
-            snaps.append((t, Field(grid, floored.copy())))
-
-    floored = _floor_values(values, cfg.cutoff)
-    record(0, cfg.t0, values, floored, 0.0)
-
-    for n in range(cfg.n_steps):
-        t_n = cfg.t0 + n * cfg.dt
-        base = Field(grid, floored)
-        a = _assemble(base, spec)
-        stepper = _Sdirk3Stepper(a, cfg.dt, tol=cfg.solver_tol)
-        new_values, residual = stepper.step(floored, t_n)
-        t_next = cfg.t0 + (n + 1) * cfg.dt
-        if not np.all(np.isfinite(new_values)):
-            trace.diverged = True
-            raise DivergenceError(f"state went non-finite at t = {t_next}", trace)
-        new_floored = _floor_values(new_values, cfg.cutoff)
-        record(n + 1, t_next, new_values, new_floored, residual)
-        values, floored = new_values, new_floored
-
-    record_sing = track_singularity(snaps)
+    final, trace = march(grid, spec.initial_field().values.copy(), cfg, stepper_for)
+    record_sing = track_singularity(trace.snapshots)
     for r in trace.records:
         if r.min_pre <= 0.0:
             record_sing.onset_precutoff_time = r.t
             break
-    final = Field(grid, floored)
     return final, trace, record_sing

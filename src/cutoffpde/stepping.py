@@ -2,23 +2,32 @@
 
 The schemes all fit the pattern: take the current state, floor it (plain or
 delta cutoff), advance one implicit step, and leave the new state uncut so
-its undershoot stays observable.  The run loop records pre- and post-cutoff
-statistics every step; the field it finally returns is the post-cutoff state.
+its undershoot stays observable.  One loop, ``march``, does this for every
+problem: it floors once per step, asks a provider for the step's stepper
+(a fixed one for a linear problem, one assembled from the floored state for
+the thin film), records pre- and post-cutoff statistics, and returns the
+post-cutoff state.
 
-Two integrators are provided:
+Every step is taken by one stage solver, ``DirkStepper``, driven by a
+stiffly accurate diagonally implicit Runge-Kutta tableau with a single
+nonzero diagonal value, so one factorization of I - a_ii*dt*L serves all
+implicit stages.  Two tableaux are provided:
 
-* theta-method, driven directly through the matrix pair
-  B1 u^{n+1} = B0 (u^n)^+ + F^n with B1 = I - theta*dt*L and
-  B0 = I_int + (1-theta)*dt*L (identity rows and source injection implement
-  Dirichlet boundaries),
-* a 3-stage, stiffly accurate, L-stable SDIRK method of classical order 3
-  whose diagonal gamma is the root of g^3 - 3g^2 + (3/2)g - 1/6 in
-  (1/6, 1/2).  Stages never apply the cutoff; only the step boundary does.
+* the theta-method as a 2-stage EDIRK whose first stage is explicit
+  (theta = 1 backward Euler, theta = 1/2 Crank-Nicolson),
+* a 3-stage, L-stable SDIRK method of classical order 3 whose diagonal
+  gamma is the root of g^3 - 3g^2 + (3/2)g - 1/6 in (1/6, 1/2).
+
+Stages never apply the cutoff; only the step boundary does.  The paper's
+matrix pair B1 u^{n+1} = B0 (u^n)^+ + F^n of the theta-method survives in
+``theta_operator``, for the max-norm diagnostics and as the one-step
+reference ``step_linear`` that the theta runs are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,13 +36,7 @@ import scipy.sparse.linalg as spla
 
 from .cutoff import CutoffParams, apply_floor
 from .grids import Field, Grid, trapezoid_weights
-from .linalg import (
-    Factorization,
-    SparseMatrix,
-    SparseOperator,
-    factorize,
-    identity_plus,
-)
+from .linalg import Factorization, SparseMatrix, SparseOperator, identity_plus
 
 #: diagonal of the 3-stage SDIRK scheme; real root of
 #: g^3 - 3 g^2 + (3/2) g - 1/6 in (1/6, 1/2)
@@ -41,7 +44,8 @@ SDIRK3_GAMMA = 0.43586652150845906
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a state goes non-finite; carries the trace up to failure."""
+    """Raised when a run cannot go on (a non-finite state, or no operator can
+    be built from the state); carries the trace up to failure."""
 
     def __init__(self, message: str, trace: "RunTrace"):
         super().__init__(message)
@@ -84,6 +88,26 @@ class ButcherTableau:
     @property
     def stiffly_accurate(self) -> bool:
         return bool(np.array_equal(self.a[-1], self.b))
+
+    @cached_property
+    def dirk_plan(self) -> tuple:
+        """(implicit diagonal value or 0.0, stages DirkStepper evaluates),
+        checked once per tableau: ValueError unless the tableau is diagonally
+        implicit, stiffly accurate and has one nonzero diagonal value."""
+        a = self.a
+        if np.any(np.triu(a, k=1) != 0.0):
+            raise ValueError("the stage solver needs a diagonally implicit tableau")
+        if not self.stiffly_accurate:
+            raise ValueError("the stage solver needs a stiffly accurate tableau")
+        diag = np.diag(a)
+        implicit = np.unique(diag[diag != 0.0])
+        if implicit.size > 1:
+            raise ValueError(
+                f"the stage solver needs a single implicit diagonal value, got {implicit}"
+            )
+        s = self.stages
+        live = [i for i in range(s) if i == s - 1 or np.any(a[i + 1:, i] != 0.0)]
+        return (float(implicit[0]) if implicit.size else 0.0), live
 
     def stability(self, z: complex) -> complex:
         """R(z) = 1 + z b^T (I - z A)^{-1} 1."""
@@ -255,7 +279,7 @@ def theta_operator(problem: LinearProblem, dt: float, theta: float) -> SparseOpe
             f = np.where(mask, problem.boundary_values(t + dt), f)
         return f
 
-    return SparseOperator(b1=b1, b0=b0, source=source, time_independent=True)
+    return SparseOperator(b1=b1, b0=b0, source=source)
 
 
 def _floor_values(values: np.ndarray, cutoff: Optional[CutoffParams]) -> np.ndarray:
@@ -264,67 +288,72 @@ def _floor_values(values: np.ndarray, cutoff: Optional[CutoffParams]) -> np.ndar
     return apply_floor(values, cutoff.delta)
 
 
-def _step_theta(fact: Factorization, op: SparseOperator, values: np.ndarray,
-                t: float, cutoff: Optional[CutoffParams]) -> tuple:
-    rhs = op.b0.matvec(_floor_values(values, cutoff)) + op.source_at(t)
-    x, report = fact.solve(rhs)
-    return x, report.residual_norm
-
-
 def step_linear(op: SparseOperator, u: Field, cfg: StepperConfig, t: float = 0.0) -> Field:
     """One step of B1 u^{n+1} = B0 (u^n)^+ + F^n.
 
     The cutoff (if enabled in cfg) is applied to the incoming state before
     the right-hand side is formed; the returned state is not cut.
     """
-    fact = factorize(op.b1, cfg.solver_tol)
-    x, _ = _step_theta(fact, op, u.values, t, cfg.cutoff)
+    rhs = op.b0.matvec(_floor_values(u.values, cfg.cutoff)) + op.source_at(t)
+    x, _ = Factorization(op.b1, cfg.solver_tol).solve(rhs)
     return Field(u.grid, x)
 
 
-class _Sdirk3Stepper:
-    """Stage solver for one linear operator; factors I - gamma*dt*L once.
+class DirkStepper:
+    """Stage solver of du/dt = L u + s(t) for one stiffly accurate,
+    diagonally implicit tableau; factors I - a_ii*dt*L once.
 
+    Stages with a_ii = 0 are explicit.  A stage whose slope no later stage
+    uses is skipped, unless it is the last one, whose value is the new state.
+    Nodes in dirichlet_mask take boundary_values at the time of every
+    implicit stage and of the last stage.
     Stages use the state exactly as handed in -- flooring happens only at
     step boundaries, in the run loop.
     """
 
-    def __init__(self, l_matrix: SparseMatrix, dt: float,
+    def __init__(self, tableau: ButcherTableau, l_matrix: SparseMatrix, dt: float,
                  source: Callable[[float], np.ndarray] = None,
                  dirichlet_mask: np.ndarray = None,
                  boundary_values: Callable[[float], np.ndarray] = None,
                  tol: float = None):
-        self._tab = sdirk3_tableau()
-        assert self._tab.stiffly_accurate
+        gamma, self._live = tableau.dirk_plan
+        self._tab = tableau
         self._l = l_matrix
         self._dt = dt
         self._source = source
         self._mask = dirichlet_mask if dirichlet_mask is not None and dirichlet_mask.any() else None
         self._bvals = boundary_values
-        self._fact = factorize(identity_plus(l_matrix, -SDIRK3_GAMMA * dt), tol)
+        self._fact = Factorization(identity_plus(l_matrix, -gamma * dt), tol) if gamma else None
 
     def step(self, values: np.ndarray, t: float) -> tuple:
+        """(new state, worst stage residual) of one step from t."""
         a, c = self._tab.a, self._tab.c
         dt = self._dt
-        ks = []
-        x = values
+        ks = {}
         worst = 0.0
-        for i in range(3):
+        for i in self._live:
             ti = t + c[i] * dt
             rhs = values.copy()
-            for j in range(i):
-                rhs += (dt * a[i, j]) * ks[j]
+            for j in ks:
+                if a[i, j] != 0.0:
+                    rhs += (dt * a[i, j]) * ks[j]
             src = self._source(ti) if self._source is not None else None
             if src is not None:
-                rhs += (SDIRK3_GAMMA * dt) * src
-            if self._mask is not None:
+                rhs += (a[i, i] * dt) * src
+            # an explicit inner stage reads the incoming (floored) boundary
+            # values, as the B0 (u^n)^+ of the theta pair does
+            if self._mask is not None and (a[i, i] != 0.0 or i == self._live[-1]):
                 rhs[self._mask] = self._bvals(ti)[self._mask]
-            x, report = self._fact.solve(rhs)
-            worst = max(worst, report.residual_norm)
-            k = self._l.matvec(x)
-            if src is not None:
-                k += src
-            ks.append(k)
+            if a[i, i] == 0.0:
+                x = rhs
+            else:
+                x, report = self._fact.solve(rhs)
+                worst = max(worst, report.residual_norm)
+            if i != self._live[-1]:
+                k = self._l.matvec(x)
+                if src is not None:
+                    k += src
+                ks[i] = k
         # stiffly accurate: the last stage value is the new state
         return x, worst
 
@@ -339,7 +368,7 @@ def sdirk3_step(rhs_assembler: Callable, u: Field, t: float, cfg: StepperConfig)
     """
     l_matrix, src0 = rhs_assembler(t)
     source = (lambda ti: rhs_assembler(ti)[1]) if src0 is not None else None
-    stepper = _Sdirk3Stepper(l_matrix, cfg.dt, source=source, tol=cfg.solver_tol)
+    stepper = DirkStepper(sdirk3_tableau(), l_matrix, cfg.dt, source=source, tol=cfg.solver_tol)
     x, _ = stepper.step(u.values, t)
     return Field(u.grid, x)
 
@@ -350,34 +379,21 @@ def _wants_snapshot(step: int, t: float, cfg: StepperConfig) -> bool:
     return any(abs(t - ts) <= 0.5 * cfg.dt for ts in cfg.snapshot_times)
 
 
-def run(problem: LinearProblem, cfg: StepperConfig) -> tuple:
-    """Advance a linear problem from t0 to t_end with fixed dt.
+def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig,
+          stepper_for: Callable[[np.ndarray], DirkStepper]) -> tuple:
+    """Advance from t0 to t_end with fixed dt; the one loop every run uses.
 
-    Per step: floor the current state (if a cutoff is configured), advance,
-    record pre- and post-cutoff statistics of the new state.  Returns
-    (final_field, trace) where the final field is post-cutoff.  A non-finite
-    state raises DivergenceError carrying the partial trace.
+    Per step: floor the current state (if a cutoff is configured), take one
+    step with stepper_for(floored), record pre- and post-cutoff statistics
+    of the new state.  Returns (final_field, trace) where the final field is
+    post-cutoff.  A non-finite state, or a ValueError from stepper_for (an
+    operator that cannot be built from the state), raises DivergenceError
+    carrying the partial trace.
     """
-    weights = trapezoid_weights(problem.grid)
-    values = problem.initial_values.copy()
+    weights = trapezoid_weights(grid)
     trace = RunTrace()
 
-    if cfg.integrator == "theta":
-        op = theta_operator(problem, cfg.dt, cfg.theta)
-        fact = factorize(op.b1, cfg.solver_tol)
-        advance = lambda v, t: _step_theta(fact, op, v, t, cfg.cutoff)
-    else:
-        stepper = _Sdirk3Stepper(
-            problem.l_matrix, cfg.dt,
-            source=problem.source,
-            dirichlet_mask=problem.dirichlet_mask,
-            boundary_values=problem.boundary_values,
-            tol=cfg.solver_tol,
-        )
-        advance = lambda v, t: stepper.step(_floor_values(v, cfg.cutoff), t)
-
-    def record(step: int, t: float, vals: np.ndarray, residual: float):
-        floored = _floor_values(vals, cfg.cutoff)
+    def record(step: int, t: float, vals: np.ndarray, floored: np.ndarray, residual: float):
         trace.records.append(StepRecord(
             step=step, t=t,
             min_pre=float(vals.min()), min_post=float(floored.min()),
@@ -385,21 +401,43 @@ def run(problem: LinearProblem, cfg: StepperConfig) -> tuple:
             residual=residual,
         ))
         if _wants_snapshot(step, t, cfg):
-            trace.snapshots.append((t, Field(problem.grid, floored.copy())))
+            trace.snapshots.append((t, Field(grid, floored.copy())))
 
-    record(0, cfg.t0, values, 0.0)
+    floored = _floor_values(initial, cfg.cutoff)
+    record(0, cfg.t0, initial, floored, 0.0)
     for n in range(cfg.n_steps):
         t_n = cfg.t0 + n * cfg.dt
-        new_values, residual = advance(values, t_n)
+        try:
+            stepper = stepper_for(floored)
+        except ValueError as err:
+            trace.diverged = True
+            raise DivergenceError(f"no step possible from t = {t_n}: {err}", trace) from err
+        values, residual = stepper.step(floored, t_n)
         t_next = cfg.t0 + (n + 1) * cfg.dt
-        if not np.all(np.isfinite(new_values)):
+        if not np.all(np.isfinite(values)):
             trace.diverged = True
             raise DivergenceError(f"state went non-finite at t = {t_next}", trace)
-        record(n + 1, t_next, new_values, residual)
-        values = new_values
+        floored = _floor_values(values, cfg.cutoff)
+        record(n + 1, t_next, values, floored, residual)
 
-    final = Field(problem.grid, _floor_values(values, cfg.cutoff))
-    return final, trace
+    return Field(grid, floored), trace
+
+
+def run(problem: LinearProblem, cfg: StepperConfig) -> tuple:
+    """Advance a linear problem from t0 to t_end with fixed dt.
+
+    The stepper of cfg.integrator is built once and reused every step; see
+    march for the loop.  Returns (final_field, trace).
+    """
+    tableau = theta_tableau(cfg.theta) if cfg.integrator == "theta" else sdirk3_tableau()
+    stepper = DirkStepper(
+        tableau, problem.l_matrix, cfg.dt,
+        source=problem.source,
+        dirichlet_mask=problem.dirichlet_mask,
+        boundary_values=problem.boundary_values,
+        tol=cfg.solver_tol,
+    )
+    return march(problem.grid, problem.initial_values.copy(), cfg, lambda floored: stepper)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from cutoffpde.linalg import (
     SparseMatrix,
     SparseOperator,
     default_tolerance,
-    factorize,
     identity_plus,
     solve,
 )
@@ -132,7 +131,7 @@ class TestSolvers:
 
     def test_factorization_reusable(self):
         a = tridiag(10, 1.0, 5.0, 2.0)
-        f = factorize(a)
+        f = Factorization(a)
         for seed in (1, 2, 3):
             rhs = np.random.default_rng(seed).normal(size=10)
             x, _ = f.solve(rhs)
@@ -144,12 +143,12 @@ class TestSolvers:
             Factorization(a)
 
     def test_rhs_shape_checked(self):
-        f = factorize(SparseMatrix.identity(3))
+        f = Factorization(SparseMatrix.identity(3))
         with pytest.raises(ValueError, match="rhs has shape"):
             f.solve(np.zeros(2))
 
     def test_rhs_must_be_finite(self):
-        f = factorize(SparseMatrix.identity(2))
+        f = Factorization(SparseMatrix.identity(2))
         with pytest.raises(ValueError, match="non-finite"):
             f.solve(np.array([1.0, float("nan")]))
 
@@ -202,7 +201,6 @@ class TestSparseOperator:
             SparseMatrix.identity(2),
             SparseMatrix.identity(2),
             lambda t: np.array([t, -t]),
-            time_independent=False,
         )
         assert np.array_equal(op.source_at(2.0), [2.0, -2.0])
 
@@ -211,7 +209,6 @@ class TestSparseOperator:
             SparseMatrix.identity(2),
             SparseMatrix.identity(2),
             lambda t: np.zeros(3),
-            time_independent=False,
         )
         with pytest.raises(ValueError, match="wrong length"):
             op.source_at(0.0)

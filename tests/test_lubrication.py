@@ -31,7 +31,7 @@ from cutoffpde.lubrication import (
     touching_length,
     track_singularity,
 )
-from cutoffpde.stepping import StepperConfig
+from cutoffpde.stepping import DivergenceError, StepperConfig
 
 
 class TestMobility:
@@ -346,6 +346,18 @@ class TestRunLubrication:
         final, trace, rec = run_lubrication(spec, cfg)
         assert len(trace.records) == 11
         assert rec.onset_time is None
+
+    def test_mollified_film_without_cutoff_fails_with_its_trace(self):
+        # the lagged state goes negative at touchdown, where the mobility
+        # cannot be evaluated; the run stops with the trace up to that step
+        spec = LubricationSpec.default_1d(100, epsilon=1e-14)
+        cfg = StepperConfig(dt=1e-6, t_end=1e-3)
+        with pytest.raises(DivergenceError, match="node 50") as info:
+            run_lubrication(spec, cfg)
+        trace = info.value.trace
+        assert trace.diverged
+        assert trace.records[-1].min_pre < 0.0
+        assert all(r.min_pre > 0.0 for r in trace.records[:-1])
 
     def test_coarse_draining_film(self):
         # 100 cells, run through touchdown: the film drains at the center,

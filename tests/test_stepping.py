@@ -1,6 +1,7 @@
 """Tableaux, stepper configuration, the run loop, and scheme diagnostics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cutoffpde.stepping import (
     DIAGNOSTICS_SIZE_CAP,
     SDIRK3_GAMMA,
     ButcherTableau,
+    DirkStepper,
     DivergenceError,
     LinearProblem,
     RunTrace,
@@ -297,6 +299,53 @@ class TestSnapshots:
         assert got.values == pytest.approx(0.7, abs=1e-15)
         with pytest.raises(KeyError):
             trace.snapshot_near(0.123, 1e-9)
+
+
+class TestThetaRunMatchesMatrixPair:
+    """A theta run goes through the stage solver; repeated step_linear on the
+    paper's B1/B0 pair is the reference it must reproduce."""
+
+    @staticmethod
+    def reference(problem, cfg):
+        op = theta_operator(problem, cfg.dt, cfg.theta)
+        u = Field(problem.grid, problem.initial_values)
+        for n in range(cfg.n_steps):
+            u = step_linear(op, u, cfg, n * cfg.dt)
+        return u.values
+
+    @pytest.mark.parametrize("theta,rtol,delta", [
+        (1.0, 0.0, 0.0), (0.5, 1e-13, 0.0),
+        # the floor lifts the boundary data to delta, and B0 (u^n)^+ reads
+        # the lifted values
+        (1.0, 0.0, 0.01), (0.5, 1e-13, 0.01), (0.0, 1e-13, 0.01),
+    ])
+    def test_masked_heat_problem(self, theta, rtol, delta):
+        base = TestThetaOperator.masked_problem()
+        mask = base.dirichlet_mask
+        problem = replace(base, boundary_values=lambda t: np.where(mask, 1e-3 * (1.0 + t), 0.0),
+                          initial_values=np.array([1e-3, -0.5, 1.0, -0.25, 1e-3]))
+        cfg = StepperConfig(dt=0.01, t_end=0.2, integrator="theta", theta=theta,
+                            cutoff=CutoffParams(delta))
+        final, _ = run(problem, cfg)
+        expected = np.maximum(self.reference(problem, cfg), delta)
+        if rtol == 0.0:
+            assert np.array_equal(final.values, expected)
+        else:
+            assert np.allclose(final.values, expected, rtol=rtol, atol=0.0)
+
+
+class TestDirkStepperValidation:
+    @pytest.mark.parametrize("a,b,c,match", [
+        # implicit midpoint: a = [[1/2]], b = [1]
+        ([[0.5]], [1.0], [0.5], "stiffly accurate"),
+        ([[0.25, 0.0], [0.5, 0.5]], [0.5, 0.5], [0.25, 1.0], "single implicit diagonal"),
+        # 2-stage Radau IIA: stiffly accurate but fully implicit
+        ([[5 / 12, -1 / 12], [0.75, 0.25]], [0.75, 0.25], [1 / 3, 1.0], "diagonally implicit"),
+    ])
+    def test_rejects_unsupported_tableaux(self, a, b, c, match):
+        tab = ButcherTableau(a=np.array(a), b=np.array(b), c=np.array(c), order=1)
+        with pytest.raises(ValueError, match=match):
+            DirkStepper(tab, SparseMatrix.identity(3), 0.1)
 
 
 class TestStepHelpers:
