@@ -7,6 +7,9 @@ convection-diffusion layer on the unit square and a degenerate fourth-order
 thin-film equation whose solution touches down and lifts off.
 """
 
+# set before the submodule imports: harness records it in metadata.txt
+__version__ = "0.1.0"
+
 from .cutoff import CutoffParams, apply_floor, cutoff_delta, cutoff_nonneg, lemma_gap
 from .grids import (
     Field,
@@ -51,8 +54,6 @@ from .harness import (
     loglog_slope,
     regularization_comparison,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AnisotropicSpec",

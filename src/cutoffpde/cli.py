@@ -46,10 +46,15 @@ def _parse_snapshots(text):
     return tuple(float(tok) for tok in text.split(","))
 
 
-def _add_common(p, default_dt, default_tend):
+def _add_common(p, default_dt, default_tend=None):
+    """--dt and --out, plus --t-end unless the command takes no horizon."""
     p.add_argument("--dt", type=float, default=default_dt)
-    p.add_argument("--t-end", type=float, default=default_tend)
+    if default_tend is not None:
+        p.add_argument("--t-end", type=float, default=default_tend)
     p.add_argument("--out", default=None, help="output directory for CSV artifacts")
+
+
+def _add_cutoff(p):
     p.add_argument("--cutoff", choices=("off", "nonneg", "delta"), default="nonneg")
     p.add_argument("--delta-coeff", type=float, default=1.0,
                    help="delta = coeff * dt * h^2 when --cutoff delta")
@@ -69,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--integrator", choices=("sdirk3", "theta"), default="sdirk3")
     p.add_argument("--theta", type=float, default=1.0)
     _add_common(p, default_dt=1e-2, default_tend=1.0)
+    _add_cutoff(p)
 
     p = sub.add_parser("aniso-run", help="one anisotropic run, trace + final")
     p.add_argument("-J", "--grid", type=int, default=80, help="cells per side")
@@ -76,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--integrator", choices=("sdirk3", "theta"), default="sdirk3")
     p.add_argument("--theta", type=float, default=1.0)
     _add_common(p, default_dt=1e-2, default_tend=1.0)
+    _add_cutoff(p)
 
     p = sub.add_parser("lub1d", help="1D thin film, touchdown and liftoff")
     p.add_argument("-J", "--grid", type=int, default=1000, help="cells")
@@ -83,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot-every", type=int, default=None)
     p.add_argument("--snapshots", default="", help="comma list of times")
     _add_common(p, default_dt=1e-6, default_tend=2.5e-3)
+    _add_cutoff(p)
 
     p = sub.add_parser("lub2d", help="2D thin film")
     p.add_argument("-J", "--grid", type=int, default=80, help="cells per side")
@@ -90,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot-every", type=int, default=None)
     p.add_argument("--snapshots", default="", help="comma list of times")
     _add_common(p, default_dt=1e-6, default_tend=1e-3)
+    _add_cutoff(p)
 
     p = sub.add_parser("reg-compare", help="bare vs mollified mobility")
     p.add_argument("-J", "--grid", type=int, default=1000, help="cells")
@@ -100,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnostics", help="theta-scheme matrix norms")
     p.add_argument("-J", "--grid", type=int, default=20, help="cells per side")
     p.add_argument("--theta", type=float, default=1.0)
-    _add_common(p, default_dt=1e-2, default_tend=1.0)
+    _add_common(p, default_dt=1e-2)
 
     return parser
 

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .anisotropic import AnisotropicSpec, assemble, exact_field
 from .cutoff import CutoffParams
 from .grids import Grid2D, l2_norm
@@ -47,8 +49,6 @@ class ExperimentConfig:
     integrator: str = "sdirk3"
     theta: float = 1.0
     out_dir: Optional[str] = None
-    snapshot_times: Sequence[float] = ()
-    snapshot_every: Optional[int] = None
 
     def __post_init__(self):
         if self.cutoff_mode not in CUTOFF_MODES:
@@ -235,7 +235,9 @@ def ensure_dir(path):
 
 
 def write_metadata(path, cfg: ExperimentConfig):
-    """Echo every design toggle that the equations do not force."""
+    """Echo every design toggle that the equations do not force, then the
+    package, numpy and scipy versions and every *_NUM_THREADS variable set
+    in the environment (one absent from the file was unset)."""
     lines = {
         "experiment": cfg.experiment,
         "resolutions": ",".join(str(r) for r in cfg.resolutions),
@@ -255,7 +257,13 @@ def write_metadata(path, cfg: ExperimentConfig):
         "touching_area_2d": "trapezoid_weight_sum",
         "onset_definition": "first step with pre-cutoff min <= 0",
         "solver": "banded_lu_or_sparse_lu_with_refinement",
+        "cutoffpde_version": __version__,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
     }
+    lines.update(sorted(
+        (name, value) for name, value in os.environ.items() if name.endswith("_NUM_THREADS")
+    ))
     with open(path, "w") as fh:
         for k, v in lines.items():
             fh.write(f"{k}={v}\n")

@@ -48,6 +48,15 @@ class SparseMatrix:
         self._csr = csr
 
     @classmethod
+    def from_canonical(cls, csr: sp.csr_matrix) -> "SparseMatrix":
+        """Adopt a square CSR matrix that is canonical by construction
+        (sorted indices, no duplicates, no explicit zeros) as it is: no copy
+        and no re-canonicalization.  The caller vouches for the format."""
+        m = cls.__new__(cls)
+        m._csr = csr
+        return m
+
+    @classmethod
     def from_coo(cls, n: int, rows, cols, vals) -> "SparseMatrix":
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -111,14 +120,21 @@ class SparseMatrix:
         """Exact max absolute row sum."""
         if self.nnz == 0:
             return 0.0
-        return float(np.max(np.abs(self._csr).sum(axis=1)))
+        # each row summed in storage order, as a product with ones would
+        row_sums = np.bincount(self.entry_rows(), weights=np.abs(self.data),
+                               minlength=self.dimension)
+        return float(row_sums.max())
+
+    def entry_rows(self) -> np.ndarray:
+        """Row index of every stored entry, in storage order."""
+        indptr = self._csr.indptr
+        return np.repeat(np.arange(self.dimension, dtype=indptr.dtype), np.diff(indptr))
 
     def bandwidth(self) -> tuple:
         """(lower, upper) bandwidth from the stored pattern."""
         if self.nnz == 0:
             return (0, 0)
-        coo = self._csr.tocoo()
-        d = coo.row - coo.col
+        d = self.entry_rows() - self._csr.indices
         return (int(max(d.max(), 0)), int(max(-d.min(), 0)))
 
     def to_dense(self) -> np.ndarray:
@@ -133,8 +149,13 @@ class SparseMatrix:
 
 
 def identity_plus(a: SparseMatrix, scale: float) -> SparseMatrix:
-    """I + scale * A, the shifted systems the implicit steppers factor."""
-    return SparseMatrix(sp.identity(a.dimension, format="csr") + float(scale) * a.csr)
+    """I + scale * A, the shifted systems the implicit steppers factor.
+
+    scipy adds two canonical CSR matrices by a sorted merge that keeps only
+    nonzero sums, so the result is canonical as it comes."""
+    return SparseMatrix.from_canonical(
+        sp.identity(a.dimension, format="csr") + float(scale) * a.csr
+    )
 
 
 @dataclass(frozen=True)
@@ -163,9 +184,8 @@ class Factorization:
         n = a.dimension
         if max(kl, ku) <= BANDED_BANDWIDTH_MAX:
             self._method = "banded-lu"
-            coo = a.csr.tocoo()
             ab = np.zeros((2 * kl + ku + 1, n))
-            ab[kl + ku + coo.row - coo.col, coo.col] = coo.data
+            ab[kl + ku + a.entry_rows() - a.indices, a.indices] = a.data
             gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
             lu, ipiv, info = gbtrf(ab, kl, ku)
             if info > 0:

@@ -37,6 +37,7 @@ solver residual.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -119,8 +120,23 @@ def mobility(u, spec: MobilitySpec):
     return f if vals.ndim else float(f)
 
 
+#: grids whose Laplacian stays cached; a run uses one or two
+LAPLACIAN_CACHE_SIZE = 32
+
+
+def _read_only(m: SparseMatrix) -> SparseMatrix:
+    """Freeze a matrix that the cache hands to every caller."""
+    for arr in (m.data, m.indices, m.indptr):
+        arr.flags.writeable = False
+    return m
+
+
+@lru_cache(maxsize=LAPLACIAN_CACHE_SIZE)
 def _laplacian_1d(grid: Grid1D) -> SparseMatrix:
-    """3-point Laplacian with even ghost reflection (u_x = 0 at both ends)."""
+    """3-point Laplacian with even ghost reflection (u_x = 0 at both ends).
+
+    Built once per grid and shared by every caller, so its arrays are
+    read-only."""
     n = grid.node_count
     h2 = grid.h ** 2
     main = np.full(n, -2.0 / h2)
@@ -128,32 +144,35 @@ def _laplacian_1d(grid: Grid1D) -> SparseMatrix:
     lap = sp.diags([off, main, off], [-1, 0, 1], format="lil")
     lap[0, 1] = 2.0 / h2
     lap[n - 1, n - 2] = 2.0 / h2
-    return SparseMatrix(lap)
+    return _read_only(SparseMatrix(lap))
 
 
+@lru_cache(maxsize=LAPLACIAN_CACHE_SIZE)
 def _laplacian_2d(grid: Grid2D) -> SparseMatrix:
-    """5-point Laplacian with even reflection on all four sides."""
+    """5-point Laplacian with even reflection on all four sides (cached like
+    the 1D one)."""
     lx = _laplacian_1d(Grid1D(grid.ax, grid.bx, grid.nx_cells)).csr
     ly = _laplacian_1d(Grid1D(grid.ay, grid.by, grid.ny_cells)).csr
     ix = sp.identity(grid.nx_cells + 1, format="csr")
     iy = sp.identity(grid.ny_cells + 1, format="csr")
-    return SparseMatrix(sp.kron(iy, lx) + sp.kron(ly, ix))
+    return _read_only(SparseMatrix(sp.kron(iy, lx) + sp.kron(ly, ix)))
 
 
-def _flux_divergence_1d(face_mobility: np.ndarray, grid: Grid1D) -> SparseMatrix:
-    """w -> (1/vol_j) * [f_{j+1/2}(w_{j+1}-w_j)/h - f_{j-1/2}(w_j-w_{j-1})/h]
-    with zero flux through the domain ends and half-cell volumes there."""
-    n = grid.node_count
-    h = grid.h
-    vol = np.full(n, h)
-    vol[0] = vol[-1] = 0.5 * h
-    c = face_mobility / h  # one entry per interior face j+1/2, j = 0..n-2
-    left = np.arange(n - 1)
-    right = left + 1
-    rows = np.concatenate([left, left, right, right])
-    cols = np.concatenate([right, left, right, left])
-    vals = np.concatenate([c / vol[left], -c / vol[left], -c / vol[right], c / vol[right]])
-    return SparseMatrix.from_coo(n, rows, cols, vals)
+@lru_cache(maxsize=LAPLACIAN_CACHE_SIZE)
+def _laplacian_1d_rows(grid: Grid1D) -> np.ndarray:
+    """S[m + 1, i, k + 2] = Lap[i + m, i + k] for m = -1, 0, 1 and
+    k = -2..2, zero outside the matrix: the Laplacian rows that row i of a
+    tridiagonal D meets in D @ Lap, laid out on the five diagonals."""
+    lap = _laplacian_1d(grid)
+    n = lap.dimension
+    rows, cols = lap.entry_rows(), lap.indices
+    s = np.zeros((3, n, 5))
+    for m in (-1, 0, 1):
+        i = rows - m
+        inside = (i >= 0) & (i < n)
+        s[m + 1, i[inside], cols[inside] - i[inside] + 2] = lap.data[inside]
+    s.flags.writeable = False
+    return s
 
 
 def _face_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -168,14 +187,44 @@ def _lagged_face_mobilities_1d(u_lagged: Field, spec: LubricationSpec) -> np.nda
 def assemble_lubrication_1d(u_lagged: Field, spec: LubricationSpec) -> SparseMatrix:
     """Matrix of the linear operator u -> -( f_hat u_xxx )_x with face
     mobilities frozen at the lagged state; pentadiagonal inside, reflected
-    ghosts at the ends."""
+    ghosts at the ends.
+
+    The operator is -(D @ Lap), D the flux divergence
+    w -> (1/vol_i) [c_i (w_{i+1} - w_i) - c_{i-1} (w_i - w_{i-1})] with
+    c_i = f_{i+1/2}/h, zero flux through the domain ends and half-cell
+    volumes there.  Its five diagonals are formed directly, summing
+    D[i, j] * Lap[j, i+k] over j = i-1, i, i+1 in that order, which is the
+    order of a sparse product, so the entries are the product's to the bit;
+    exact zeros (at touched-down faces) are not stored.
+    """
     grid = spec.grid
     if not isinstance(grid, Grid1D) or u_lagged.grid != grid:
         raise ValueError("lagged state must live on the 1D grid of the spec")
-    faces = _lagged_face_mobilities_1d(u_lagged, spec)
-    div = _flux_divergence_1d(faces, grid)
-    lap = _laplacian_1d(grid)
-    return (div @ lap).scaled(-1.0)
+    n = grid.node_count
+    h = grid.h
+    vol = np.full(n, h)
+    vol[0] = vol[-1] = 0.5 * h
+    c = _lagged_face_mobilities_1d(u_lagged, spec) / h  # face i+1/2, i = 0..n-2
+    # d[i, m + 1] = D[i, i + m]
+    d = np.zeros((n, 3))
+    d[1:, 0] = c / vol[1:]
+    d[:-1, 2] = c / vol[:-1]
+    d[:, 1] = -d[:, 2] - d[:, 0]
+    s = _laplacian_1d_rows(grid)
+    band = d[:, :1] * s[0]
+    band += d[:, 1:2] * s[1]
+    band += d[:, 2:] * s[2]
+    np.negative(band, out=band)
+    # band[i, k + 2] = A[i, i + k]; row-major order keeps columns sorted.
+    # Slots off the matrix hold zeros, or NaN once a mobility overflows to
+    # inf, so they are masked by position and not by value.
+    cols = np.arange(n, dtype=np.int32)[:, None] + np.arange(-2, 3, dtype=np.int32)
+    keep = (band != 0.0) & (cols >= 0) & (cols < n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return SparseMatrix.from_canonical(
+        sp.csr_matrix((band[keep], cols[keep], indptr), shape=(n, n))
+    )
 
 
 def assemble_lubrication_2d(u_lagged: Field, spec: LubricationSpec) -> SparseMatrix:

@@ -393,11 +393,16 @@ def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig,
     weights = trapezoid_weights(grid)
     trace = RunTrace()
 
+    def mass_of(vals: np.ndarray) -> float:
+        # numpy's pairwise sum, not a BLAS dot: the digits must not depend
+        # on how many threads BLAS splits the dot across
+        return float(np.sum(weights * vals))
+
     def record(step: int, t: float, vals: np.ndarray, floored: np.ndarray, residual: float):
         trace.records.append(StepRecord(
             step=step, t=t,
             min_pre=float(vals.min()), min_post=float(floored.min()),
-            mass_pre=float(weights @ vals), mass_post=float(weights @ floored),
+            mass_pre=mass_of(vals), mass_post=mass_of(floored),
             residual=residual,
         ))
         if _wants_snapshot(step, t, cfg):

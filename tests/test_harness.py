@@ -2,10 +2,15 @@
 
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import cutoffpde
 from cutoffpde.cli import cli_main
 from cutoffpde.cutoff import CutoffParams
 from cutoffpde.harness import (
@@ -139,6 +144,23 @@ class TestMetadata:
         assert meta["sdirk_gamma"] == "0.43586652150845906"
         assert "fencepost span" in meta["touching_length"]
 
+    def test_versions_and_thread_settings_are_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.setenv("MY_POOL_NUM_THREADS", "7")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        cfg = ExperimentConfig("x", (4,), dt=0.1, t_end=1.0)
+        p = tmp_path / "metadata.txt"
+        write_metadata(p, cfg)
+        meta = dict(line.split("=", 1) for line in p.read_text().splitlines())
+        assert meta["cutoffpde_version"] == cutoffpde.__version__
+        assert meta["numpy_version"] == np.__version__
+        assert meta["scipy_version"] == scipy.__version__
+        assert meta["OPENBLAS_NUM_THREADS"] == "3"
+        assert meta["MY_POOL_NUM_THREADS"] == "7"
+        assert "MKL_NUM_THREADS" not in meta
+        # the solver line stays as it is until it can name the solver that ran
+        assert meta["solver"] == "banded_lu_or_sparse_lu_with_refinement"
+
 
 class TestRegularizationComparison:
     def test_self_comparison_is_exact(self, tmp_path):
@@ -182,6 +204,14 @@ class TestCli:
         assert cli_main(["no-such-command"]) == 2
         assert cli_main(["lub1d", "--no-such-flag"]) == 2
         assert cli_main(["lub1d", "--cutoff", "banana"]) == 2
+        capsys.readouterr()
+
+    def test_unread_flags_are_rejected(self, capsys):
+        # commands accept only the flags they read
+        assert cli_main(["reg-compare", "--cutoff", "off"]) == 2
+        assert cli_main(["reg-compare", "--delta-coeff", "2"]) == 2
+        assert cli_main(["diagnostics", "--cutoff", "delta"]) == 2
+        assert cli_main(["diagnostics", "--t-end", "5"]) == 2
         capsys.readouterr()
 
     def test_numerical_errors_exit_one(self, capsys):
@@ -266,3 +296,20 @@ class TestCli:
         assert cli_main(args + ["--out", str(out_b)]) == 0
         for name in ("trace.csv", "final.csv", "singularity.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_trace_does_not_depend_on_blas_threads(self, tmp_path):
+        # 101^2 nodes is above the size at which OpenBLAS splits a dot
+        # product across threads, so a BLAS mass would move its last digit
+        src = str(Path(cutoffpde.__file__).resolve().parent.parent)
+        argv = ["aniso-run", "-J", "100", "--integrator", "theta",
+                "--dt", "0.25", "--t-end", "0.5"]
+        traces = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "cutoffpde.cli", *argv, "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cutoffpde.linalg import (
     BANDED_BANDWIDTH_MAX,
@@ -87,6 +89,19 @@ class TestSparseMatrix:
         assert lower.bandwidth() == (3, 0)
         assert SparseMatrix.from_coo(4, [], [], []).bandwidth() == (0, 0)
 
+    def test_norm_and_bandwidth_read_the_stored_pattern(self):
+        # both come straight from indptr/indices; the row sums keep the
+        # order of a product with a ones vector, so the norm is the same float
+        rng = np.random.default_rng(11)
+        dense = rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)
+        dense[4] = 0.0
+        a = SparseMatrix(dense)
+        assert a.operator_norm_inf() == float(np.max(np.abs(a.csr).sum(axis=1)))
+        coo = a.csr.tocoo()
+        d = coo.row - coo.col
+        assert a.bandwidth() == (int(max(d.max(), 0)), int(max(-d.min(), 0)))
+        assert np.array_equal(a.entry_rows(), coo.row)
+
     def test_dump_coordinate(self, tmp_path):
         p = tmp_path / "m.txt"
         SparseMatrix.identity(2).dump_coordinate(p)
@@ -96,6 +111,24 @@ class TestSparseMatrix:
         a = SparseMatrix(np.array([[0.0, 2.0], [1.0, 0.0]]))
         got = identity_plus(a, -0.5).to_dense()
         assert np.array_equal(got, [[1.0, -1.0], [-0.5, 1.0]])
+
+    def test_identity_plus_is_canonical_as_built(self):
+        # rows without a diagonal entry, a zero row, and a diagonal that
+        # cancels to an exact zero: the shifted matrix must equal its own
+        # re-canonicalized copy bit for bit
+        dense = np.array([
+            [2.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [3.0, 0.0, 0.0, -1.0],
+            [0.0, 0.0, 5.0, 4.0],
+        ])
+        shifted = identity_plus(SparseMatrix(dense), -0.5)
+        assert shifted.csr.has_canonical_format
+        again = SparseMatrix(shifted.csr)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(shifted, part), getattr(again, part))
+        assert np.array_equal(shifted.to_dense(), np.eye(4) - 0.5 * dense)
+        assert shifted.nnz == 7  # the zero at (0, 0) is not stored
 
 
 class TestSolvers:
@@ -128,6 +161,29 @@ class TestSolvers:
         x, report = solve(a, rhs)
         assert report.method == "sparse-lu"
         assert np.allclose(x, np.linalg.solve(a.to_dense(), rhs), rtol=1e-12)
+
+    def test_banded_route_with_identity_rows_matches_splu(self):
+        # identity rows (Dirichlet nodes) inside a pentadiagonal band: the
+        # band array is filled from indptr/indices, so empty off-diagonals
+        # in a row must leave the band untouched there
+        n = 30
+        rng = np.random.default_rng(5)
+        dense = np.zeros((n, n))
+        for k in (-2, -1, 1, 2):
+            dense += np.diag(rng.normal(size=n - abs(k)), k=k)
+        np.fill_diagonal(dense, 1.0 + np.abs(dense).sum(axis=1))
+        for i in (0, 7, 8, 19, n - 1):
+            dense[i] = 0.0
+            dense[i, i] = 1.0
+        a = SparseMatrix(dense)
+        assert a.bandwidth() == (2, 2)
+        rhs = rng.normal(size=n)
+        f = Factorization(a)
+        x, report = f.solve(rhs)
+        assert f.method == "banded-lu"
+        ref = spla.splu(sp.csc_matrix(dense)).solve(rhs)
+        assert np.allclose(x, ref, rtol=1e-13, atol=1e-14)
+        assert np.allclose(x[[0, 7, 8, 19, n - 1]], rhs[[0, 7, 8, 19, n - 1]], rtol=1e-14)
 
     def test_factorization_reusable(self):
         a = tridiag(10, 1.0, 5.0, 2.0)

@@ -14,6 +14,7 @@ from cutoffpde.grids import (
     mass,
     trapezoid_weights,
 )
+from cutoffpde.linalg import SparseMatrix
 from cutoffpde.lubrication import (
     SNAPSHOT_EVERY_DEFAULT,
     ZERO_PLATEAU_MIN_WIDTH,
@@ -31,7 +32,27 @@ from cutoffpde.lubrication import (
     touching_length,
     track_singularity,
 )
+from cutoffpde.lubrication import _laplacian_1d, _laplacian_2d, _lagged_face_mobilities_1d
 from cutoffpde.stepping import DivergenceError, StepperConfig
+
+
+def reference_operator_1d(u_lagged, spec):
+    """The 1D film operator as the sparse product -(D @ Lap) of the flux
+    divergence D and the reflected Laplacian: the oracle of the direct
+    five-diagonal assembly."""
+    grid = spec.grid
+    n = grid.node_count
+    h = grid.h
+    vol = np.full(n, h)
+    vol[0] = vol[-1] = 0.5 * h
+    c = _lagged_face_mobilities_1d(u_lagged, spec) / h
+    left = np.arange(n - 1)
+    right = left + 1
+    rows = np.concatenate([left, left, right, right])
+    cols = np.concatenate([right, left, right, left])
+    vals = np.concatenate([c / vol[left], -c / vol[left], -c / vol[right], c / vol[right]])
+    div = SparseMatrix.from_coo(n, rows, cols, vals)
+    return (div @ _laplacian_1d(grid)).scaled(-1.0)
 
 
 class TestMobility:
@@ -164,6 +185,80 @@ class TestAssembly1D:
         rel = (ae - a0).operator_norm_inf() / a0.operator_norm_inf()
         assert rel <= 1e-10
         assert rel == pytest.approx(5.5898e-11, rel=1e-3)
+
+
+class TestAssembly1DMatchesProduct:
+    """The direct assembly must reproduce the sparse product to the bit, so
+    runs stay bit-identical to the product-based operator."""
+
+    @staticmethod
+    def assert_same_csr(a, b):
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, part), getattr(b, part)), part
+
+    def test_initial_film(self):
+        spec = LubricationSpec.default_1d(1000)
+        u0 = spec.initial_field()
+        self.assert_same_csr(assemble_lubrication_1d(u0, spec), reference_operator_1d(u0, spec))
+
+    def test_zeroed_interval(self):
+        # zero-mobility faces inside the interval leave zero rows there
+        spec = LubricationSpec.default_1d(1000)
+        vals = spec.initial_field().values.copy()
+        vals[400:601] = 0.0
+        u = Field(spec.grid, vals)
+        a = assemble_lubrication_1d(u, spec)
+        self.assert_same_csr(a, reference_operator_1d(u, spec))
+        assert np.all(np.diff(a.indptr)[402:599] == 0)
+
+    def test_mollified_mobility(self):
+        spec = LubricationSpec.default_1d(1000, epsilon=1e-14)
+        u0 = spec.initial_field()
+        self.assert_same_csr(assemble_lubrication_1d(u0, spec), reference_operator_1d(u0, spec))
+
+    def test_overflowed_mobility_stays_on_the_matrix(self):
+        # u^4 overflows at a boundary node: the slots off the matrix then hold
+        # NaN, and must still not be stored as columns -2, -1, n or n+1
+        spec = LubricationSpec(grid=Grid1D(-1.0, 1.0, 8), mobility=MobilitySpec(exponent=4.0))
+        vals = np.ones(9)
+        vals[0] = vals[-1] = 1e100
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = assemble_lubrication_1d(Field(spec.grid, vals), spec)
+            ref = reference_operator_1d(Field(spec.grid, vals), spec)
+        assert 0 <= a.indices.min() and a.indices.max() <= 8
+        assert np.array_equal(a.indptr, ref.indptr)
+        assert not np.all(np.isfinite(a.data))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_random_states(self, n, seed, zero_share):
+        rng = np.random.default_rng(seed)
+        spec = LubricationSpec.default_1d(n)
+        vals = rng.uniform(0.0, 2.0, n + 1)
+        vals[rng.random(n + 1) < zero_share] = 0.0
+        u = Field(spec.grid, vals)
+        self.assert_same_csr(assemble_lubrication_1d(u, spec), reference_operator_1d(u, spec))
+
+
+class TestLaplacianCache:
+    def test_one_build_per_grid(self):
+        assert _laplacian_1d(Grid1D(-1.0, 1.0, 64)) is _laplacian_1d(Grid1D(-1.0, 1.0, 64))
+        assert _laplacian_2d(Grid2D.square(-1.0, 1.0, 6)) is _laplacian_2d(Grid2D.square(-1.0, 1.0, 6))
+        assert _laplacian_1d(Grid1D(-1.0, 1.0, 64)) is not _laplacian_1d(Grid1D(-1.0, 1.0, 65))
+
+    def test_unchanged_by_a_run(self):
+        spec = LubricationSpec.default_1d(64)
+        lap = _laplacian_1d(spec.grid)
+        before = [arr.copy() for arr in (lap.indptr, lap.indices, lap.data)]
+        run_lubrication(spec, StepperConfig(dt=1e-6, t_end=1e-5, cutoff=CutoffParams(0.0)))
+        assert _laplacian_1d(spec.grid) is lap
+        for old, new in zip(before, (lap.indptr, lap.indices, lap.data)):
+            assert np.array_equal(old, new)
+        assert not lap.data.flags.writeable
 
 
 class TestAssembly2D:
