@@ -21,7 +21,7 @@ from .grids import (
     max_undershoot,
     trapezoid_weights,
 )
-from .linalg import Factorization, SolveError, SparseMatrix, SparseOperator, solve
+from .linalg import Factorization, SolveError, SparseMatrix, SparseOperator
 from .stepping import (
     SDIRK3_GAMMA,
     ButcherTableau,
@@ -98,7 +98,6 @@ __all__ = [
     "run_lubrication",
     "scheme_diagnostics",
     "sdirk3_tableau",
-    "solve",
     "theta_operator",
     "theta_tableau",
     "touching_length",

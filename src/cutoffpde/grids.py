@@ -8,7 +8,9 @@ the value at (x_i, y_j) sits at flat index ``j*(nx_cells+1) + i``.
 All integral quantities (l2_norm, mass) use trapezoidal weights, so boundary
 nodes carry half weight (quarter weight at 2D corners).  This is the single
 quadrature convention used everywhere in the package; conservation statements
-for the flux-form operators are exact with respect to these weights.
+for the flux-form operators are exact with respect to these weights.  The
+weighted sums are numpy's pairwise sums, not BLAS dots, so their digits do not
+depend on how many threads BLAS runs.
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ def l2_norm(e: Field) -> float:
     """Trapezoid-weighted discrete L2 norm, sqrt(sum_j w_j e_j^2)."""
     _require_finite(e.values, "l2_norm argument")
     w = trapezoid_weights(e.grid)
-    return float(math.sqrt(float(w @ (e.values * e.values))))
+    return float(math.sqrt(float(np.sum(w * (e.values * e.values)))))
 
 
 def max_norm(e: Field) -> float:
@@ -191,58 +193,13 @@ def max_undershoot(f: Field) -> float:
 def mass(f: Field) -> float:
     """Trapezoidal approximation of the integral of f over the domain."""
     _require_finite(f.values, "mass argument")
-    return float(trapezoid_weights(f.grid) @ f.values)
+    return float(np.sum(trapezoid_weights(f.grid) * f.values))
 
 
 def domain_measure(grid: Grid) -> float:
     if isinstance(grid, Grid1D):
         return grid.b - grid.a
     return (grid.bx - grid.ax) * (grid.by - grid.ay)
-
-
-def fd_weights(offsets, derivative: int) -> np.ndarray:
-    """Finite-difference weights on integer node offsets for a derivative.
-
-    Solves the Vandermonde exactness conditions sum_k w_k o_k^m = m! delta_{m,d}
-    for m = 0..len(offsets)-1; the caller divides by h**derivative.
-    """
-    offs = np.asarray(offsets, dtype=float)
-    n = offs.size
-    if derivative >= n:
-        raise ValueError("need more points than the derivative order")
-    vand = np.vander(offs, n, increasing=True).T
-    rhs = np.zeros(n)
-    rhs[derivative] = math.factorial(derivative)
-    return np.linalg.solve(vand, rhs)
-
-
-# One-sided stencils used at the 2 nodes next to each boundary (2nd order).
-_THIRD_LEFT0 = fd_weights([0, 1, 2, 3, 4], 3)
-_THIRD_LEFT1 = fd_weights([-1, 0, 1, 2, 3], 3)
-
-
-def third_derivative(f: Field) -> Field:
-    """Second-order discrete third derivative on a 1D grid.
-
-    Interior nodes use the centered stencil
-    (f_{j+2} - 2 f_{j+1} + 2 f_{j-1} - f_{j-2}) / (2 h^3),
-    the two nodes next to each boundary use one-sided 5-point stencils of the
-    same order.
-    """
-    if not isinstance(f.grid, Grid1D):
-        raise ValueError("third_derivative requires a 1D grid")
-    if f.grid.n_cells < 4:
-        raise ValueError("third_derivative needs at least 4 cells")
-    _require_finite(f.values, "third_derivative argument")
-    v = f.values
-    h3 = f.grid.h ** 3
-    out = np.empty_like(v)
-    out[2:-2] = (v[4:] - 2.0 * v[3:-1] + 2.0 * v[1:-3] - v[:-4]) / (2.0 * h3)
-    out[0] = (_THIRD_LEFT0 @ v[:5]) / h3
-    out[1] = (_THIRD_LEFT1 @ v[:5]) / h3
-    out[-2] = -(_THIRD_LEFT1 @ v[-5:][::-1]) / h3
-    out[-1] = -(_THIRD_LEFT0 @ v[-5:][::-1]) / h3
-    return Field(f.grid, out)
 
 
 def write_field_csv(f: Field, path):

@@ -1,11 +1,16 @@
 """Square sparse matrices and the direct solvers the steppers run on.
 
-Matrices are stored in canonical CSR (sorted column indices, duplicates
-summed, no explicit zeros).  Solves are direct: systems whose bandwidth is
-at most BANDED_BANDWIDTH_MAX on each side go through LAPACK banded LU
-(gbtrf/gbtrs), everything else through SuperLU.  Every solve does one step
-of iterative refinement and then re-verifies the max-norm residual against
-the configured tolerance, so a returned solution is always a checked one.
+SparseMatrix is a square matrix in canonical CSR (sorted column indices,
+duplicates summed, no explicit zeros) with no arithmetic: callers compute on
+scipy matrices (``.csr``) and wrap the result.  The banded fill of
+Factorization writes ``data`` into the band by position, so it relies on
+that format (a duplicate entry would be overwritten there, not summed).
+
+Solves are direct: systems whose bandwidth is at most BANDED_BANDWIDTH_MAX
+on each side go through LAPACK banded LU (gbtrf/gbtrs), everything else
+through SuperLU.  Every solve does one step of iterative refinement and then
+re-verifies the max-norm residual against the configured tolerance, so a
+returned solution is always a checked one.
 
 The steppers factor one shifted system I - a_ii*dt*L per operator
 (identity_plus) and solve every implicit stage against it.  SparseOperator
@@ -34,7 +39,7 @@ class SolveError(RuntimeError):
 
 
 class SparseMatrix:
-    """Immutable-by-convention square CSR matrix."""
+    """Immutable-by-convention square matrix in canonical CSR."""
 
     __slots__ = ("_csr",)
 
@@ -64,15 +69,6 @@ class SparseMatrix:
         if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
             raise ValueError("coordinate index out of range")
         return cls(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(sp.identity(n, format="csr"))
-
-    @classmethod
-    def from_diagonal(cls, diag) -> "SparseMatrix":
-        diag = np.asarray(diag, dtype=float)
-        return cls(sp.diags(diag, format="csr"))
 
     @property
     def csr(self) -> sp.csr_matrix:
@@ -104,18 +100,6 @@ class SparseMatrix:
             raise ValueError(f"matvec operand has shape {x.shape}, expected ({self.dimension},)")
         return self._csr @ x
 
-    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return SparseMatrix(self._csr @ other._csr)
-
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return SparseMatrix(self._csr + other._csr)
-
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return SparseMatrix(self._csr - other._csr)
-
-    def scaled(self, s: float) -> "SparseMatrix":
-        return SparseMatrix(self._csr * float(s))
-
     def operator_norm_inf(self) -> float:
         """Exact max absolute row sum."""
         if self.nnz == 0:
@@ -139,13 +123,6 @@ class SparseMatrix:
 
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
-
-    def dump_coordinate(self, path):
-        """Text dump, one 'row col value' line per stored entry."""
-        coo = self._csr.tocoo()
-        with open(path, "w") as fh:
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {v:.17g}\n")
 
 
 def identity_plus(a: SparseMatrix, scale: float) -> SparseMatrix:
@@ -237,11 +214,6 @@ class Factorization:
                 f"{self._tol:.3e} ({self._method}, |A|_inf = {self._a.operator_norm_inf():.3e})"
             )
         return x, SolveReport(residual, 0, self._method, self._tol)
-
-
-def solve(a: SparseMatrix, rhs: np.ndarray, tol: float = None) -> tuple:
-    """One-shot factor + solve; returns (x, SolveReport)."""
-    return Factorization(a, tol).solve(rhs)
 
 
 SourceTerm = Union[np.ndarray, Callable[[float], np.ndarray]]

@@ -275,7 +275,7 @@ def assemble_lubrication_2d(u_lagged: Field, spec: LubricationSpec) -> SparseMat
     div = SparseMatrix.from_coo(
         n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     )
-    return (div @ _laplacian_2d(grid)).scaled(-1.0)
+    return SparseMatrix(-(div.csr @ _laplacian_2d(grid).csr))
 
 
 def _assemble(u_lagged: Field, spec: LubricationSpec) -> SparseMatrix:
@@ -344,21 +344,20 @@ ZERO_PLATEAU_MIN_WIDTH = 0.02
 ZERO_PLATEAU_TOL = 1e-12
 
 
-def has_zero_plateau(snapshots: Sequence, min_width: float = ZERO_PLATEAU_MIN_WIDTH,
-                     tol: float = ZERO_PLATEAU_TOL) -> bool:
+def has_zero_plateau(snapshots: Sequence) -> bool:
     """Whether any 1D snapshot is identically zero across a touching span of
-    at least min_width.  Distinguishes a film that truly dies on an interval
-    from one whose dry region carries a persistent interior bump; tol absorbs
-    solver-level dust on top of exact cutoff zeros."""
+    at least ZERO_PLATEAU_MIN_WIDTH.  Distinguishes a film that truly dies on
+    an interval from one whose dry region carries a persistent interior bump;
+    ZERO_PLATEAU_TOL absorbs solver-level dust on top of exact cutoff zeros."""
     for _, f in snapshots:
         if not isinstance(f.grid, Grid1D):
             raise ValueError("zero-plateau detection is defined for 1D fields")
         idx = np.flatnonzero(f.values <= 0.0)
         if idx.size < 2:
             continue
-        if (idx[-1] - idx[0]) * f.grid.h < min_width:
+        if (idx[-1] - idx[0]) * f.grid.h < ZERO_PLATEAU_MIN_WIDTH:
             continue
-        if f.values[idx[0]:idx[-1] + 1].max() <= tol:
+        if f.values[idx[0]:idx[-1] + 1].max() <= ZERO_PLATEAU_TOL:
             return True
     return False
 
@@ -409,8 +408,7 @@ def run_lubrication(spec: LubricationSpec, cfg: StepperConfig) -> tuple:
     tableau = sdirk3_tableau()
 
     def stepper_for(floored: np.ndarray) -> DirkStepper:
-        return DirkStepper(tableau, _assemble(Field(grid, floored), spec), cfg.dt,
-                           tol=cfg.solver_tol)
+        return DirkStepper(tableau, _assemble(Field(grid, floored), spec), cfg.dt)
 
     final, trace = march(grid, spec.initial_field().values.copy(), cfg, stepper_for)
     record_sing = track_singularity(trace.snapshots)

@@ -146,9 +146,10 @@ class StepperConfig:
     """Fixed-step run configuration.
 
     cutoff = None disables flooring entirely; CutoffParams(0.0) is the plain
-    nonnegative cutoff.  solver_tol = None lets each factorization pick its
-    scale-aware default.  snapshot_every stores the post-cutoff state every
-    k-th step (in addition to any explicit snapshot_times).
+    nonnegative cutoff.  Every factorization checks its solves against its
+    own scale-aware tolerance (linalg.default_tolerance).  snapshot_every
+    stores the post-cutoff state every k-th step (in addition to any
+    explicit snapshot_times).
     """
 
     dt: float
@@ -157,7 +158,6 @@ class StepperConfig:
     cutoff: Optional[CutoffParams] = None
     integrator: str = "sdirk3"
     theta: float = 1.0
-    solver_tol: Optional[float] = None
     snapshot_times: tuple = ()
     snapshot_every: Optional[int] = None
 
@@ -295,7 +295,7 @@ def step_linear(op: SparseOperator, u: Field, cfg: StepperConfig, t: float = 0.0
     the right-hand side is formed; the returned state is not cut.
     """
     rhs = op.b0.matvec(_floor_values(u.values, cfg.cutoff)) + op.source_at(t)
-    x, _ = Factorization(op.b1, cfg.solver_tol).solve(rhs)
+    x, _ = Factorization(op.b1).solve(rhs)
     return Field(u.grid, x)
 
 
@@ -314,8 +314,7 @@ class DirkStepper:
     def __init__(self, tableau: ButcherTableau, l_matrix: SparseMatrix, dt: float,
                  source: Callable[[float], np.ndarray] = None,
                  dirichlet_mask: np.ndarray = None,
-                 boundary_values: Callable[[float], np.ndarray] = None,
-                 tol: float = None):
+                 boundary_values: Callable[[float], np.ndarray] = None):
         gamma, self._live = tableau.dirk_plan
         self._tab = tableau
         self._l = l_matrix
@@ -323,7 +322,7 @@ class DirkStepper:
         self._source = source
         self._mask = dirichlet_mask if dirichlet_mask is not None and dirichlet_mask.any() else None
         self._bvals = boundary_values
-        self._fact = Factorization(identity_plus(l_matrix, -gamma * dt), tol) if gamma else None
+        self._fact = Factorization(identity_plus(l_matrix, -gamma * dt)) if gamma else None
 
     def step(self, values: np.ndarray, t: float) -> tuple:
         """(new state, worst stage residual) of one step from t."""
@@ -356,21 +355,6 @@ class DirkStepper:
                 ks[i] = k
         # stiffly accurate: the last stage value is the new state
         return x, worst
-
-
-def sdirk3_step(rhs_assembler: Callable, u: Field, t: float, cfg: StepperConfig) -> Field:
-    """One SDIRK step of du/dt = L u + s(t).
-
-    rhs_assembler(t_stage) returns (SparseMatrix, source_vector_or_None) at a
-    requested stage time; the matrix of the first stage is frozen across the
-    whole step (lagged-coefficient problems refresh it once per step, not per
-    stage).  The incoming state is used as-is and the result is not cut.
-    """
-    l_matrix, src0 = rhs_assembler(t)
-    source = (lambda ti: rhs_assembler(ti)[1]) if src0 is not None else None
-    stepper = DirkStepper(sdirk3_tableau(), l_matrix, cfg.dt, source=source, tol=cfg.solver_tol)
-    x, _ = stepper.step(u.values, t)
-    return Field(u.grid, x)
 
 
 def _wants_snapshot(step: int, t: float, cfg: StepperConfig) -> bool:
@@ -440,7 +424,6 @@ def run(problem: LinearProblem, cfg: StepperConfig) -> tuple:
         source=problem.source,
         dirichlet_mask=problem.dirichlet_mask,
         boundary_values=problem.boundary_values,
-        tol=cfg.solver_tol,
     )
     return march(problem.grid, problem.initial_values.copy(), cfg, lambda floored: stepper)
 

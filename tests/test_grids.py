@@ -1,4 +1,4 @@
-"""Grids, fields, quadrature, norms, and the derivative diagnostic."""
+"""Grids, fields, quadrature, norms, and field CSV i/o."""
 
 import math
 
@@ -11,13 +11,11 @@ from cutoffpde.grids import (
     Grid1D,
     Grid2D,
     domain_measure,
-    fd_weights,
     l2_norm,
     mass,
     max_norm,
     max_undershoot,
     read_field_csv,
-    third_derivative,
     trapezoid_weights,
     write_field_csv,
 )
@@ -191,50 +189,6 @@ class TestMass:
         a = Field(g, rng.normal(size=13))
         b = Field(g, rng.normal(size=13))
         assert mass(a + b) == pytest.approx(mass(a) + mass(b), abs=1e-13)
-
-
-class TestThirdDerivative:
-    def test_exact_for_cubics(self):
-        g = Grid1D(-1.0, 2.0, 30)
-        out = third_derivative(Field(g, g.nodes() ** 3))
-        assert np.allclose(out.values, 6.0, atol=1e-9)
-
-    def test_constant_gives_zero(self):
-        # rounding floor ~ |w|_1 * eps * |f| with |w|_1 = O(1/h^3)
-        g = Grid1D(0.0, 1.0, 10)
-        out = third_derivative(Field(g, np.full(11, 4.2)))
-        assert np.allclose(out.values, 0.0, atol=1e-10)
-
-    def test_annihilates_quadratics(self):
-        g = Grid1D(0.0, 2.0, 25)
-        x = g.nodes()
-        out = third_derivative(Field(g, 3.0 * x * x - x + 5.0))
-        assert np.allclose(out.values, 0.0, atol=1e-8)
-
-    def test_sine_taylor_bound(self):
-        g = Grid1D(0.0, 1.0, 100)  # h = 0.01
-        x = g.nodes()
-        out = third_derivative(Field(g, np.sin(x)))
-        assert np.max(np.abs(out.values + np.cos(x))) <= 1e-3
-
-    def test_rejects_small_grid(self):
-        g = Grid1D(0.0, 1.0, 3)
-        with pytest.raises(ValueError):
-            third_derivative(Field(g, np.zeros(4)))
-
-    def test_rejects_2d(self):
-        g = Grid2D.square(0.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            third_derivative(Field(g, np.zeros(g.node_count)))
-
-
-class TestFdWeights:
-    def test_centered_second_derivative(self):
-        assert np.allclose(fd_weights([-1, 0, 1], 2), [1.0, -2.0, 1.0], atol=1e-13)
-
-    def test_needs_enough_points(self):
-        with pytest.raises(ValueError):
-            fd_weights([0, 1], 2)
 
 
 class TestFieldCsv:

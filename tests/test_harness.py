@@ -297,13 +297,12 @@ class TestCli:
         for name in ("trace.csv", "final.csv", "singularity.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_trace_does_not_depend_on_blas_threads(self, tmp_path):
-        # 101^2 nodes is above the size at which OpenBLAS splits a dot
-        # product across threads, so a BLAS mass would move its last digit
+    @staticmethod
+    def artifact_per_blas_threads(tmp_path, argv, name):
+        """The bytes of one artifact of a CLI run, run in a fresh process
+        under 1 and under 2 BLAS threads."""
         src = str(Path(cutoffpde.__file__).resolve().parent.parent)
-        argv = ["aniso-run", "-J", "100", "--integrator", "theta",
-                "--dt", "0.25", "--t-end", "0.5"]
-        traces = []
+        outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
@@ -311,5 +310,20 @@ class TestCli:
                        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
             subprocess.run([sys.executable, "-m", "cutoffpde.cli", *argv, "--out", str(out)],
                            env=env, check=True, capture_output=True, timeout=300)
-            traces.append((out / "trace.csv").read_bytes())
+            outputs.append((out / name).read_bytes())
+        return outputs
+
+    def test_trace_does_not_depend_on_blas_threads(self, tmp_path):
+        # 101^2 nodes is above the size at which OpenBLAS splits a dot
+        # product across threads, so a BLAS mass would move its last digit
+        argv = ["aniso-run", "-J", "100", "--integrator", "theta",
+                "--dt", "0.25", "--t-end", "0.5"]
+        traces = self.artifact_per_blas_threads(tmp_path, argv, "trace.csv")
         assert traces[0] == traces[1]
+
+    def test_convergence_errors_do_not_depend_on_blas_threads(self, tmp_path):
+        # the L2 errors go through grids.l2_norm; a BLAS dot there moves the
+        # last digit of the J=128 error between 1 and 2 threads
+        argv = ["aniso-convergence", "--grids", "100,128", "--dt", "0.25", "--t-end", "0.5"]
+        reports = self.artifact_per_blas_threads(tmp_path, argv, "convergence.csv")
+        assert reports[0] == reports[1]

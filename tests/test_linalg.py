@@ -13,7 +13,6 @@ from cutoffpde.linalg import (
     SparseOperator,
     default_tolerance,
     identity_plus,
-    solve,
 )
 
 
@@ -54,29 +53,14 @@ class TestSparseMatrix:
         a = SparseMatrix.from_coo(2, [0, 1], [0, 1], [1.0, 0.0])
         assert a.nnz == 1
 
-    def test_identity_and_diagonal(self):
-        assert np.array_equal(SparseMatrix.identity(3).to_dense(), np.eye(3))
-        d = SparseMatrix.from_diagonal([2.0, -1.0])
-        assert np.array_equal(d.to_dense(), [[2.0, 0.0], [0.0, -1.0]])
-
     def test_matvec(self):
         a = SparseMatrix(np.array([[1.0, -2.0], [3.0, 4.0]]))
         assert np.array_equal(a.matvec(np.array([1.0, 1.0])), [-1.0, 7.0])
 
     def test_matvec_shape_checked(self):
-        a = SparseMatrix.identity(3)
+        a = SparseMatrix(sp.identity(3))
         with pytest.raises(ValueError, match="matvec operand"):
             a.matvec(np.zeros(4))
-
-    def test_algebra_matches_dense(self):
-        rng = np.random.default_rng(7)
-        ad = rng.normal(size=(5, 5))
-        bd = rng.normal(size=(5, 5))
-        a, b = SparseMatrix(ad), SparseMatrix(bd)
-        assert np.allclose((a @ b).to_dense(), ad @ bd, atol=1e-14)
-        assert np.allclose((a + b).to_dense(), ad + bd, atol=1e-15)
-        assert np.allclose((a - b).to_dense(), ad - bd, atol=1e-15)
-        assert np.allclose(a.scaled(-2.5).to_dense(), -2.5 * ad, atol=1e-15)
 
     def test_operator_norm_inf(self):
         a = SparseMatrix(np.array([[1.0, -2.0], [3.0, 4.0]]))
@@ -101,11 +85,6 @@ class TestSparseMatrix:
         d = coo.row - coo.col
         assert a.bandwidth() == (int(max(d.max(), 0)), int(max(-d.min(), 0)))
         assert np.array_equal(a.entry_rows(), coo.row)
-
-    def test_dump_coordinate(self, tmp_path):
-        p = tmp_path / "m.txt"
-        SparseMatrix.identity(2).dump_coordinate(p)
-        assert p.read_text().splitlines() == ["0 0 1", "1 1 1"]
 
     def test_identity_plus(self):
         a = SparseMatrix(np.array([[0.0, 2.0], [1.0, 0.0]]))
@@ -133,8 +112,8 @@ class TestSparseMatrix:
 
 class TestSolvers:
     def test_default_tolerance_scales_with_operator(self):
-        small = SparseMatrix.from_diagonal([0.5, 0.25])
-        big = SparseMatrix.from_diagonal([100.0, 1.0])
+        small = SparseMatrix(sp.diags([0.5, 0.25]))
+        big = SparseMatrix(sp.diags([100.0, 1.0]))
         assert default_tolerance(small) == 1e-12
         assert default_tolerance(big) == 1e-10
 
@@ -143,7 +122,7 @@ class TestSolvers:
         a = tridiag(n, -1.0, 4.0, -1.5)
         rng = np.random.default_rng(0)
         rhs = rng.normal(size=n)
-        x, report = solve(a, rhs)
+        x, report = Factorization(a).solve(rhs)
         assert report.method == "banded-lu"
         assert report.iterations == 0
         assert report.residual_norm <= report.tolerance
@@ -158,7 +137,7 @@ class TestSolvers:
         a = SparseMatrix.from_coo(n, rows, cols, vals)
         assert max(a.bandwidth()) > BANDED_BANDWIDTH_MAX
         rhs = np.arange(1.0, n + 1.0)
-        x, report = solve(a, rhs)
+        x, report = Factorization(a).solve(rhs)
         assert report.method == "sparse-lu"
         assert np.allclose(x, np.linalg.solve(a.to_dense(), rhs), rtol=1e-12)
 
@@ -194,23 +173,23 @@ class TestSolvers:
             assert np.allclose(a.matvec(x), rhs, atol=1e-11)
 
     def test_singular_banded_raises(self):
-        a = SparseMatrix.from_diagonal([1.0, 0.0])
+        a = SparseMatrix(sp.diags([1.0, 0.0]))
         with pytest.raises(SolveError, match="singular banded system"):
             Factorization(a)
 
     def test_rhs_shape_checked(self):
-        f = Factorization(SparseMatrix.identity(3))
+        f = Factorization(SparseMatrix(sp.identity(3)))
         with pytest.raises(ValueError, match="rhs has shape"):
             f.solve(np.zeros(2))
 
     def test_rhs_must_be_finite(self):
-        f = Factorization(SparseMatrix.identity(2))
+        f = Factorization(SparseMatrix(sp.identity(2)))
         with pytest.raises(ValueError, match="non-finite"):
             f.solve(np.array([1.0, float("nan")]))
 
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError, match="tolerance"):
-            Factorization(SparseMatrix.identity(2), tol=0.0)
+            Factorization(SparseMatrix(sp.identity(2)), tol=0.0)
 
     def test_unreachable_tolerance_fails_verification(self):
         a = tridiag(8, -1.0, 2.4, -1.0)
@@ -231,7 +210,7 @@ class TestSolvers:
             np.fill_diagonal(dense, 1.0 + np.abs(dense).sum(axis=1))
             a = SparseMatrix(dense)
             rhs = rng.normal(size=n)
-            x, report = solve(a, rhs)
+            x, report = Factorization(a).solve(rhs)
             assert report.residual_norm <= report.tolerance
             assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-8, atol=1e-10)
 
@@ -239,31 +218,31 @@ class TestSolvers:
 class TestSparseOperator:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions differ"):
-            SparseOperator(SparseMatrix.identity(2), SparseMatrix.identity(3), np.zeros(2))
+            SparseOperator(SparseMatrix(sp.identity(2)), SparseMatrix(sp.identity(3)), np.zeros(2))
 
     def test_source_length_checked(self):
         with pytest.raises(ValueError, match="source vector length"):
-            SparseOperator(SparseMatrix.identity(2), SparseMatrix.identity(2), np.zeros(3))
+            SparseOperator(SparseMatrix(sp.identity(2)), SparseMatrix(sp.identity(2)), np.zeros(3))
 
     def test_fixed_source(self):
         src = np.array([1.0, 2.0])
-        op = SparseOperator(SparseMatrix.identity(2), SparseMatrix.identity(2), src)
+        op = SparseOperator(SparseMatrix(sp.identity(2)), SparseMatrix(sp.identity(2)), src)
         assert np.array_equal(op.source_at(0.0), src)
         assert np.array_equal(op.source_at(5.0), src)
         assert op.dimension == 2
 
     def test_callable_source(self):
         op = SparseOperator(
-            SparseMatrix.identity(2),
-            SparseMatrix.identity(2),
+            SparseMatrix(sp.identity(2)),
+            SparseMatrix(sp.identity(2)),
             lambda t: np.array([t, -t]),
         )
         assert np.array_equal(op.source_at(2.0), [2.0, -2.0])
 
     def test_callable_source_length_checked(self):
         op = SparseOperator(
-            SparseMatrix.identity(2),
-            SparseMatrix.identity(2),
+            SparseMatrix(sp.identity(2)),
+            SparseMatrix(sp.identity(2)),
             lambda t: np.zeros(3),
         )
         with pytest.raises(ValueError, match="wrong length"):

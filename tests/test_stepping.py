@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cutoffpde.cutoff import CutoffParams
 from cutoffpde.grids import Field, Grid1D
@@ -20,7 +21,6 @@ from cutoffpde.stepping import (
     StepperConfig,
     run,
     scheme_diagnostics,
-    sdirk3_step,
     sdirk3_tableau,
     step_linear,
     theta_operator,
@@ -36,7 +36,7 @@ def scalar_problem(lam: float, initial) -> LinearProblem:
     n = grid.node_count
     return LinearProblem(
         grid=grid,
-        l_matrix=SparseMatrix.from_diagonal(np.full(n, lam)),
+        l_matrix=SparseMatrix(sp.diags(np.full(n, lam))),
         dirichlet_mask=np.zeros(n, dtype=bool),
         source=lambda t: np.zeros(n),
         boundary_values=lambda t: np.zeros(n),
@@ -345,7 +345,7 @@ class TestDirkStepperValidation:
     def test_rejects_unsupported_tableaux(self, a, b, c, match):
         tab = ButcherTableau(a=np.array(a), b=np.array(b), c=np.array(c), order=1)
         with pytest.raises(ValueError, match=match):
-            DirkStepper(tab, SparseMatrix.identity(3), 0.1)
+            DirkStepper(tab, SparseMatrix(sp.identity(3)), 0.1)
 
 
 class TestStepHelpers:
@@ -366,35 +366,20 @@ class TestStepHelpers:
 
     def test_sdirk3_step_matches_stability(self):
         lam, dt = -2.0, 0.2
-        grid = Grid1D(0.0, 1.0, 2)
-        u0 = Field(grid, np.array([1.0, -1.0, 0.5]))
-        cfg = StepperConfig(dt=dt, t_end=dt)
-        calls = []
-
-        def assembler(t):
-            calls.append(t)
-            return SparseMatrix.from_diagonal([lam, lam, lam]), None
-
-        u1 = sdirk3_step(assembler, u0, 0.0, cfg)
+        u0 = np.array([1.0, -1.0, 0.5])
+        stepper = DirkStepper(sdirk3_tableau(), SparseMatrix(sp.diags([lam, lam, lam])), dt)
+        u1, _ = stepper.step(u0, 0.0)
         r = sdirk3_tableau().stability(lam * dt).real
-        assert np.allclose(u1.values, r * u0.values, rtol=1e-13)
-        # source is None, so the assembler runs once and its matrix is frozen
-        assert calls == [0.0]
+        assert np.allclose(u1, r * u0, rtol=1e-13)
 
     def test_sdirk3_step_quadrature_is_third_order(self):
         # with L = 0 a step reduces to the quadrature dt*sum b_i s(c_i dt),
         # exact for polynomial sources up to degree two
-        grid = Grid1D(0.0, 1.0, 2)
-        u0 = Field(grid, np.zeros(3))
         dt = 0.3
-        cfg = StepperConfig(dt=dt, t_end=dt)
-
-        def assembler(t):
-            zero = SparseMatrix.from_coo(3, [], [], [])
-            return zero, np.full(3, t * t)
-
-        u1 = sdirk3_step(assembler, u0, 0.0, cfg)
-        assert np.allclose(u1.values, dt**3 / 3.0, rtol=1e-12)
+        zero = SparseMatrix.from_coo(3, [], [], [])
+        stepper = DirkStepper(sdirk3_tableau(), zero, dt, source=lambda t: np.full(3, t * t))
+        u1, _ = stepper.step(np.zeros(3), 0.0)
+        assert np.allclose(u1, dt**3 / 3.0, rtol=1e-12)
 
 
 class TestDivergenceError:
@@ -410,7 +395,7 @@ class TestLinearProblemValidation:
         grid = Grid1D(0.0, 1.0, 2)
         good = dict(
             grid=grid,
-            l_matrix=SparseMatrix.identity(3),
+            l_matrix=SparseMatrix(sp.identity(3)),
             dirichlet_mask=np.zeros(3, dtype=bool),
             source=lambda t: np.zeros(3),
             boundary_values=lambda t: np.zeros(3),
@@ -418,7 +403,7 @@ class TestLinearProblemValidation:
         )
         LinearProblem(**good)
         with pytest.raises(ValueError, match="operator dimension"):
-            LinearProblem(**{**good, "l_matrix": SparseMatrix.identity(4)})
+            LinearProblem(**{**good, "l_matrix": SparseMatrix(sp.identity(4))})
         with pytest.raises(ValueError, match="mask length"):
             LinearProblem(**{**good, "dirichlet_mask": np.zeros(4, dtype=bool)})
         with pytest.raises(ValueError, match="initial values length"):
@@ -429,7 +414,7 @@ class TestSchemeDiagnostics:
     def test_synthetic_pair(self):
         n, dt = 4, 0.25
         op = SparseOperator(
-            SparseMatrix.identity(n), SparseMatrix.identity(n).scaled(1.5), np.zeros(n)
+            SparseMatrix(sp.identity(n)), SparseMatrix(1.5 * sp.identity(n)), np.zeros(n)
         )
         d = scheme_diagnostics(op, dt)
         assert d.norm_b1_inv == pytest.approx(1.0, rel=1e-14)
@@ -440,7 +425,7 @@ class TestSchemeDiagnostics:
     def test_contraction_floors_to_zero(self):
         n = 3
         op = SparseOperator(
-            SparseMatrix.identity(n), SparseMatrix.identity(n).scaled(0.5), np.zeros(n)
+            SparseMatrix(sp.identity(n)), SparseMatrix(0.5 * sp.identity(n)), np.zeros(n)
         )
         assert scheme_diagnostics(op, 0.1).k_implied == 0.0
 
@@ -465,13 +450,13 @@ class TestSchemeDiagnostics:
 
     def test_size_cap(self):
         n = DIAGNOSTICS_SIZE_CAP + 1
-        op = SparseOperator(SparseMatrix.identity(n), SparseMatrix.identity(n), np.zeros(n))
+        op = SparseOperator(SparseMatrix(sp.identity(n)), SparseMatrix(sp.identity(n)), np.zeros(n))
         with pytest.raises(ValueError, match="capped at dimension"):
             scheme_diagnostics(op, 0.1)
 
     def test_write_text(self, tmp_path):
         op = SparseOperator(
-            SparseMatrix.identity(2), SparseMatrix.identity(2), np.zeros(2)
+            SparseMatrix(sp.identity(2)), SparseMatrix(sp.identity(2)), np.zeros(2)
         )
         d = scheme_diagnostics(op, 0.5)
         p = tmp_path / "diag.txt"
