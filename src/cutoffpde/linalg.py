@@ -8,7 +8,17 @@ that format (a duplicate entry would be overwritten there, not summed).
 
 Solves are direct: systems whose bandwidth is at most BANDED_BANDWIDTH_MAX
 on each side go through LAPACK banded LU (gbtrf/gbtrs), everything else
-through SuperLU.  Every solve does one step of iterative refinement and then
+through SuperLU.  SuperLU's ordering is chosen from the matrix.  When every
+column's diagonal entry is the largest in magnitude in that column (the
+shifted film operators, also where the film is dry), partial pivoting takes
+the diagonal first, so the symmetric strategy fits: an A + A^T minimum-degree
+ordering in SymmetricMode.  On the 2D film it halves the factorization time
+and cuts the fill by a fifth (40x40) to a third (80x80) against the default.
+Other matrices keep the default COLAMD ordering: the anisotropic Dirichlet
+rows leave a 1 on the diagonal under column entries up to 5e4 times larger
+(J = 160), and there the symmetric strategy pivots off the diagonal and
+triples the fill.  The pivot threshold stays at SuperLU's default of 1.0
+either way.  Every solve does one step of iterative refinement and then
 re-verifies the max-norm residual against the configured tolerance, so a
 returned solution is always a checked one.
 
@@ -41,7 +51,7 @@ class SolveError(RuntimeError):
 class SparseMatrix:
     """Immutable-by-convention square matrix in canonical CSR."""
 
-    __slots__ = ("_csr",)
+    __slots__ = ("_csr", "_rows")
 
     def __init__(self, matrix):
         csr = sp.csr_matrix(matrix, dtype=float, copy=True)
@@ -51,6 +61,7 @@ class SparseMatrix:
         csr.sort_indices()
         csr.eliminate_zeros()
         self._csr = csr
+        self._rows = None
 
     @classmethod
     def from_canonical(cls, csr: sp.csr_matrix) -> "SparseMatrix":
@@ -59,6 +70,7 @@ class SparseMatrix:
         and no re-canonicalization.  The caller vouches for the format."""
         m = cls.__new__(cls)
         m._csr = csr
+        m._rows = None
         return m
 
     @classmethod
@@ -110,9 +122,16 @@ class SparseMatrix:
         return float(row_sums.max())
 
     def entry_rows(self) -> np.ndarray:
-        """Row index of every stored entry, in storage order."""
-        indptr = self._csr.indptr
-        return np.repeat(np.arange(self.dimension, dtype=indptr.dtype), np.diff(indptr))
+        """Row index of every stored entry, in storage order.
+
+        Computed on first use and kept (read-only): the norm, the bandwidth,
+        the banded fill and the shift all read it from one matrix."""
+        if self._rows is None:
+            indptr = self._csr.indptr
+            rows = np.repeat(np.arange(self.dimension, dtype=indptr.dtype), np.diff(indptr))
+            rows.flags.writeable = False
+            self._rows = rows
+        return self._rows
 
     def bandwidth(self) -> tuple:
         """(lower, upper) bandwidth from the stored pattern."""
@@ -128,11 +147,26 @@ class SparseMatrix:
 def identity_plus(a: SparseMatrix, scale: float) -> SparseMatrix:
     """I + scale * A, the shifted systems the implicit steppers factor.
 
-    scipy adds two canonical CSR matrices by a sorted merge that keeps only
-    nonzero sums, so the result is canonical as it comes."""
-    return SparseMatrix.from_canonical(
-        sp.identity(a.dimension, format="csr") + float(scale) * a.csr
-    )
+    Equal to scipy's sorted merge of I and scale*A bit for bit, and canonical
+    as it comes.  When every row holds its diagonal entry the pattern stays,
+    so the sum is formed on the CSR arrays: the diagonal becomes
+    1 + scale*a_ii and entries that come out as exact zeros are dropped.  A
+    row without one (a Dirichlet row, a dry stretch of film) needs a 1
+    inserted, which scipy's merge does in one pass, faster than numpy can
+    shift the arrays."""
+    n = a.dimension
+    # stored entries are nonzero, so a zero on the diagonal is a missing one
+    if np.count_nonzero(a.csr.diagonal()) < n:
+        return SparseMatrix.from_canonical(sp.identity(n, format="csr") + float(scale) * a.csr)
+    diag = np.flatnonzero(a.indices == a.entry_rows())
+    data = a.data * float(scale)
+    data[diag] += 1.0
+    keep = data != 0.0
+    cols, indptr = a.indices.copy(), a.indptr.copy()
+    if not keep.all():
+        data, cols = data[keep], cols[keep]
+        indptr -= np.searchsorted(np.flatnonzero(~keep), indptr)
+    return SparseMatrix.from_canonical(sp.csr_matrix((data, cols, indptr), shape=(n, n)))
 
 
 @dataclass(frozen=True)
@@ -147,6 +181,24 @@ def default_tolerance(a: SparseMatrix) -> float:
     """1e-12 times the system scale; the residual check is relative to
     max(1, |rhs|_inf), so stiff operators get proportional slack."""
     return 1e-12 * max(1.0, a.operator_norm_inf())
+
+
+def _diagonal_leads_columns(csc: sp.csc_matrix) -> bool:
+    """Whether every column's diagonal entry is the largest in magnitude in
+    that column (ties count); a matrix with an empty column is not.
+
+    Partial pivoting at SuperLU's default threshold of 1.0 then takes the
+    diagonal as each column's first candidate, so the symmetric strategy
+    (an A + A^T minimum-degree ordering, applied to rows and columns alike)
+    fits the matrix."""
+    if not np.all(np.diff(csc.indptr)):
+        return False
+    # largest magnitude per column from its largest and smallest entry, with
+    # no temporary the size of the matrix
+    starts = csc.indptr[:-1]
+    column_max = np.maximum(np.maximum.reduceat(csc.data, starts),
+                            -np.minimum.reduceat(csc.data, starts))
+    return bool(np.all(np.abs(csc.diagonal()) >= column_max))
 
 
 class Factorization:
@@ -175,8 +227,13 @@ class Factorization:
             self._lu, self._ipiv, self._kl, self._ku = lu, ipiv, kl, ku
         else:
             self._method = "sparse-lu"
+            csc = a.csr.tocsc()
+            if _diagonal_leads_columns(csc):
+                ordering = dict(permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+            else:
+                ordering = {}
             try:
-                self._splu = spla.splu(a.csr.tocsc())
+                self._splu = spla.splu(csc, **ordering)
             except RuntimeError as err:
                 raise SolveError(
                     f"sparse factorization failed ({err}); |A|_inf = {a.operator_norm_inf():.3e}"

@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from cutoffpde.anisotropic import AnisotropicSpec, assemble
+from cutoffpde.grids import Field, Grid2D
 from cutoffpde.linalg import (
     BANDED_BANDWIDTH_MAX,
     Factorization,
@@ -14,6 +16,9 @@ from cutoffpde.linalg import (
     default_tolerance,
     identity_plus,
 )
+from cutoffpde.linalg import _diagonal_leads_columns
+from cutoffpde.lubrication import LubricationSpec, assemble_lubrication_1d, assemble_lubrication_2d
+from cutoffpde.stepping import SDIRK3_GAMMA
 
 
 def tridiag(n, lo, di, up):
@@ -108,6 +113,155 @@ class TestSparseMatrix:
             assert np.array_equal(getattr(shifted, part), getattr(again, part))
         assert np.array_equal(shifted.to_dense(), np.eye(4) - 0.5 * dense)
         assert shifted.nnz == 7  # the zero at (0, 0) is not stored
+
+
+def reference_identity_plus(a, scale):
+    """I + scale*A by scipy's checked sum, the oracle for identity_plus."""
+    return sp.identity(a.dimension, format="csr") + float(scale) * a.csr
+
+
+def assert_same_csr(got, want):
+    for part in ("indptr", "indices", "data"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert g.dtype == w.dtype, part
+        assert np.array_equal(g, w), part
+
+
+class TestIdentityPlusMatchesScipy:
+    """identity_plus forms I + s*A on the CSR arrays; it must equal scipy's
+    sorted merge bit for bit, values and index dtypes."""
+
+    SCALES = (-0.5, -1e-6, 2.0, 0.0, 1e-320)
+
+    def check(self, a):
+        for scale in self.SCALES:
+            assert_same_csr(identity_plus(a, scale).csr, reference_identity_plus(a, scale))
+
+    def test_film_operators_with_dry_rows(self):
+        rng = np.random.default_rng(8)
+        cases = (
+            (LubricationSpec.default_1d(60), assemble_lubrication_1d, (61,)),
+            (LubricationSpec.default_2d(10), assemble_lubrication_2d, (11, 11)),
+        )
+        for spec, assemble_film, shape in cases:
+            for _ in range(10):
+                u = spec.initial_field().values * rng.random(spec.grid.node_count)
+                u[rng.random(u.size) < 0.3] = 0.0
+                u.reshape(shape)[tuple(slice(3, 8) for _ in shape)] = 0.0
+                a = assemble_film(Field(spec.grid, u), spec)
+                # nodes inside a dry stretch have empty rows, so no diagonal
+                assert a.nnz > 0 and np.any(np.diff(a.indptr) == 0)
+                self.check(a)
+
+    def test_dirichlet_rows(self):
+        l_matrix = assemble(AnisotropicSpec.pure_diffusion(Grid2D.square(0.0, 1.0, 8))).l_matrix
+        assert np.any(np.diff(l_matrix.indptr) == 0)
+        self.check(l_matrix)
+
+    def test_exact_zeros_are_not_stored(self):
+        # a diagonal that cancels to zero, and products that underflow to 0,
+        # with every diagonal entry present and with row 1 lacking its own
+        full = np.array([[2.0, 1e-300, 0.0], [0.0, 3.0, 1.0], [1e-300, 0.0, 4.0]])
+        bare = full.copy()
+        bare[1, 1] = 0.0
+        for dense in (full, bare):
+            a = SparseMatrix(dense)
+            for scale, nnz in ((-0.5, 5), (1e-30, 4)):
+                got = identity_plus(a, scale)
+                assert_same_csr(got.csr, reference_identity_plus(a, scale))
+                assert got.nnz == nnz and np.all(got.data != 0.0)
+
+    def test_int64_indices(self):
+        for dense in ([[1.0, 2.0, 0.0], [1.0, 3.0, 0.0], [0.0, 5.0, 3.0]],
+                      [[0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 5.0, 3.0]]):
+            wide = sp.csr_matrix(SparseMatrix(np.array(dense)).csr, copy=True)
+            wide.indices = wide.indices.astype(np.int64)
+            wide.indptr = wide.indptr.astype(np.int64)
+            self.check(SparseMatrix.from_canonical(wide))
+
+    def test_entry_rows_computed_once(self):
+        a = SparseMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        rows = a.entry_rows()
+        assert a.entry_rows() is rows
+        assert not rows.flags.writeable
+        assert np.array_equal(rows, [0, 0, 1])
+
+
+def shifted_film_2d(u=None):
+    """The 16x16 film operator shifted as one SDIRK3 step of 1e-6 shifts it."""
+    spec = LubricationSpec.default_2d(16)
+    if u is None:
+        u = spec.initial_field().values
+    return identity_plus(assemble_lubrication_2d(Field(spec.grid, u), spec), -SDIRK3_GAMMA * 1e-6)
+
+
+class TestSparseOrderingChoice:
+    """SuperLU's symmetric mode with an A + A^T ordering serves matrices
+    whose diagonal leads every column (the shifted film operators); the rest
+    (anisotropic Dirichlet rows leave a 1 under large column entries) keep
+    the default COLAMD ordering."""
+
+    SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+
+    @staticmethod
+    def dry_patch_state():
+        spec = LubricationSpec.default_2d(16)
+        u = spec.initial_field().values.copy()
+        u.reshape(17, 17)[6:11, 6:11] = 0.0
+        return u
+
+    @staticmethod
+    def shifted_aniso():
+        l_matrix = assemble(AnisotropicSpec.pure_diffusion(Grid2D.square(0.0, 1.0, 16))).l_matrix
+        return identity_plus(l_matrix, -SDIRK3_GAMMA * 1e-2)
+
+    @staticmethod
+    def solves_verified(a):
+        rhs = np.random.default_rng(3).normal(size=a.dimension)
+        f = Factorization(a)
+        x, report = f.solve(rhs)
+        assert report.residual_norm <= report.tolerance
+        assert np.allclose(x, np.linalg.solve(a.to_dense(), rhs), rtol=1e-9, atol=1e-12)
+        return f
+
+    def check_sparse(self, a, symmetric):
+        csc = a.csr.tocsc()
+        assert _diagonal_leads_columns(csc) is symmetric
+        f = self.solves_verified(a)
+        assert f.method == "sparse-lu"
+        # the factorization took the ordering the predicate chose
+        want = spla.splu(csc, **(self.SYMMETRIC if symmetric else {}))
+        assert np.array_equal(f._splu.perm_c, want.perm_c)
+        assert np.array_equal(f._splu.perm_r, want.perm_r)
+
+    def test_film_at_start_takes_symmetric_route(self):
+        self.check_sparse(shifted_film_2d(), True)
+
+    def test_film_with_dry_patch_takes_symmetric_route(self):
+        a = shifted_film_2d(self.dry_patch_state())
+        # dry nodes give identity rows, but their columns still hold the
+        # couplings of their wet neighbours
+        assert np.sum(np.diff(a.indptr) == 1) > 0
+        self.check_sparse(a, True)
+
+    def test_anisotropic_dirichlet_rows_take_default_route(self):
+        self.check_sparse(self.shifted_aniso(), False)
+
+    def test_off_diagonal_column_maximum(self):
+        a = SparseMatrix(np.array([[1.0, 0.0, 0.5], [2.0, 4.0, 0.0], [0.0, 1.0, 3.0]]))
+        assert _diagonal_leads_columns(a.csr.tocsc()) is False
+        self.solves_verified(a)
+
+    def test_empty_column_takes_default_route(self):
+        dense = np.eye(4)
+        dense[:, 2] = 0.0
+        assert _diagonal_leads_columns(SparseMatrix(dense).csr.tocsc()) is False
+
+    def test_method_names(self):
+        # perfbench counts factorizations by these exact strings
+        assert Factorization(tridiag(10, -1.0, 4.0, -1.0)).method == "banded-lu"
+        assert Factorization(shifted_film_2d()).method == "sparse-lu"
+        assert Factorization(self.shifted_aniso()).method == "sparse-lu"
 
 
 class TestSolvers:

@@ -494,6 +494,18 @@ class TestRunLubrication:
         final, _, _ = run_lubrication(spec, cfg)
         assert np.allclose(final.values, final.values[::-1], atol=1e-10)
 
+    def test_2d_film_keeps_its_symmetries(self):
+        # the initial film is even in x and in y and symmetric in x <-> y;
+        # the final field must be too, to 1e-10 of its height
+        spec = LubricationSpec.default_2d(16)
+        cfg = StepperConfig(dt=1e-6, t_end=4e-4, cutoff=CutoffParams(0.0))
+        final, _, _ = run_lubrication(spec, cfg)
+        n = spec.grid.nx_cells + 1
+        u = final.values.reshape(n, n)
+        tol = 1e-10 * float(np.max(np.abs(u)))
+        for image in (u.T, u[:, ::-1], u[::-1, :]):
+            assert float(np.max(np.abs(u - image))) <= tol
+
     def test_snapshot_controls(self):
         spec = LubricationSpec.default_1d(50)
         cfg = StepperConfig(
