@@ -28,6 +28,7 @@ from .stepping import (
     DivergenceError,
     LinearProblem,
     RunTrace,
+    SolverStats,
     StepperConfig,
     run,
     scheme_diagnostics,
@@ -73,6 +74,7 @@ __all__ = [
     "SDIRK3_GAMMA",
     "SingularityRecord",
     "SolveError",
+    "SolverStats",
     "SparseMatrix",
     "SparseOperator",
     "StepperConfig",

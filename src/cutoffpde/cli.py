@@ -161,7 +161,7 @@ def _cmd_aniso_run(args) -> int:
         ensure_dir(args.out)
         trace.write_csv(os.path.join(args.out, "trace.csv"))
         write_field_csv(final, os.path.join(args.out, "final.csv"))
-        write_metadata(os.path.join(args.out, "metadata.txt"), exp)
+        write_metadata(os.path.join(args.out, "metadata.txt"), exp, trace.solver)
     return 0
 
 
@@ -190,7 +190,7 @@ def _run_lubrication_cmd(args, name, spec, h) -> int:
         for t, snap in trace.snapshots:
             if any(abs(t - ts) <= 0.5 * args.dt for ts in cfg.snapshot_times):
                 write_field_csv(snap, os.path.join(args.out, f"snapshot_t{t:.6g}.csv"))
-        write_metadata(os.path.join(args.out, "metadata.txt"), exp)
+        write_metadata(os.path.join(args.out, "metadata.txt"), exp, trace.solver)
     return 0
 
 

@@ -6,8 +6,9 @@ grids at fixed dt, measures the trapezoid L2 error and the undershoot
 max(0, -min u) of the pre-cutoff iterate at the final time, and fits
 log-log slopes by least squares.  The design choices that are not forced
 by the equations (face-mobility averaging, boundary realization, touching
-conventions, the delta rule) are echoed into metadata.txt so a run
-directory is self-describing.
+conventions, the delta rule) are echoed into metadata.txt, with the
+solver routes and counts of what ran, so a run directory is
+self-describing.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .anisotropic import AnisotropicSpec, assemble, exact_field
 from .cutoff import CutoffParams
 from .grids import Grid2D, l2_norm
 from .lubrication import LubricationSpec, has_zero_plateau, run_lubrication
-from .stepping import SDIRK3_GAMMA, DivergenceError, StepperConfig, run
+from .stepping import SDIRK3_GAMMA, DivergenceError, SolverStats, StepperConfig, run
 
 CUTOFF_MODES = ("off", "nonneg", "delta")
 
@@ -127,6 +128,7 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
     writes the rows obtained so far (when out_dir is set) and re-raises.
     """
     report = ConvergenceReport()
+    solver = SolverStats()
     try:
         for j in cfg.resolutions:
             grid = Grid2D.square(0.0, 1.0, j)
@@ -139,6 +141,7 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
                 integrator=cfg.integrator, theta=cfg.theta,
             )
             final, trace = run(problem, run_cfg)
+            solver.add(trace.solver)
             err = l2_norm(final - exact_field(spec, cfg.t_end))
             last = trace.records[-1]
             report.rows.append(ConvergenceRow(
@@ -154,7 +157,7 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
     if cfg.out_dir:
         ensure_dir(cfg.out_dir)
         report.write_csv(os.path.join(cfg.out_dir, "convergence.csv"))
-        write_metadata(os.path.join(cfg.out_dir, "metadata.txt"), cfg)
+        write_metadata(os.path.join(cfg.out_dir, "metadata.txt"), cfg, solver)
     return report
 
 
@@ -234,10 +237,12 @@ def ensure_dir(path):
     os.makedirs(path, exist_ok=True)
 
 
-def write_metadata(path, cfg: ExperimentConfig):
-    """Echo every design toggle that the equations do not force, then the
-    package, numpy and scipy versions and every *_NUM_THREADS variable set
-    in the environment (one absent from the file was unset)."""
+def write_metadata(path, cfg: ExperimentConfig, solver: SolverStats):
+    """Echo every design toggle that the equations do not force, what the
+    solver did over the experiment's runs (its LU routes, or "none" for
+    explicit steps only, and its counts), then the package, numpy and scipy
+    versions and every *_NUM_THREADS variable set in the environment (one
+    absent from the file was unset)."""
     lines = {
         "experiment": cfg.experiment,
         "resolutions": ",".join(str(r) for r in cfg.resolutions),
@@ -256,7 +261,10 @@ def write_metadata(path, cfg: ExperimentConfig):
         "touching_length": "fencepost span of touching set (outermost nodes k apart -> k*h, isolated node h/2)",
         "touching_area_2d": "trapezoid_weight_sum",
         "onset_definition": "first step with pre-cutoff min <= 0",
-        "solver": "banded_lu_or_sparse_lu_with_refinement",
+        "solver": ",".join(solver.routes) or "none",
+        "solver_factorizations": str(solver.factorizations),
+        "solver_solves": str(solver.solves),
+        "solver_extra_sweeps": str(solver.extra_sweeps),
         "cutoffpde_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,

@@ -18,15 +18,22 @@ Other matrices keep the default COLAMD ordering: the anisotropic Dirichlet
 rows leave a 1 on the diagonal under column entries up to 5e4 times larger
 (J = 160), and there the symmetric strategy pivots off the diagonal and
 triples the fill.  The pivot threshold stays at SuperLU's default of 1.0
-either way.  Every solve does one step of iterative refinement and then
-re-verifies the max-norm residual against the configured tolerance, so a
-returned solution is always a checked one.
+either way.
 
-The steppers factor one shifted system I - a_ii*dt*L per operator
-(identity_plus) and solve every implicit stage against it.  SparseOperator
-bundles the theta-method's matrix pair B1 u^{n+1} = B0 u^n + F^n, with F a
-fixed vector or a callback evaluated at the step's start time; it feeds the
-max-norm scheme diagnostics and the one-step reference step_linear.
+Every solve refines its answer against the system and re-verifies the
+max-norm residual against the configured tolerance, so a returned solution is
+always a checked one.  An LU of the system itself takes one refinement sweep.
+An LU may also serve a later, nearby matrix (the film's lagged operator moves
+little from one step to the next): the solve then keeps refining against
+that matrix until its residual meets the matrix's own default_tolerance, and
+factors the matrix afresh once STALE_SWEEPS_MAX further sweeps have not got
+there.
+
+The steppers factor shifted systems I - a_ii*dt*L (identity_plus) and solve
+every implicit stage against them.  SparseOperator bundles the theta-method's
+matrix pair B1 u^{n+1} = B0 u^n + F^n, with F a fixed vector or a callback
+evaluated at the step's start time; it feeds the max-norm scheme diagnostics
+and the one-step reference step_linear.
 """
 
 from __future__ import annotations
@@ -42,6 +49,9 @@ from scipy.linalg import get_lapack_funcs
 from .grids import _require_finite
 
 BANDED_BANDWIDTH_MAX = 5
+#: refinement sweeps a solve against a matrix other than the factored one
+#: takes beyond the first before it factors that matrix afresh
+STALE_SWEEPS_MAX = 3
 
 
 class SolveError(RuntimeError):
@@ -51,7 +61,7 @@ class SolveError(RuntimeError):
 class SparseMatrix:
     """Immutable-by-convention square matrix in canonical CSR."""
 
-    __slots__ = ("_csr", "_rows")
+    __slots__ = ("_csr", "_rows", "_norm")
 
     def __init__(self, matrix):
         csr = sp.csr_matrix(matrix, dtype=float, copy=True)
@@ -61,7 +71,7 @@ class SparseMatrix:
         csr.sort_indices()
         csr.eliminate_zeros()
         self._csr = csr
-        self._rows = None
+        self._rows = self._norm = None
 
     @classmethod
     def from_canonical(cls, csr: sp.csr_matrix) -> "SparseMatrix":
@@ -70,7 +80,7 @@ class SparseMatrix:
         and no re-canonicalization.  The caller vouches for the format."""
         m = cls.__new__(cls)
         m._csr = csr
-        m._rows = None
+        m._rows = m._norm = None
         return m
 
     @classmethod
@@ -113,13 +123,13 @@ class SparseMatrix:
         return self._csr @ x
 
     def operator_norm_inf(self) -> float:
-        """Exact max absolute row sum."""
-        if self.nnz == 0:
-            return 0.0
-        # each row summed in storage order, as a product with ones would
-        row_sums = np.bincount(self.entry_rows(), weights=np.abs(self.data),
-                               minlength=self.dimension)
-        return float(row_sums.max())
+        """Exact max absolute row sum, computed on first use and kept."""
+        if self._norm is None:
+            # each row summed in storage order, as a product with ones would
+            row_sums = np.bincount(self.entry_rows(), weights=np.abs(self.data),
+                                   minlength=self.dimension)
+            self._norm = float(row_sums.max()) if self.nnz else 0.0
+        return self._norm
 
     def entry_rows(self) -> np.ndarray:
         """Row index of every stored entry, in storage order.
@@ -171,10 +181,15 @@ def identity_plus(a: SparseMatrix, scale: float) -> SparseMatrix:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """How one verified solve went.  iterations counts the refinement
+    sweeps beyond the first; refactored says the solve outgrew a stale LU
+    and factored its matrix afresh."""
+
     residual_norm: float
     iterations: int
     method: str
     tolerance: float
+    refactored: bool = False
 
 
 def default_tolerance(a: SparseMatrix) -> float:
@@ -202,7 +217,8 @@ def _diagonal_leads_columns(csc: sp.csc_matrix) -> bool:
 
 
 class Factorization:
-    """Reusable LU of one SparseMatrix; each solve re-verifies its residual."""
+    """Reusable LU of one SparseMatrix; each solve re-verifies its residual,
+    against the factored matrix or a later one of the same dimension."""
 
     def __init__(self, a: SparseMatrix, tol: float = None):
         self._a = a
@@ -212,7 +228,7 @@ class Factorization:
         kl, ku = a.bandwidth()
         n = a.dimension
         if max(kl, ku) <= BANDED_BANDWIDTH_MAX:
-            self._method = "banded-lu"
+            self._route = "banded-lu"
             ab = np.zeros((2 * kl + ku + 1, n))
             ab[kl + ku + a.entry_rows() - a.indices, a.indices] = a.data
             gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
@@ -226,11 +242,12 @@ class Factorization:
                 raise SolveError(f"banded factorization failed (lapack info {info})")
             self._lu, self._ipiv, self._kl, self._ku = lu, ipiv, kl, ku
         else:
-            self._method = "sparse-lu"
             csc = a.csr.tocsc()
             if _diagonal_leads_columns(csc):
+                self._route = "sparse-lu/symmetric"
                 ordering = dict(permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
             else:
+                self._route = "sparse-lu/colamd"
                 ordering = {}
             try:
                 self._splu = spla.splu(csc, **ordering)
@@ -241,36 +258,76 @@ class Factorization:
 
     @property
     def method(self) -> str:
-        return self._method
+        """"banded-lu" or "sparse-lu"."""
+        return self._route.split("/")[0]
+
+    @property
+    def route(self) -> str:
+        """The method and, for SuperLU, its ordering: "banded-lu",
+        "sparse-lu/symmetric" or "sparse-lu/colamd"."""
+        return self._route
 
     def _backsub(self, rhs: np.ndarray) -> np.ndarray:
-        if self._method == "banded-lu":
+        if self._route == "banded-lu":
             x, info = self._gbtrs(self._lu, self._kl, self._ku, rhs, self._ipiv)
             if info != 0:
                 raise SolveError(f"banded back-substitution failed (lapack info {info})")
             return x
         return self._splu.solve(rhs)
 
-    def solve(self, rhs: np.ndarray) -> tuple:
+    def _refine(self, a: SparseMatrix, rhs: np.ndarray, tol: float, sweeps_max: int) -> tuple:
+        """(x, residual, sweeps): the LU's answer refined against a, sweep by
+        sweep, until the max-norm residual relative to max(1, |rhs|_inf)
+        meets tol (a NaN residual never does) or sweeps_max sweeps are done.
+
+        With an LU of a itself one sweep keeps the residual near machine
+        level even for stiff operators."""
+        x = self._backsub(rhs)
+        x = x + self._backsub(rhs - a.matvec(x))
+        scale = max(1.0, float(np.max(np.abs(rhs))))
+        sweeps = 1
+        while True:
+            r = a.matvec(x) - rhs
+            residual = float(np.max(np.abs(r))) / scale
+            if residual <= tol or sweeps == sweeps_max:
+                return x, residual, sweeps
+            x = x - self._backsub(r)
+            sweeps += 1
+
+    def solve(self, rhs: np.ndarray, a: SparseMatrix = None) -> tuple:
+        """(x, SolveReport) with a x = rhs verified; a defaults to the
+        factored matrix.
+
+        Another matrix a is solved with this LU as a stale one, refined
+        against a until its residual meets default_tolerance(a).  If
+        STALE_SWEEPS_MAX sweeps beyond the first do not get there, a is
+        factored in place (this object holds a's LU from then on) and solved
+        as a fresh one.  A fresh LU that misses its tolerance after one
+        sweep raises SolveError."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self._a.dimension,):
             raise ValueError(
                 f"rhs has shape {rhs.shape}, expected ({self._a.dimension},)"
             )
         _require_finite(rhs, "solve rhs")
-        x = self._backsub(rhs)
-        # one round of iterative refinement keeps the verified residual near
-        # machine level even for stiff operators
-        r = rhs - self._a.matvec(x)
-        x = x + self._backsub(r)
-        scale = max(1.0, float(np.max(np.abs(rhs))))
-        residual = float(np.max(np.abs(self._a.matvec(x) - rhs))) / scale
-        if not np.isfinite(residual) or residual > self._tol:
+        stale_sweeps, refactored = 0, False
+        if a is not None and a is not self._a:
+            if a.dimension != self._a.dimension:
+                raise ValueError("a stale LU serves matrices of its own dimension only")
+            tol = default_tolerance(a)
+            x, residual, stale_sweeps = self._refine(a, rhs, tol, 1 + STALE_SWEEPS_MAX)
+            if residual <= tol:
+                return x, SolveReport(residual, stale_sweeps - 1, self.method, tol)
+            # the same construction as every other factorization, in place
+            self.__init__(a)
+            refactored = True
+        x, residual, _ = self._refine(self._a, rhs, self._tol, 1)
+        if not residual <= self._tol:
             raise SolveError(
                 f"solution failed verification: residual {residual:.3e} > tol "
-                f"{self._tol:.3e} ({self._method}, |A|_inf = {self._a.operator_norm_inf():.3e})"
+                f"{self._tol:.3e} ({self.method}, |A|_inf = {self._a.operator_norm_inf():.3e})"
             )
-        return x, SolveReport(residual, 0, self._method, self._tol)
+        return x, SolveReport(residual, stale_sweeps, self.method, self._tol, refactored)
 
 
 SourceTerm = Union[np.ndarray, Callable[[float], np.ndarray]]

@@ -27,11 +27,15 @@ w = lap_h u (3/5-point Laplacian with reflected ghosts) the face flux in 1D
 becomes f_{j+1/2} (w_{j+1} - w_j)/h = f_{j+1/2}
 (u_{j+2} - 3 u_{j+1} + 3 u_j - u_{j-1})/h^3; face mobilities are arithmetic
 means of the nodal ones evaluated at the previous post-cutoff state (lagged
-diffusivity: one matrix and one factorization per step, frozen across the
-SDIRK stages).  Node updates divide flux differences by the node's control
-volume (half cells at boundaries), which makes the trapezoid-weighted column
-sums of the assembled operator vanish and mass exactly conserved up to
-solver residual.
+diffusivity: one matrix per step, frozen across the SDIRK stages).  Node
+updates divide flux differences by the node's control volume (half cells at
+boundaries), which makes the trapezoid-weighted column sums of the
+assembled operator vanish and mass exactly conserved up to solver residual.
+Both operators are formed straight into canonical CSR from their stencils,
+entry for entry the sparse product of flux divergence and Laplacian.  The
+1D film factors its pentadiagonal system every step; the 2D film's sparse
+LU is kept across steps while its solves still refine to tolerance (see
+stepping.DirkStepper).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import scipy.sparse as sp
 from .cutoff import CutoffParams
 from .grids import Field, Grid1D, Grid2D, trapezoid_weights
 from .linalg import SparseMatrix
-from .stepping import DirkStepper, StepperConfig, march, sdirk3_tableau
+from .stepping import StepperConfig, march, sdirk3_tableau
 
 #: default snapshot cadence (steps) for singularity tracking
 SNAPSHOT_EVERY_DEFAULT = 10
@@ -175,6 +179,46 @@ def _laplacian_1d_rows(grid: Grid1D) -> np.ndarray:
     return s
 
 
+@lru_cache(maxsize=LAPLACIAN_CACHE_SIZE)
+def _laplacian_2d_rows(grid: Grid2D) -> tuple:
+    """(offsets, S) with S[m, i, c] = Lap[i + o_m, i + offsets[c]], zero
+    outside the matrix: for the five flux-divergence offsets
+    o = (-(nx+1), -1, 0, 1, nx+1), in that order, the Laplacian rows that
+    row i of D meets in D @ Lap, laid out on the sorted distinct column
+    offsets of the product (13 of them on grids more than two cells
+    wide).  Cached like the Laplacian."""
+    lap = _laplacian_2d(grid)
+    n = lap.dimension
+    w = grid.nx_cells + 1
+    five = np.array([-w, -1, 0, 1, w])
+    offsets = np.unique(five[:, None] + five[None, :]).astype(np.int32)
+    rows, cols = lap.entry_rows(), lap.indices
+    s = np.zeros((5, n, offsets.size))
+    for m, o in enumerate(five):
+        i = rows - o
+        inside = (i >= 0) & (i < n)
+        s[m, i[inside], np.searchsorted(offsets, cols[inside] - i[inside])] = lap.data[inside]
+    offsets.flags.writeable = False
+    s.flags.writeable = False
+    return offsets, s
+
+
+def _from_rows(band: np.ndarray, offsets: np.ndarray) -> SparseMatrix:
+    """Canonical CSR of A[i, i + offsets[c]] = band[i, c] (offsets sorted).
+
+    Slots off the matrix hold zeros, or NaN once a mobility overflows to
+    inf, so they are masked by position and not by value; exact zeros are
+    not stored.  Row-major order keeps columns sorted."""
+    n = band.shape[0]
+    cols = np.arange(n, dtype=np.int32)[:, None] + offsets
+    keep = (band != 0.0) & (cols >= 0) & (cols < n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return SparseMatrix.from_canonical(
+        sp.csr_matrix((band[keep], cols[keep], indptr), shape=(n, n))
+    )
+
+
 def _face_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * (a + b)
 
@@ -182,6 +226,11 @@ def _face_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _lagged_face_mobilities_1d(u_lagged: Field, spec: LubricationSpec) -> np.ndarray:
     f = mobility(u_lagged.values, spec.mobility)
     return _face_mean(f[:-1], f[1:])
+
+
+#: column offsets of the 1D film operator
+_PENTADIAGONAL = np.arange(-2, 3, dtype=np.int32)
+_PENTADIAGONAL.flags.writeable = False
 
 
 def assemble_lubrication_1d(u_lagged: Field, spec: LubricationSpec) -> SparseMatrix:
@@ -215,67 +264,47 @@ def assemble_lubrication_1d(u_lagged: Field, spec: LubricationSpec) -> SparseMat
     band += d[:, 1:2] * s[1]
     band += d[:, 2:] * s[2]
     np.negative(band, out=band)
-    # band[i, k + 2] = A[i, i + k]; row-major order keeps columns sorted.
-    # Slots off the matrix hold zeros, or NaN once a mobility overflows to
-    # inf, so they are masked by position and not by value.
-    cols = np.arange(n, dtype=np.int32)[:, None] + np.arange(-2, 3, dtype=np.int32)
-    keep = (band != 0.0) & (cols >= 0) & (cols < n)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    return SparseMatrix.from_canonical(
-        sp.csr_matrix((band[keep], cols[keep], indptr), shape=(n, n))
-    )
+    return _from_rows(band, _PENTADIAGONAL)
 
 
 def assemble_lubrication_2d(u_lagged: Field, spec: LubricationSpec) -> SparseMatrix:
     """2D analogue: w = lap_h u by the reflected 5-point stencil, face fluxes
     f_face * dw/dn, divergence over node control volumes (quarter cells at
-    corners)."""
+    corners).
+
+    As in 1D the operator is -(D @ Lap), formed directly on its 13-point
+    stencil.  D[i, i] sums the east, west, north and south face terms in that
+    order, as a coordinate-format D sums its duplicates, and each entry sums
+    D[i, j] * Lap[j, k] over ascending j, as a sparse product does, so the
+    entries are the product's to the bit.
+    """
     grid = spec.grid
     if not isinstance(grid, Grid2D) or u_lagged.grid != grid:
         raise ValueError("lagged state must live on the 2D grid of the spec")
     nx, ny = grid.nx_cells, grid.ny_cells
-    hx, hy = grid.hx, grid.hy
-    n = grid.node_count
+    volx = np.full(nx + 1, grid.hx)
+    volx[0] = volx[-1] = 0.5 * grid.hx
+    voly = np.full((ny + 1, 1), grid.hy)
+    voly[0] = voly[-1] = 0.5 * grid.hy
 
-    f = mobility(u_lagged.values, spec.mobility)
-    volx = np.full(nx + 1, hx)
-    volx[0] = volx[-1] = 0.5 * hx
-    voly = np.full(ny + 1, hy)
-    voly[0] = voly[-1] = 0.5 * hy
+    f = mobility(u_lagged.values, spec.mobility).reshape(ny + 1, nx + 1)
+    cx = _face_mean(f[:, :-1], f[:, 1:]) / grid.hx  # face (i+1/2, j)
+    cy = _face_mean(f[:-1], f[1:]) / grid.hy  # face (i, j+1/2)
+    # d[m, j, i] = D[k, k + o_m] at node k = (i, j), o = (S, W, C, E, N)
+    d = np.zeros((5, ny + 1, nx + 1))
+    d[0, 1:] = cy / voly[1:]
+    d[1, :, 1:] = cx / volx[1:]
+    d[3, :, :-1] = cx / volx[:-1]
+    d[4, :-1] = cy / voly[:-1]
+    d[2] = -d[3] - d[1] - d[4] - d[0]
+    d = d.reshape(5, -1, 1)
 
-    rows, cols, vals = [], [], []
-
-    # x-faces between (i, j) and (i+1, j): per unit y, flux f (w_e - w_w)/hx
-    i = np.arange(nx)
-    j = np.arange(ny + 1)
-    gi, gj = np.meshgrid(i, j)
-    left = (gj * (nx + 1) + gi).ravel()
-    right = left + 1
-    c = _face_mean(f[left], f[right]) / hx
-    vleft = volx[gi.ravel()]
-    vright = volx[gi.ravel() + 1]
-    rows += [left, left, right, right]
-    cols += [right, left, right, left]
-    vals += [c / vleft, -c / vleft, -c / vright, c / vright]
-
-    # y-faces between (i, j) and (i, j+1)
-    i = np.arange(nx + 1)
-    j = np.arange(ny)
-    gi, gj = np.meshgrid(i, j)
-    low = (gj * (nx + 1) + gi).ravel()
-    high = low + (nx + 1)
-    c = _face_mean(f[low], f[high]) / hy
-    vlow = voly[gj.ravel()]
-    vhigh = voly[gj.ravel() + 1]
-    rows += [low, low, high, high]
-    cols += [high, low, high, low]
-    vals += [c / vlow, -c / vlow, -c / vhigh, c / vhigh]
-
-    div = SparseMatrix.from_coo(
-        n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
-    return SparseMatrix(-(div.csr @ _laplacian_2d(grid).csr))
+    offsets, s = _laplacian_2d_rows(grid)
+    band = d[0] * s[0]
+    for m in range(1, 5):
+        band += d[m] * s[m]
+    np.negative(band, out=band)
+    return _from_rows(band, offsets)
 
 
 def _assemble(u_lagged: Field, spec: LubricationSpec) -> SparseMatrix:
@@ -388,7 +417,7 @@ def run_lubrication(spec: LubricationSpec, cfg: StepperConfig) -> tuple:
 
     Per step (see stepping.march): floor the state, assemble the operator
     from the floored state, take one SDIRK step (stages share the step's
-    factorization), record statistics.  Snapshots default to every
+    shifted system), record statistics.  Snapshots default to every
     SNAPSHOT_EVERY_DEFAULT steps.  Returns (final_field, trace,
     singularity_record); the final field is post-cutoff.  Refuses to start
     without a cutoff when epsilon = 0 since the bare mobility rejects
@@ -405,12 +434,8 @@ def run_lubrication(spec: LubricationSpec, cfg: StepperConfig) -> tuple:
     if cfg.snapshot_every is None:
         cfg = replace(cfg, snapshot_every=SNAPSHOT_EVERY_DEFAULT)
     grid = spec.grid
-    tableau = sdirk3_tableau()
-
-    def stepper_for(floored: np.ndarray) -> DirkStepper:
-        return DirkStepper(tableau, _assemble(Field(grid, floored), spec), cfg.dt)
-
-    final, trace = march(grid, spec.initial_field().values.copy(), cfg, stepper_for)
+    final, trace = march(grid, spec.initial_field().values.copy(), cfg, sdirk3_tableau(),
+                         lambda floored: _assemble(Field(grid, floored), spec))
     record_sing = track_singularity(trace.snapshots)
     for r in trace.records:
         if r.min_pre <= 0.0:

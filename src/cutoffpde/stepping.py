@@ -3,15 +3,21 @@
 The schemes all fit the pattern: take the current state, floor it (plain or
 delta cutoff), advance one implicit step, and leave the new state uncut so
 its undershoot stays observable.  One loop, ``march``, does this for every
-problem: it floors once per step, asks a provider for the step's stepper
-(a fixed one for a linear problem, one assembled from the floored state for
-the thin film), records pre- and post-cutoff statistics, and returns the
-post-cutoff state.
+problem: it floors once per step, asks a provider for the step's operator L
+(the same matrix every step for a linear problem, one assembled from the
+floored state for the thin film), records pre- and post-cutoff statistics,
+and returns the post-cutoff state.
 
-Every step is taken by one stage solver, ``DirkStepper``, driven by a
-stiffly accurate diagonally implicit Runge-Kutta tableau with a single
-nonzero diagonal value, so one factorization of I - a_ii*dt*L serves all
-implicit stages.  Two tableaux are provided:
+Every step of a run is taken by one stage solver, ``DirkStepper``, built
+once per run and driven by a stiffly accurate diagonally implicit
+Runge-Kutta tableau with a single nonzero diagonal value, so one shifted
+system I - a_ii*dt*L serves all implicit stages of a step.  The stepper owns
+that system, its LU and the reuse policy: an operator handed over again is
+neither shifted nor factored again; a new one is shifted, and factored when
+the LU in hand is a banded one (it costs about two backsubstitutions), while
+a sparse LU is kept and its solves refine against the new system until they
+outgrow it (linalg.Factorization.solve).  The counts of what it did go into
+the run's trace as SolverStats.  Two tableaux are provided:
 
 * the theta-method as a 2-stage EDIRK whose first stage is explicit
   (theta = 1 backward Euler, theta = 1/2 Crank-Nicolson),
@@ -36,7 +42,7 @@ import scipy.sparse.linalg as spla
 
 from .cutoff import CutoffParams, apply_floor
 from .grids import Field, Grid, trapezoid_weights
-from .linalg import Factorization, SparseMatrix, SparseOperator, identity_plus
+from .linalg import Factorization, SolveError, SparseMatrix, SparseOperator, identity_plus
 
 #: diagonal of the 3-stage SDIRK scheme; real root of
 #: g^3 - 3 g^2 + (3/2) g - 1/6 in (1/6, 1/2)
@@ -44,8 +50,9 @@ SDIRK3_GAMMA = 0.43586652150845906
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a run cannot go on (a non-finite state, or no operator can
-    be built from the state); carries the trace up to failure."""
+    """Raised when a run cannot go on (a non-finite state, no operator can
+    be built from the state, or a stage solve fails); carries the trace up
+    to failure."""
 
     def __init__(self, message: str, trace: "RunTrace"):
         super().__init__(message)
@@ -199,17 +206,43 @@ class StepRecord:
 
 
 @dataclass
+class SolverStats:
+    """What the stage solves of one run, or of several added up, did: the
+    LU routes in order of first use (linalg.Factorization.route), and how
+    many factorizations, verified solves and refinement sweeps beyond each
+    solve's first there were."""
+
+    routes: list = field(default_factory=list)
+    factorizations: int = 0
+    solves: int = 0
+    extra_sweeps: int = 0
+
+    def factored(self, route: str):
+        self.factorizations += 1
+        if route not in self.routes:
+            self.routes.append(route)
+
+    def add(self, other: "SolverStats"):
+        self.routes += [route for route in other.routes if route not in self.routes]
+        self.factorizations += other.factorizations
+        self.solves += other.solves
+        self.extra_sweeps += other.extra_sweeps
+
+
+@dataclass
 class RunTrace:
     """Per-step scalar statistics plus full fields at requested snapshots.
 
     min_pre/mass_pre describe the state a step produced before any cutoff;
     min_post/mass_post the floored state the next step consumes.  Snapshots
-    store post-cutoff fields.
+    store post-cutoff fields.  solver counts the run's factorizations and
+    solves.
     """
 
     records: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     diverged: bool = False
+    solver: SolverStats = field(default_factory=SolverStats)
 
     def write_csv(self, path):
         with open(path, "w") as fh:
@@ -301,7 +334,8 @@ def step_linear(op: SparseOperator, u: Field, cfg: StepperConfig, t: float = 0.0
 
 class DirkStepper:
     """Stage solver of du/dt = L u + s(t) for one stiffly accurate,
-    diagonally implicit tableau; factors I - a_ii*dt*L once.
+    diagonally implicit tableau; solves I - a_ii*dt*L for every implicit
+    stage, with L the operator last handed to ``use``.
 
     Stages with a_ii = 0 are explicit.  A stage whose slope no later stage
     uses is skipped, unless it is the last one, whose value is the new state.
@@ -317,12 +351,37 @@ class DirkStepper:
                  boundary_values: Callable[[float], np.ndarray] = None):
         gamma, self._live = tableau.dirk_plan
         self._tab = tableau
-        self._l = l_matrix
         self._dt = dt
+        self._shift = -gamma * dt
         self._source = source
         self._mask = dirichlet_mask if dirichlet_mask is not None and dirichlet_mask.any() else None
         self._bvals = boundary_values
-        self._fact = Factorization(identity_plus(l_matrix, -gamma * dt)) if gamma else None
+        self.stats = SolverStats()
+        self._l = self._system = self._fact = None
+        self.use(l_matrix)
+
+    def use(self, l_matrix: SparseMatrix):
+        """Take l_matrix as the operator of the steps that follow.  The
+        matrix in use changes nothing; another one is shifted, and factored
+        unless the LU in hand is a sparse one, which its solves then refine
+        against the new system."""
+        if l_matrix is self._l:
+            return
+        self._l = l_matrix
+        if not self._shift:
+            return
+        self._system = identity_plus(l_matrix, self._shift)
+        if self._fact is None or self._fact.method == "banded-lu":
+            self._fact = Factorization(self._system)
+            self.stats.factored(self._fact.route)
+
+    def _solve(self, rhs: np.ndarray) -> tuple:
+        x, report = self._fact.solve(rhs, self._system)
+        if report.refactored:
+            self.stats.factored(self._fact.route)
+        self.stats.solves += 1
+        self.stats.extra_sweeps += report.iterations
+        return x, report
 
     def step(self, values: np.ndarray, t: float) -> tuple:
         """(new state, worst stage residual) of one step from t."""
@@ -346,7 +405,7 @@ class DirkStepper:
             if a[i, i] == 0.0:
                 x = rhs
             else:
-                x, report = self._fact.solve(rhs)
+                x, report = self._solve(rhs)
                 worst = max(worst, report.residual_norm)
             if i != self._live[-1]:
                 k = self._l.matvec(x)
@@ -363,16 +422,19 @@ def _wants_snapshot(step: int, t: float, cfg: StepperConfig) -> bool:
     return any(abs(t - ts) <= 0.5 * cfg.dt for ts in cfg.snapshot_times)
 
 
-def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig,
-          stepper_for: Callable[[np.ndarray], DirkStepper]) -> tuple:
+def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig, tableau: ButcherTableau,
+          operator_for: Callable[[np.ndarray], SparseMatrix], **stage_terms) -> tuple:
     """Advance from t0 to t_end with fixed dt; the one loop every run uses.
 
-    Per step: floor the current state (if a cutoff is configured), take one
-    step with stepper_for(floored), record pre- and post-cutoff statistics
-    of the new state.  Returns (final_field, trace) where the final field is
-    post-cutoff.  A non-finite state, or a ValueError from stepper_for (an
-    operator that cannot be built from the state), raises DivergenceError
-    carrying the partial trace.
+    Per step: floor the current state (if a cutoff is configured), hand
+    operator_for(floored) to the run's one DirkStepper (built on the first
+    step with stage_terms: source, dirichlet_mask, boundary_values), take the
+    step, record pre- and post-cutoff statistics of the new state.  Returns
+    (final_field, trace) where the final field is post-cutoff and
+    trace.solver holds the stepper's counts.  A ValueError from operator_for
+    (an operator that cannot be built from the state), a SolveError from the
+    step, or a non-finite state raises DivergenceError carrying the partial
+    trace.
     """
     weights = trapezoid_weights(grid)
     trace = RunTrace()
@@ -392,20 +454,31 @@ def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig,
         if _wants_snapshot(step, t, cfg):
             trace.snapshots.append((t, Field(grid, floored.copy())))
 
+    def diverged(message: str) -> DivergenceError:
+        trace.diverged = True
+        return DivergenceError(message, trace)
+
     floored = _floor_values(initial, cfg.cutoff)
     record(0, cfg.t0, initial, floored, 0.0)
+    stepper = None
     for n in range(cfg.n_steps):
         t_n = cfg.t0 + n * cfg.dt
         try:
-            stepper = stepper_for(floored)
+            l_matrix = operator_for(floored)
         except ValueError as err:
-            trace.diverged = True
-            raise DivergenceError(f"no step possible from t = {t_n}: {err}", trace) from err
-        values, residual = stepper.step(floored, t_n)
+            raise diverged(f"no step possible from t = {t_n}: {err}") from err
+        try:
+            if stepper is None:
+                stepper = DirkStepper(tableau, l_matrix, cfg.dt, **stage_terms)
+                trace.solver = stepper.stats
+            else:
+                stepper.use(l_matrix)
+            values, residual = stepper.step(floored, t_n)
+        except SolveError as err:
+            raise diverged(f"stage solve failed in the step from t = {t_n}: {err}") from err
         t_next = cfg.t0 + (n + 1) * cfg.dt
         if not np.all(np.isfinite(values)):
-            trace.diverged = True
-            raise DivergenceError(f"state went non-finite at t = {t_next}", trace)
+            raise diverged(f"state went non-finite at t = {t_next}")
         floored = _floor_values(values, cfg.cutoff)
         record(n + 1, t_next, values, floored, residual)
 
@@ -415,17 +488,18 @@ def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig,
 def run(problem: LinearProblem, cfg: StepperConfig) -> tuple:
     """Advance a linear problem from t0 to t_end with fixed dt.
 
-    The stepper of cfg.integrator is built once and reused every step; see
-    march for the loop.  Returns (final_field, trace).
+    The stepper of cfg.integrator gets the same operator every step, so it
+    shifts and factors it once; see march for the loop.  Returns
+    (final_field, trace).
     """
     tableau = theta_tableau(cfg.theta) if cfg.integrator == "theta" else sdirk3_tableau()
-    stepper = DirkStepper(
-        tableau, problem.l_matrix, cfg.dt,
+    return march(
+        problem.grid, problem.initial_values.copy(), cfg, tableau,
+        lambda floored: problem.l_matrix,
         source=problem.source,
         dirichlet_mask=problem.dirichlet_mask,
         boundary_values=problem.boundary_values,
     )
-    return march(problem.grid, problem.initial_values.copy(), cfg, lambda floored: stepper)
 
 
 @dataclass(frozen=True)

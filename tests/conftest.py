@@ -103,7 +103,7 @@ def reg_cmp():
 
 @pytest.fixture(scope="session")
 def lub2d_run():
-    """80x80 film to t = 1e-3; the long one (about 80 s on 2 cores)."""
+    """80x80 film to t = 1e-3; the long one (about 16 s on 2 cores)."""
     spec = LubricationSpec.default_2d(80)
     cfg = StepperConfig(dt=LUB_DT, t_end=1e-3, cutoff=CutoffParams(0.0))
     return run_lubrication(spec, cfg)

@@ -25,6 +25,11 @@ from cutoffpde.harness import (
 )
 from cutoffpde.harness import RegularizationComparison
 from cutoffpde.lubrication import SingularityRecord
+from cutoffpde.stepping import SolverStats
+
+
+def read_metadata(path) -> dict:
+    return dict(line.split("=", 1) for line in Path(path).read_text().splitlines())
 
 
 class TestExperimentConfig:
@@ -131,8 +136,8 @@ class TestMetadata:
             dt=1e-2, t_end=1.0, cutoff_mode="delta", delta_coefficient=1.0,
         )
         p = tmp_path / "metadata.txt"
-        write_metadata(p, cfg)
-        meta = dict(line.split("=", 1) for line in p.read_text().splitlines())
+        write_metadata(p, cfg, SolverStats())
+        meta = read_metadata(p)
         assert meta["experiment"] == "aniso-convergence"
         assert meta["resolutions"] == "10,20"
         assert meta["cutoff_mode"] == "delta"
@@ -150,16 +155,57 @@ class TestMetadata:
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         cfg = ExperimentConfig("x", (4,), dt=0.1, t_end=1.0)
         p = tmp_path / "metadata.txt"
-        write_metadata(p, cfg)
-        meta = dict(line.split("=", 1) for line in p.read_text().splitlines())
+        solver = SolverStats(routes=["banded-lu", "sparse-lu/symmetric"],
+                             factorizations=5, solves=12, extra_sweeps=7)
+        write_metadata(p, cfg, solver)
+        meta = read_metadata(p)
         assert meta["cutoffpde_version"] == cutoffpde.__version__
         assert meta["numpy_version"] == np.__version__
         assert meta["scipy_version"] == scipy.__version__
         assert meta["OPENBLAS_NUM_THREADS"] == "3"
         assert meta["MY_POOL_NUM_THREADS"] == "7"
         assert "MKL_NUM_THREADS" not in meta
-        # the solver line stays as it is until it can name the solver that ran
-        assert meta["solver"] == "banded_lu_or_sparse_lu_with_refinement"
+        # the routes that ran, in order of first use, and the counts
+        assert meta["solver"] == "banded-lu,sparse-lu/symmetric"
+        assert meta["solver_factorizations"] == "5"
+        assert meta["solver_solves"] == "12"
+        assert meta["solver_extra_sweeps"] == "7"
+
+    def test_explicit_steps_name_no_solver(self, tmp_path):
+        p = tmp_path / "metadata.txt"
+        write_metadata(p, ExperimentConfig("x", (4,), dt=0.1, t_end=1.0), SolverStats())
+        meta = read_metadata(p)
+        assert meta["solver"] == "none" and meta["solver_factorizations"] == "0"
+
+    def test_aniso_run_factors_once(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli_main(["aniso-run", "-J", "6", "--dt", "0.05", "--t-end", "0.2",
+                         "--out", str(out)]) == 0
+        meta = read_metadata(out / "metadata.txt")
+        assert meta["solver"] == "sparse-lu/colamd"
+        assert meta["solver_factorizations"] == "1"
+        assert meta["solver_solves"] == str(4 * 3)
+        assert meta["solver_extra_sweeps"] == "0"
+
+    def test_ladder_counts_add_up(self, tmp_path):
+        out = tmp_path / "ladder"
+        assert cli_main(["aniso-convergence", "--grids", "4,6", "--dt", "0.05",
+                         "--t-end", "0.1", "--out", str(out)]) == 0
+        meta = read_metadata(out / "metadata.txt")
+        assert meta["solver"] == "sparse-lu/colamd"
+        assert meta["solver_factorizations"] == "2"
+        assert meta["solver_solves"] == str(2 * 2 * 3)
+
+    def test_lub2d_factors_fewer_times_than_it_steps(self, tmp_path):
+        out = tmp_path / "film2d"
+        steps = 40
+        assert cli_main(["lub2d", "-J", "8", "--dt", "1e-6", "--t-end", "4e-5",
+                         "--out", str(out)]) == 0
+        meta = read_metadata(out / "metadata.txt")
+        assert meta["solver"] == "sparse-lu/symmetric"
+        assert 1 <= int(meta["solver_factorizations"]) < steps
+        assert meta["solver_solves"] == str(3 * steps)
+        assert int(meta["solver_extra_sweeps"]) > 0
 
 
 class TestRegularizationComparison:

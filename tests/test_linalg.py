@@ -9,6 +9,7 @@ from cutoffpde.anisotropic import AnisotropicSpec, assemble
 from cutoffpde.grids import Field, Grid2D
 from cutoffpde.linalg import (
     BANDED_BANDWIDTH_MAX,
+    STALE_SWEEPS_MAX,
     Factorization,
     SolveError,
     SparseMatrix,
@@ -262,6 +263,69 @@ class TestSparseOrderingChoice:
         assert Factorization(tridiag(10, -1.0, 4.0, -1.0)).method == "banded-lu"
         assert Factorization(shifted_film_2d()).method == "sparse-lu"
         assert Factorization(self.shifted_aniso()).method == "sparse-lu"
+
+
+class TestStaleFactorization:
+    """An LU kept for a later matrix: solves refine against that matrix until
+    its own tolerance is met, and factor it afresh when they cannot."""
+
+    @staticmethod
+    def film_state(scale):
+        u = LubricationSpec.default_2d(16).initial_field().values
+        return u * (1.0 + scale * np.linspace(0.0, 1.0, u.size))
+
+    @staticmethod
+    def true_residual(a, x, rhs):
+        return float(np.max(np.abs(a.matvec(x) - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
+
+    def test_nearby_matrix_meets_its_tolerance(self):
+        a0 = shifted_film_2d()
+        a1 = shifted_film_2d(self.film_state(1e-3))
+        f = Factorization(a0)
+        rhs = np.random.default_rng(7).normal(size=a1.dimension)
+        x, report = f.solve(rhs, a1)
+        assert report.iterations > 0 and not report.refactored
+        assert report.tolerance == default_tolerance(a1)
+        assert self.true_residual(a1, x, rhs) <= default_tolerance(a1)
+        # the LU is still a0's: its own solves stay fresh
+        _, fresh = f.solve(rhs)
+        assert fresh.iterations == 0
+        _, again = f.solve(rhs, a1)
+        assert again.iterations > 0
+
+    def test_distant_matrix_refactors(self):
+        a0 = shifted_film_2d()
+        spec = LubricationSpec.default_2d(16)
+        a1 = identity_plus(assemble_lubrication_2d(Field(spec.grid, self.film_state(5.0)), spec),
+                           -SDIRK3_GAMMA * 1e-4)
+        f = Factorization(a0)
+        rhs = np.random.default_rng(8).normal(size=a1.dimension)
+        x, report = f.solve(rhs, a1)
+        assert report.refactored
+        assert report.iterations == 1 + STALE_SWEEPS_MAX
+        assert report.residual_norm <= report.tolerance == default_tolerance(a1)
+        assert self.true_residual(a1, x, rhs) <= default_tolerance(a1)
+        # the object now holds a1's LU
+        _, fresh = f.solve(rhs, a1)
+        assert fresh.iterations == 0 and not fresh.refactored
+
+    def test_fresh_solve_reports_no_extra_sweeps(self):
+        a = shifted_film_2d()
+        rhs = np.ones(a.dimension)
+        for other in (None, a):
+            _, report = Factorization(a).solve(rhs, other)
+            assert report.iterations == 0 and not report.refactored
+
+    def test_dimension_must_match(self):
+        f = Factorization(tridiag(8, -1.0, 4.0, -1.0))
+        with pytest.raises(ValueError, match="its own dimension"):
+            f.solve(np.ones(8), tridiag(9, -1.0, 4.0, -1.0))
+
+    def test_routes(self):
+        assert Factorization(tridiag(10, -1.0, 4.0, -1.0)).route == "banded-lu"
+        assert Factorization(shifted_film_2d()).route == "sparse-lu/symmetric"
+        aniso = TestSparseOrderingChoice.shifted_aniso()
+        assert Factorization(aniso).route == "sparse-lu/colamd"
 
 
 class TestSolvers:

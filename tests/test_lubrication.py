@@ -32,7 +32,12 @@ from cutoffpde.lubrication import (
     touching_length,
     track_singularity,
 )
-from cutoffpde.lubrication import _laplacian_1d, _laplacian_2d, _lagged_face_mobilities_1d
+from cutoffpde.lubrication import (
+    _face_mean,
+    _lagged_face_mobilities_1d,
+    _laplacian_1d,
+    _laplacian_2d,
+)
 from cutoffpde.stepping import DivergenceError, StepperConfig
 
 
@@ -53,6 +58,51 @@ def reference_operator_1d(u_lagged, spec):
     vals = np.concatenate([c / vol[left], -c / vol[left], -c / vol[right], c / vol[right]])
     div = SparseMatrix.from_coo(n, rows, cols, vals)
     return SparseMatrix(-(div.csr @ _laplacian_1d(grid).csr))
+
+
+def reference_operator_2d(u_lagged, spec):
+    """The 2D film operator as the sparse product -(D @ Lap), D the flux
+    divergence collected face by face in coordinate format: the oracle of
+    the direct 13-point assembly."""
+    grid = spec.grid
+    nx, ny = grid.nx_cells, grid.ny_cells
+    hx, hy = grid.hx, grid.hy
+    f = mobility(u_lagged.values, spec.mobility)
+    volx = np.full(nx + 1, hx)
+    volx[0] = volx[-1] = 0.5 * hx
+    voly = np.full(ny + 1, hy)
+    voly[0] = voly[-1] = 0.5 * hy
+    rows, cols, vals = [], [], []
+    # x-faces between (i, j) and (i+1, j)
+    gi, gj = np.meshgrid(np.arange(nx), np.arange(ny + 1))
+    left = (gj * (nx + 1) + gi).ravel()
+    right = left + 1
+    c = _face_mean(f[left], f[right]) / hx
+    vleft, vright = volx[gi.ravel()], volx[gi.ravel() + 1]
+    rows += [left, left, right, right]
+    cols += [right, left, right, left]
+    vals += [c / vleft, -c / vleft, -c / vright, c / vright]
+    # y-faces between (i, j) and (i, j+1)
+    gi, gj = np.meshgrid(np.arange(nx + 1), np.arange(ny))
+    low = (gj * (nx + 1) + gi).ravel()
+    high = low + (nx + 1)
+    c = _face_mean(f[low], f[high]) / hy
+    vlow, vhigh = voly[gj.ravel()], voly[gj.ravel() + 1]
+    rows += [low, low, high, high]
+    cols += [high, low, high, low]
+    vals += [c / vlow, -c / vlow, -c / vhigh, c / vhigh]
+    div = SparseMatrix.from_coo(
+        grid.node_count, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    )
+    return SparseMatrix(-(div.csr @ _laplacian_2d(grid).csr))
+
+
+def assert_same_csr(a, b):
+    """Equal indptr, indices and data, values and dtypes alike."""
+    for part in ("indptr", "indices", "data"):
+        x, y = getattr(a, part), getattr(b, part)
+        assert x.dtype == y.dtype, part
+        assert np.array_equal(x, y), part
 
 
 class TestMobility:
@@ -191,15 +241,10 @@ class TestAssembly1DMatchesProduct:
     """The direct assembly must reproduce the sparse product to the bit, so
     runs stay bit-identical to the product-based operator."""
 
-    @staticmethod
-    def assert_same_csr(a, b):
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(a, part), getattr(b, part)), part
-
     def test_initial_film(self):
         spec = LubricationSpec.default_1d(1000)
         u0 = spec.initial_field()
-        self.assert_same_csr(assemble_lubrication_1d(u0, spec), reference_operator_1d(u0, spec))
+        assert_same_csr(assemble_lubrication_1d(u0, spec), reference_operator_1d(u0, spec))
 
     def test_zeroed_interval(self):
         # zero-mobility faces inside the interval leave zero rows there
@@ -208,13 +253,13 @@ class TestAssembly1DMatchesProduct:
         vals[400:601] = 0.0
         u = Field(spec.grid, vals)
         a = assemble_lubrication_1d(u, spec)
-        self.assert_same_csr(a, reference_operator_1d(u, spec))
+        assert_same_csr(a, reference_operator_1d(u, spec))
         assert np.all(np.diff(a.indptr)[402:599] == 0)
 
     def test_mollified_mobility(self):
         spec = LubricationSpec.default_1d(1000, epsilon=1e-14)
         u0 = spec.initial_field()
-        self.assert_same_csr(assemble_lubrication_1d(u0, spec), reference_operator_1d(u0, spec))
+        assert_same_csr(assemble_lubrication_1d(u0, spec), reference_operator_1d(u0, spec))
 
     def test_overflowed_mobility_stays_on_the_matrix(self):
         # u^4 overflows at a boundary node: the slots off the matrix then hold
@@ -241,7 +286,47 @@ class TestAssembly1DMatchesProduct:
         vals = rng.uniform(0.0, 2.0, n + 1)
         vals[rng.random(n + 1) < zero_share] = 0.0
         u = Field(spec.grid, vals)
-        self.assert_same_csr(assemble_lubrication_1d(u, spec), reference_operator_1d(u, spec))
+        assert_same_csr(assemble_lubrication_1d(u, spec), reference_operator_1d(u, spec))
+
+
+class TestAssembly2DMatchesProduct:
+    """The direct 13-point assembly reproduces the sparse product to the
+    bit, so the 2D film runs on the very matrices the product gave."""
+
+    def test_initial_film(self):
+        spec = LubricationSpec.default_2d(40)
+        u0 = spec.initial_field()
+        assert_same_csr(assemble_lubrication_2d(u0, spec), reference_operator_2d(u0, spec))
+
+    def test_dry_patch(self):
+        # nodes whose four faces all carry zero mobility leave empty rows
+        spec = LubricationSpec.default_2d(24)
+        vals = spec.initial_field().values.copy()
+        vals.reshape(25, 25)[8:17, 9:15] = 0.0
+        u = Field(spec.grid, vals)
+        a = assemble_lubrication_2d(u, spec)
+        assert_same_csr(a, reference_operator_2d(u, spec))
+        assert np.sum(np.diff(a.indptr) == 0) > 0
+
+    def test_mollified_mobility(self):
+        spec = LubricationSpec.default_2d(20, epsilon=1e-3)
+        u0 = spec.initial_field()
+        assert_same_csr(assemble_lubrication_2d(u0, spec), reference_operator_2d(u0, spec))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        nx=st.integers(min_value=2, max_value=20),
+        ny=st.integers(min_value=2, max_value=20),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        zero_share=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+    )
+    def test_random_states(self, nx, ny, seed, zero_share):
+        rng = np.random.default_rng(seed)
+        spec = LubricationSpec(grid=Grid2D(-1.0, 1.0, nx, -0.5, 1.0, ny))
+        vals = rng.uniform(0.0, 2.0, spec.grid.node_count)
+        vals[rng.random(vals.size) < zero_share] = 0.0
+        u = Field(spec.grid, vals)
+        assert_same_csr(assemble_lubrication_2d(u, spec), reference_operator_2d(u, spec))
 
 
 class TestLaplacianCache:

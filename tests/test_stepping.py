@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cutoffpde.cutoff import CutoffParams
-from cutoffpde.grids import Field, Grid1D
-from cutoffpde.linalg import SparseMatrix, SparseOperator
+from cutoffpde.anisotropic import AnisotropicSpec, assemble
+from cutoffpde.cutoff import CutoffParams, apply_floor
+from cutoffpde.grids import Field, Grid1D, Grid2D
+from cutoffpde.linalg import SparseMatrix, SparseOperator, default_tolerance, identity_plus
+from cutoffpde.lubrication import (
+    LubricationSpec,
+    assemble_lubrication_1d,
+    assemble_lubrication_2d,
+    run_lubrication,
+)
 from cutoffpde.stepping import (
     DIAGNOSTICS_SIZE_CAP,
     SDIRK3_GAMMA,
@@ -19,6 +26,7 @@ from cutoffpde.stepping import (
     LinearProblem,
     RunTrace,
     StepperConfig,
+    march,
     run,
     scheme_diagnostics,
     sdirk3_tableau,
@@ -388,6 +396,83 @@ class TestDivergenceError:
         err = DivergenceError("state went non-finite at t = 0.5", trace)
         assert err.trace is trace
         assert isinstance(err, RuntimeError)
+
+
+class TestOneStepperPerRun:
+    """march builds one DirkStepper per run.  Where it factors every new
+    matrix (banded LU, or a linear problem's one operator) the run is the one
+    a stepper built afresh every step gives, bit for bit; the 2D film keeps
+    its sparse LU across steps and still verifies every solve."""
+
+    @staticmethod
+    def fresh_every_step(initial, cfg, tableau, operator_for, **stage_terms):
+        floored = apply_floor(initial, cfg.cutoff.delta)
+        for n in range(cfg.n_steps):
+            stepper = DirkStepper(tableau, operator_for(floored), cfg.dt, **stage_terms)
+            values, _ = stepper.step(floored, cfg.t0 + n * cfg.dt)
+            floored = apply_floor(values, cfg.cutoff.delta)
+        return floored
+
+    def test_banded_film_run_matches_fresh_steppers(self):
+        spec = LubricationSpec.default_1d(64)
+        cfg = StepperConfig(dt=1e-6, t_end=3e-5, cutoff=CutoffParams(0.0))
+        final, trace, _ = run_lubrication(spec, cfg)
+        ref = self.fresh_every_step(
+            spec.initial_field().values, cfg, sdirk3_tableau(),
+            lambda u: assemble_lubrication_1d(Field(spec.grid, u), spec))
+        assert np.array_equal(final.values, ref)
+        assert trace.solver.routes == ["banded-lu"]
+        assert trace.solver.factorizations == cfg.n_steps
+        assert trace.solver.extra_sweeps == 0
+
+    @pytest.mark.parametrize("integrator", ["sdirk3", "theta"])
+    def test_linear_anisotropic_run_matches_fresh_steppers(self, integrator):
+        problem = assemble(AnisotropicSpec.pure_diffusion(Grid2D.square(0.0, 1.0, 12)))
+        cfg = StepperConfig(dt=1e-2, t_end=0.1, cutoff=CutoffParams(0.0), integrator=integrator)
+        final, trace = run(problem, cfg)
+        tableau = sdirk3_tableau() if integrator == "sdirk3" else theta_tableau(1.0)
+        ref = self.fresh_every_step(
+            problem.initial_values, cfg, tableau, lambda u: problem.l_matrix,
+            source=problem.source, dirichlet_mask=problem.dirichlet_mask,
+            boundary_values=problem.boundary_values)
+        assert np.array_equal(final.values, ref)
+        # the one operator is shifted and factored once
+        assert trace.solver.routes == ["sparse-lu/colamd"]
+        assert trace.solver.factorizations == 1
+        assert trace.solver.solves == cfg.n_steps * (3 if integrator == "sdirk3" else 1)
+
+    def test_2d_film_keeps_its_lu_and_verifies_every_step(self):
+        spec = LubricationSpec.default_2d(16)
+        cfg = StepperConfig(dt=1e-6, t_end=2e-4, cutoff=CutoffParams(0.0), snapshot_every=1)
+        _, trace, _ = run_lubrication(spec, cfg)
+        assert trace.solver.routes == ["sparse-lu/symmetric"]
+        assert trace.solver.factorizations < cfg.n_steps
+        assert trace.solver.solves == 3 * cfg.n_steps
+        assert trace.solver.extra_sweeps > 0
+        # each step's worst residual meets the tolerance of the system it
+        # solved, shifted from the operator of the step's floored start
+        for (_, start), rec in zip(trace.snapshots, trace.records[1:]):
+            system = identity_plus(assemble_lubrication_2d(start, spec), -SDIRK3_GAMMA * cfg.dt)
+            assert rec.residual <= default_tolerance(system)
+
+    def test_solve_failure_carries_the_trace(self):
+        # backward Euler with dt = 1/2 shifts L = 2I to the zero matrix
+        grid = Grid1D(0.0, 1.0, 4)
+        n = grid.node_count
+        regular, singular = SparseMatrix(sp.identity(n)), SparseMatrix(2.0 * sp.identity(n))
+        calls = []
+
+        def operator_for(floored):
+            calls.append(len(calls))
+            return singular if len(calls) == 4 else regular
+
+        cfg = StepperConfig(dt=0.5, t_end=5.0, integrator="theta", cutoff=CutoffParams(0.0))
+        with pytest.raises(DivergenceError, match="t = 1.5.*singular") as info:
+            march(grid, np.ones(n), cfg, theta_tableau(1.0), operator_for)
+        trace = info.value.trace
+        assert trace.diverged
+        assert [r.step for r in trace.records] == [0, 1, 2, 3]
+        assert trace.solver.factorizations == 1 and trace.solver.solves == 3
 
 
 class TestLinearProblemValidation:
