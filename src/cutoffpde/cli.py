@@ -9,7 +9,9 @@ Subcommands map one-to-one onto the library drivers:
     reg-compare         mollified vs bare mobility side by side
     diagnostics         theta-scheme matrix norms on a small grid
 
-Each run writes CSV artifacts plus metadata.txt into --out.  Exit codes:
+Each run writes CSV artifacts plus metadata.txt into --out; a run that
+stops early writes its partial trace.csv and a metadata.txt with an error
+line.  Exit codes:
 0 on success, 1 on a numerical failure (divergence, solver breakdown,
 bad parameter values), 2 on unusable arguments (argparse).
 """
@@ -27,6 +29,7 @@ from .harness import (
     convergence_study,
     ensure_dir,
     regularization_comparison,
+    write_failure,
     write_metadata,
 )
 from .linalg import SolveError
@@ -127,6 +130,18 @@ def _experiment_config(args, name, resolutions, **extra) -> ExperimentConfig:
     )
 
 
+def _run_or_write_failure(out, exp, driver, *args):
+    """driver(*args); a run that stops with a DivergenceError writes its
+    partial trace and the metadata with the error into out (if given)
+    before the error goes on."""
+    try:
+        return driver(*args)
+    except DivergenceError as err:
+        if out:
+            write_failure(out, exp, err.trace.solver, err)
+        raise
+
+
 def _cmd_aniso_convergence(args) -> int:
     grids = [int(tok) for tok in args.grids.split(",")]
     cfg = _experiment_config(args, "aniso-convergence", grids,
@@ -152,7 +167,7 @@ def _cmd_aniso_run(args) -> int:
     cfg = StepperConfig(dt=args.dt, t_end=args.t_end,
                         cutoff=exp.cutoff_for(grid.hx),
                         integrator=args.integrator, theta=args.theta)
-    final, trace = run(problem, cfg)
+    final, trace = _run_or_write_failure(args.out, exp, run, problem, cfg)
     err = l2_norm(final - exact_field(spec, args.t_end))
     last = trace.records[-1]
     print(f"l2_error={err:.6e}  min_pre={last.min_pre:.6e}  "
@@ -173,7 +188,7 @@ def _run_lubrication_cmd(args, name, spec, h) -> int:
         snapshot_every=args.snapshot_every,
         snapshot_times=_parse_snapshots(args.snapshots),
     )
-    final, trace, record = run_lubrication(spec, cfg)
+    final, trace, record = _run_or_write_failure(args.out, exp, run_lubrication, spec, cfg)
 
     def fmt(v):
         return "none" if v is None else f"{v:.6e}"

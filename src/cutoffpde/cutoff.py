@@ -66,7 +66,8 @@ def lemma_gap(f: Field, u: Field) -> tuple:
     neg = u.values < 0.0
     if neg.any():
         i = int(np.argmax(neg))
-        raise ValueError(f"lemma_gap reference must be nonnegative; u[{i}] = {u.values[i]!r}")
+        raise ValueError(
+            f"lemma_gap reference must be nonnegative; u[{i}] = {float(u.values[i])!r}")
     fp = apply_floor(f.values, 0.0)
     gap_accuracy = float(np.max(np.abs(fp - u.values) - np.abs(f.values - u.values)))
     gap_correction = float(np.max(np.abs(fp - f.values) - np.abs(u.values - f.values)))

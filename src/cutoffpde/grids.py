@@ -168,7 +168,7 @@ def _require_finite(values: np.ndarray, what: str):
     finite = np.isfinite(values)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValueError(f"{what} has non-finite value {values[i]!r} at node {i}")
+        raise ValueError(f"{what} has non-finite value {float(values[i])!r} at node {i}")
 
 
 def l2_norm(e: Field) -> float:

@@ -125,7 +125,8 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
     The undershoot column measures the raw pre-cutoff final iterate, which
     is the quantity the floor would discard; the L2 error measures the
     post-cutoff solution against the exact layer.  A divergent resolution
-    writes the rows obtained so far (when out_dir is set) and re-raises.
+    writes the rows obtained so far, its partial trace and the metadata with
+    the error (when out_dir is set) and re-raises.
     """
     report = ConvergenceReport()
     solver = SolverStats()
@@ -149,9 +150,10 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
                 l2_error=err,
                 max_undershoot=max(0.0, -last.min_pre),
             ))
-    except DivergenceError:
+    except DivergenceError as err:
         if cfg.out_dir:
-            ensure_dir(cfg.out_dir)
+            solver.add(err.trace.solver)
+            write_failure(cfg.out_dir, cfg, solver, err)
             report.write_csv(os.path.join(cfg.out_dir, "convergence.csv"))
         raise
     if cfg.out_dir:
@@ -237,12 +239,21 @@ def ensure_dir(path):
     os.makedirs(path, exist_ok=True)
 
 
-def write_metadata(path, cfg: ExperimentConfig, solver: SolverStats):
+def write_failure(out_dir, cfg: ExperimentConfig, solver: SolverStats, err: DivergenceError):
+    """The artifacts of a run that stopped: its partial trace.csv and a
+    metadata.txt with an error line."""
+    ensure_dir(out_dir)
+    err.trace.write_csv(os.path.join(out_dir, "trace.csv"))
+    write_metadata(os.path.join(out_dir, "metadata.txt"), cfg, solver, error=str(err))
+
+
+def write_metadata(path, cfg: ExperimentConfig, solver: SolverStats, error: str = None):
     """Echo every design toggle that the equations do not force, what the
     solver did over the experiment's runs (its LU routes, or "none" for
     explicit steps only, and its counts), then the package, numpy and scipy
-    versions and every *_NUM_THREADS variable set in the environment (one
-    absent from the file was unset)."""
+    versions, the error that stopped the run if one did, and every
+    *_NUM_THREADS variable set in the environment (one absent from the file
+    was unset)."""
     lines = {
         "experiment": cfg.experiment,
         "resolutions": ",".join(str(r) for r in cfg.resolutions),
@@ -269,6 +280,8 @@ def write_metadata(path, cfg: ExperimentConfig, solver: SolverStats):
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
     }
+    if error is not None:
+        lines["error"] = " ".join(error.splitlines())
     lines.update(sorted(
         (name, value) for name, value in os.environ.items() if name.endswith("_NUM_THREADS")
     ))

@@ -14,15 +14,19 @@ shifted film operators, also where the film is dry), partial pivoting takes
 the diagonal first, so the symmetric strategy fits: an A + A^T minimum-degree
 ordering in SymmetricMode.  On the 2D film it halves the factorization time
 and cuts the fill by a fifth (40x40) to a third (80x80) against the default.
-Other matrices keep the default COLAMD ordering: the anisotropic Dirichlet
-rows leave a 1 on the diagonal under column entries up to 5e4 times larger
-(J = 160), and there the symmetric strategy pivots off the diagonal and
-triples the fill.  The pivot threshold stays at SuperLU's default of 1.0
-either way.
+Other matrices keep the default COLAMD ordering.  A whole anisotropic system
+would be one of them: its Dirichlet rows leave a 1 on the diagonal under
+column entries up to 5.6e4 times larger (J = 160), where the symmetric
+strategy pivots off the diagonal and triples the fill.  So the stepper
+factors only its interior block, which passes the column test (fill 1.88M
+against COLAMD's 3.30M on the whole system at J = 160), and solves name the
+Dirichlet values as fixed unknowns (Factorization.solve).  The pivot
+threshold stays at SuperLU's default of 1.0 either way.
 
 Every solve refines its answer against the system and re-verifies the
 max-norm residual against the configured tolerance, so a returned solution is
-always a checked one.  An LU of the system itself takes one refinement sweep.
+always a checked one; an interior-block solve is checked as the whole system
+it comes from.  An LU of the system itself takes one refinement sweep.
 An LU may also serve a later, nearby matrix (the film's lagged operator moves
 little from one step to the next): the solve then keeps refining against
 that matrix until its residual meets the matrix's own default_tolerance, and
@@ -125,11 +129,13 @@ class SparseMatrix:
     def operator_norm_inf(self) -> float:
         """Exact max absolute row sum, computed on first use and kept."""
         if self._norm is None:
-            # each row summed in storage order, as a product with ones would
-            row_sums = np.bincount(self.entry_rows(), weights=np.abs(self.data),
-                                   minlength=self.dimension)
-            self._norm = float(row_sums.max()) if self.nnz else 0.0
+            self._norm = float(self.abs_row_sums().max()) if self.nnz else 0.0
         return self._norm
+
+    def abs_row_sums(self) -> np.ndarray:
+        """Sum of |a_ij| over each row, in storage order, as a product with
+        ones would sum it."""
+        return np.bincount(self.entry_rows(), weights=np.abs(self.data), minlength=self.dimension)
 
     def entry_rows(self) -> np.ndarray:
         """Row index of every stored entry, in storage order.
@@ -192,10 +198,16 @@ class SolveReport:
     refactored: bool = False
 
 
-def default_tolerance(a: SparseMatrix) -> float:
-    """1e-12 times the system scale; the residual check is relative to
-    max(1, |rhs|_inf), so stiff operators get proportional slack."""
-    return 1e-12 * max(1.0, a.operator_norm_inf())
+def default_tolerance(a: SparseMatrix, coupling: sp.csr_matrix = None) -> float:
+    """1e-12 times the system scale |A|_inf; the residual check is relative to
+    max(1, |rhs|_inf), so stiff operators get proportional slack.  Given the
+    coupling C of an interior block a (Factorization.solve), A is the whole
+    system [[a, C], [0, I]]."""
+    norm = a.operator_norm_inf()
+    if coupling is not None:
+        row_sums = a.abs_row_sums() + abs(coupling) @ np.ones(coupling.shape[1])
+        norm = float(row_sums.max(initial=0.0))
+    return 1e-12 * max(1.0, norm)
 
 
 def _diagonal_leads_columns(csc: sp.csc_matrix) -> bool:
@@ -275,16 +287,16 @@ class Factorization:
             return x
         return self._splu.solve(rhs)
 
-    def _refine(self, a: SparseMatrix, rhs: np.ndarray, tol: float, sweeps_max: int) -> tuple:
+    def _refine(self, a: SparseMatrix, rhs: np.ndarray, scale: float, tol: float,
+                sweeps_max: int) -> tuple:
         """(x, residual, sweeps): the LU's answer refined against a, sweep by
-        sweep, until the max-norm residual relative to max(1, |rhs|_inf)
-        meets tol (a NaN residual never does) or sweeps_max sweeps are done.
+        sweep, until the max-norm residual relative to scale meets tol (a
+        NaN residual never does) or sweeps_max sweeps are done.
 
         With an LU of a itself one sweep keeps the residual near machine
         level even for stiff operators."""
         x = self._backsub(rhs)
         x = x + self._backsub(rhs - a.matvec(x))
-        scale = max(1.0, float(np.max(np.abs(rhs))))
         sweeps = 1
         while True:
             r = a.matvec(x) - rhs
@@ -294,9 +306,16 @@ class Factorization:
             x = x - self._backsub(r)
             sweeps += 1
 
-    def solve(self, rhs: np.ndarray, a: SparseMatrix = None) -> tuple:
+    def solve(self, rhs: np.ndarray, a: SparseMatrix = None, fixed: tuple = None) -> tuple:
         """(x, SolveReport) with a x = rhs verified; a defaults to the
         factored matrix.
+
+        fixed = (C, g) makes a the interior block of the whole system
+        [[a, C], [0, I]] [x; y] = [rhs; g], whose identity rows fix y = g
+        (Dirichlet nodes).  The solve returns the x of a x = rhs - C g and
+        verifies the whole system: its identity rows hold exactly, and the
+        residual of the others is measured against max(1, |[rhs; g]|_inf),
+        not against the scale of rhs - C g, which C g can dominate.
 
         Another matrix a is solved with this LU as a stale one, refined
         against a until its residual meets default_tolerance(a).  If
@@ -310,18 +329,23 @@ class Factorization:
                 f"rhs has shape {rhs.shape}, expected ({self._a.dimension},)"
             )
         _require_finite(rhs, "solve rhs")
+        scale = max(1.0, float(np.max(np.abs(rhs), initial=0.0)))
+        if fixed is not None:
+            coupling, g = fixed
+            scale = max(scale, float(np.max(np.abs(g), initial=0.0)))
+            rhs = rhs - coupling @ g
         stale_sweeps, refactored = 0, False
         if a is not None and a is not self._a:
             if a.dimension != self._a.dimension:
                 raise ValueError("a stale LU serves matrices of its own dimension only")
             tol = default_tolerance(a)
-            x, residual, stale_sweeps = self._refine(a, rhs, tol, 1 + STALE_SWEEPS_MAX)
+            x, residual, stale_sweeps = self._refine(a, rhs, scale, tol, 1 + STALE_SWEEPS_MAX)
             if residual <= tol:
                 return x, SolveReport(residual, stale_sweeps - 1, self.method, tol)
             # the same construction as every other factorization, in place
             self.__init__(a)
             refactored = True
-        x, residual, _ = self._refine(self._a, rhs, self._tol, 1)
+        x, residual, _ = self._refine(self._a, rhs, scale, self._tol, 1)
         if not residual <= self._tol:
             raise SolveError(
                 f"solution failed verification: residual {residual:.3e} > tol "

@@ -115,7 +115,7 @@ def mobility(u, spec: MobilitySpec):
     if bad.any():
         i = int(np.argmax(bad))
         v = vals.flat[i] if vals.ndim else vals[()]
-        raise ValueError(f"mobility needs finite nonnegative input; node {i} has {v!r}")
+        raise ValueError(f"mobility needs finite nonnegative input; node {i} has {float(v)!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(vals > 0.0, vals ** spec.exponent, 0.0)
         if spec.epsilon > 0.0:

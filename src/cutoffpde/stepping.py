@@ -11,13 +11,16 @@ and returns the post-cutoff state.
 Every step of a run is taken by one stage solver, ``DirkStepper``, built
 once per run and driven by a stiffly accurate diagonally implicit
 Runge-Kutta tableau with a single nonzero diagonal value, so one shifted
-system I - a_ii*dt*L serves all implicit stages of a step.  The stepper owns
-that system, its LU and the reuse policy: an operator handed over again is
-neither shifted nor factored again; a new one is shifted, and factored when
-the LU in hand is a banded one (it costs about two backsubstitutions), while
-a sparse LU is kept and its solves refine against the new system until they
-outgrow it (linalg.Factorization.solve).  The counts of what it did go into
-the run's trace as SolverStats.  Two tableaux are provided:
+system I - a_ii*dt*L serves all implicit stages of a step.  With Dirichlet
+nodes only its interior block is factored: the stages solve for the interior
+nodes and hold the Dirichlet ones at their boundary values exactly.  The
+stepper owns that system, its LU and the reuse policy: an operator handed
+over again is neither shifted nor factored again; a new one is shifted, and
+factored when the LU in hand is a banded one (it costs about two
+backsubstitutions), while a sparse LU is kept and its solves refine against
+the new system until they outgrow it (linalg.Factorization.solve).  The
+counts of what it did go into the run's trace as SolverStats.  Two tableaux
+are provided:
 
 * the theta-method as a 2-stage EDIRK whose first stage is explicit
   (theta = 1 backward Euler, theta = 1/2 Crank-Nicolson),
@@ -42,7 +45,14 @@ import scipy.sparse.linalg as spla
 
 from .cutoff import CutoffParams, apply_floor
 from .grids import Field, Grid, trapezoid_weights
-from .linalg import Factorization, SolveError, SparseMatrix, SparseOperator, identity_plus
+from .linalg import (
+    Factorization,
+    SolveError,
+    SparseMatrix,
+    SparseOperator,
+    default_tolerance,
+    identity_plus,
+)
 
 #: diagonal of the 3-stage SDIRK scheme; real root of
 #: g^3 - 3 g^2 + (3/2) g - 1/6 in (1/6, 1/2)
@@ -265,9 +275,10 @@ class LinearProblem:
     """Semidiscrete linear IBVP: du/dt = L u + s(t) at interior nodes,
     u = g(t) at Dirichlet nodes.
 
-    l_matrix must have zero rows at the Dirichlet nodes (the steppers turn
-    them into identity rows of the shifted systems); source(t) is zero there
-    and boundary_values(t) is zero off them.
+    l_matrix must have zero rows at the Dirichlet nodes (the stepper solves
+    for the interior nodes only and holds the Dirichlet ones at
+    boundary_values); source(t) is zero there and boundary_values(t) is zero
+    off them.
     """
 
     grid: Grid
@@ -340,9 +351,12 @@ class DirkStepper:
     Stages with a_ii = 0 are explicit.  A stage whose slope no later stage
     uses is skipped, unless it is the last one, whose value is the new state.
     Nodes in dirichlet_mask take boundary_values at the time of every
-    implicit stage and of the last stage.
-    Stages use the state exactly as handed in -- flooring happens only at
-    step boundaries, in the run loop.
+    implicit stage and of the last stage, exactly: the shifted system is
+    then factored on its interior block A_II = I - a_ii*dt*L_II alone, and
+    a stage solves A_II x_I = rhs_I - A_IB g(t_i), verified as the whole
+    system with identity rows at the Dirichlet nodes (linalg
+    Factorization.solve).  Stages use the state exactly as handed in --
+    flooring happens only at step boundaries, in the run loop.
     """
 
     def __init__(self, tableau: ButcherTableau, l_matrix: SparseMatrix, dt: float,
@@ -354,10 +368,13 @@ class DirkStepper:
         self._dt = dt
         self._shift = -gamma * dt
         self._source = source
-        self._mask = dirichlet_mask if dirichlet_mask is not None and dirichlet_mask.any() else None
+        self._boundary = self._interior = None
+        if dirichlet_mask is not None and dirichlet_mask.any():
+            self._boundary = np.flatnonzero(dirichlet_mask)
+            self._interior = np.flatnonzero(~dirichlet_mask)
         self._bvals = boundary_values
         self.stats = SolverStats()
-        self._l = self._system = self._fact = None
+        self._l = self._system = self._coupling = self._fact = None
         self.use(l_matrix)
 
     def use(self, l_matrix: SparseMatrix):
@@ -370,13 +387,30 @@ class DirkStepper:
         self._l = l_matrix
         if not self._shift:
             return
-        self._system = identity_plus(l_matrix, self._shift)
+        tol = None
+        if self._boundary is None:
+            self._system = identity_plus(l_matrix, self._shift)
+        else:
+            # a sorted column selection of canonical rows is canonical
+            rows = l_matrix.csr[self._interior]
+            self._system = identity_plus(
+                SparseMatrix.from_canonical(rows[:, self._interior]), self._shift)
+            self._coupling = self._shift * rows[:, self._boundary]
+            tol = default_tolerance(self._system, self._coupling)
         if self._fact is None or self._fact.method == "banded-lu":
-            self._fact = Factorization(self._system)
+            self._fact = Factorization(self._system, tol)
             self.stats.factored(self._fact.route)
 
-    def _solve(self, rhs: np.ndarray) -> tuple:
-        x, report = self._fact.solve(rhs, self._system)
+    def _solve(self, rhs: np.ndarray, held: np.ndarray) -> tuple:
+        """(x, report) of one implicit stage.  Given the Dirichlet values
+        held, only the interior is solved, into rhs in place; the caller
+        sets the Dirichlet nodes."""
+        if held is None:
+            x, report = self._fact.solve(rhs, self._system)
+        else:
+            x = rhs
+            x[self._interior], report = self._fact.solve(
+                rhs[self._interior], self._system, fixed=(self._coupling, held))
         if report.refactored:
             self.stats.factored(self._fact.route)
         self.stats.solves += 1
@@ -387,6 +421,7 @@ class DirkStepper:
         """(new state, worst stage residual) of one step from t."""
         a, c = self._tab.a, self._tab.c
         dt = self._dt
+        last = self._live[-1]
         ks = {}
         worst = 0.0
         for i in self._live:
@@ -398,16 +433,19 @@ class DirkStepper:
             src = self._source(ti) if self._source is not None else None
             if src is not None:
                 rhs += (a[i, i] * dt) * src
-            # an explicit inner stage reads the incoming (floored) boundary
+            # an explicit inner stage keeps the incoming (floored) boundary
             # values, as the B0 (u^n)^+ of the theta pair does
-            if self._mask is not None and (a[i, i] != 0.0 or i == self._live[-1]):
-                rhs[self._mask] = self._bvals(ti)[self._mask]
+            held = None
+            if self._boundary is not None and (a[i, i] != 0.0 or i == last):
+                held = self._bvals(ti)[self._boundary]
             if a[i, i] == 0.0:
                 x = rhs
             else:
-                x, report = self._solve(rhs)
+                x, report = self._solve(rhs, held)
                 worst = max(worst, report.residual_norm)
-            if i != self._live[-1]:
+            if held is not None:
+                x[self._boundary] = held
+            if i != last:
                 k = self._l.matvec(x)
                 if src is not None:
                     k += src

@@ -89,6 +89,18 @@ class TestForcing:
         f_num = ut - (d[0, 0] * uxx + 2 * d[0, 1] * uxy + d[1, 1] * uyy) + b[0] * ux + b[1] * uy
         assert forcing(t0, x0, y0, spec) == pytest.approx(f_num, rel=1e-5)
 
+    @pytest.mark.parametrize("convection", [False, True])
+    def test_source_is_the_masked_forcing(self, convection):
+        # the problem's source scales the forcing at t = 0 by e^{-t}
+        problem = assemble(spec_on(16, convection=convection))
+        x, y = problem.grid.node_xy()
+        interior = ~problem.dirichlet_mask
+        for t in (0.0, 0.3, 1.0, 2.5, 7.0):
+            want = np.where(interior, forcing(t, x, y, spec_on(16, convection=convection)), 0.0)
+            got = problem.source(t)
+            assert np.all(got[~interior] == 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_vanishing_diffusion_limit(self):
         grid = Grid2D.square(0.0, 1.0, 4)
         spec = AnisotropicSpec(grid=grid, diffusion=((1e-12, 0.0), (0.0, 1e-12)))

@@ -182,7 +182,7 @@ class TestMetadata:
         assert cli_main(["aniso-run", "-J", "6", "--dt", "0.05", "--t-end", "0.2",
                          "--out", str(out)]) == 0
         meta = read_metadata(out / "metadata.txt")
-        assert meta["solver"] == "sparse-lu/colamd"
+        assert meta["solver"] == "sparse-lu/symmetric"
         assert meta["solver_factorizations"] == "1"
         assert meta["solver_solves"] == str(4 * 3)
         assert meta["solver_extra_sweeps"] == "0"
@@ -192,7 +192,8 @@ class TestMetadata:
         assert cli_main(["aniso-convergence", "--grids", "4,6", "--dt", "0.05",
                          "--t-end", "0.1", "--out", str(out)]) == 0
         meta = read_metadata(out / "metadata.txt")
-        assert meta["solver"] == "sparse-lu/colamd"
+        # the 3x3 interior of J = 4 has bandwidth 4, the 5x5 one of J = 6 has 6
+        assert meta["solver"] == "banded-lu,sparse-lu/symmetric"
         assert meta["solver_factorizations"] == "2"
         assert meta["solver_solves"] == str(2 * 2 * 3)
 
@@ -270,6 +271,34 @@ class TestCli:
         # theta outside [0, 1]
         assert cli_main(["diagnostics", "-J", "4", "--theta", "1.5"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_stopped_run_writes_its_partial_trace(self, tmp_path, capsys):
+        # the mollified film without a cutoff goes negative and stops
+        out = tmp_path / "film"
+        assert cli_main(["lub1d", "-J", "100", "--epsilon", "1e-14", "--cutoff", "off",
+                         "--t-end", "1e-3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert len(rows) == 735
+        assert rows[-1].startswith("734,")
+        meta = read_metadata(out / "metadata.txt")
+        assert err == f"error: {meta['error']}\n"
+        assert meta["error"].startswith("no step possible from t = 0.000734: mobility")
+        assert meta["solver"] == "banded-lu"
+        assert not (out / "final.csv").exists()
+
+    def test_stopped_study_writes_its_partial_trace(self, tmp_path, capsys):
+        # forward Euler far beyond its step limit overflows
+        out = tmp_path / "ladder"
+        assert cli_main(["aniso-convergence", "--grids", "8", "--integrator", "theta",
+                         "--theta", "0", "--cutoff", "off", "--out", str(out)]) == 1
+        capsys.readouterr()
+        meta = read_metadata(out / "metadata.txt")
+        assert meta["error"].startswith("state went non-finite at t = ")
+        steps = len((out / "trace.csv").read_text().splitlines()) - 2
+        assert 0 < steps < 100
+        assert meta["error"] == f"state went non-finite at t = {(steps + 1) * 0.01}"
+        assert ConvergenceReport.read_csv(out / "convergence.csv").rows == []
 
     def test_aniso_run_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -265,6 +265,60 @@ class TestSparseOrderingChoice:
         assert Factorization(self.shifted_aniso()).method == "sparse-lu"
 
 
+def interior_system(n_cells, convection=False, dt=1e-2):
+    """(whole shifted anisotropic system, its interior block, the interior
+    rows' boundary columns, the Dirichlet mask), sliced from the whole."""
+    grid = Grid2D.square(0.0, 1.0, n_cells)
+    spec = AnisotropicSpec.with_convection(grid) if convection else AnisotropicSpec.pure_diffusion(grid)
+    problem = assemble(spec)
+    mask = problem.dirichlet_mask
+    whole = SparseMatrix(sp.identity(grid.node_count) - SDIRK3_GAMMA * dt * problem.l_matrix.csr)
+    rows = whole.csr[~mask]
+    return whole, SparseMatrix(rows[:, ~mask]), rows[:, mask], problem
+
+
+class TestInteriorBlockSolve:
+    """Factorization.solve with fixed = (C, g): the LU of an interior block
+    serves the whole system [[A_II, C], [0, I]], and the check is that
+    system's, measured against the scale of its whole right-hand side."""
+
+    @pytest.mark.parametrize("convection", [False, True])
+    def test_interior_block_takes_symmetric_route(self, convection):
+        _, block, _, _ = interior_system(16, convection)
+        TestSparseOrderingChoice().check_sparse(block, True)
+
+    @pytest.mark.parametrize("convection", [False, True])
+    def test_tolerance_is_the_whole_systems(self, convection):
+        whole, block, coupling, _ = interior_system(16, convection)
+        assert default_tolerance(block, coupling) == pytest.approx(default_tolerance(whole), rel=1e-15)
+        # an interior block alone is never measured more loosely
+        assert default_tolerance(block) <= default_tolerance(block, coupling)
+
+    def test_solve_verifies_the_whole_system(self):
+        whole, block, coupling, problem = interior_system(16)
+        mask = problem.dirichlet_mask
+        # the whole right-hand side: a state inside, g on the boundary
+        full_rhs = np.where(mask, problem.boundary_values(0.5), 0.5 * problem.exact(0.0))
+        rhs, g = full_rhs[~mask], full_rhs[mask]
+        fact = Factorization(block, default_tolerance(block, coupling))
+        x, report = fact.solve(rhs, fixed=(coupling, g))
+        # the boundary columns dominate the reduced right-hand side
+        reduced = rhs - coupling @ g
+        whole_scale = max(1.0, np.max(np.abs(full_rhs)))
+        assert np.max(np.abs(reduced)) > 100.0 * whole_scale
+        # the reported residual is the whole system's, on its own scale
+        assert report.residual_norm == pytest.approx(
+            np.max(np.abs(block.matvec(x) - reduced)) / whole_scale, rel=1e-12, abs=0.0)
+        assert report.tolerance == default_tolerance(block, coupling)
+        # and it holds for the whole system solved independently
+        full_x = np.where(mask, full_rhs, 0.0)
+        full_x[~mask] = x
+        residual = whole.matvec(full_x) - full_rhs
+        assert np.all(residual[mask] == 0.0)
+        assert np.max(np.abs(residual)) / whole_scale <= default_tolerance(whole)
+        assert np.allclose(full_x, spla.spsolve(whole.csr.tocsc(), full_rhs), rtol=1e-10, atol=1e-12)
+
+
 class TestStaleFactorization:
     """An LU kept for a later matrix: solves refine against that matrix until
     its own tolerance is met, and factor it afresh when they cannot."""

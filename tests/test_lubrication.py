@@ -121,6 +121,14 @@ class TestMobility:
         with pytest.raises(ValueError, match="node 0"):
             mobility(np.array([np.nan, 1.0]), spec)
 
+    def test_error_prints_the_value_as_a_number(self):
+        # a numpy scalar's repr under numpy 2 reads np.float64(...)
+        with pytest.raises(ValueError) as info:
+            mobility(np.array([0.5, -1.334787384077131e-05]), MobilitySpec())
+        message = str(info.value)
+        assert message.endswith("node 1 has -1.334787384077131e-05")
+        assert "np.float64" not in message
+
     def test_mollified_value(self):
         # f_eps(u) = u^4 f / (eps f + u^4); at u = 0.01, eps = 1e-14 the
         # correction enters in the eighth digit
