@@ -23,15 +23,17 @@ against COLAMD's 3.30M on the whole system at J = 160), and solves name the
 Dirichlet values as fixed unknowns (Factorization.solve).  The pivot
 threshold stays at SuperLU's default of 1.0 either way.
 
-Every solve refines its answer against the system and re-verifies the
-max-norm residual against the configured tolerance, so a returned solution is
-always a checked one; an interior-block solve is checked as the whole system
-it comes from.  An LU of the system itself takes one refinement sweep.
-An LU may also serve a later, nearby matrix (the film's lagged operator moves
-little from one step to the next): the solve then keeps refining against
-that matrix until its residual meets the matrix's own default_tolerance, and
-factors the matrix afresh once STALE_SWEEPS_MAX further sweeps have not got
-there.
+Every solve checks the LU's answer against the system (max-norm residual
+against the configured tolerance) and refines it only while that check
+fails, so a returned solution is always a checked one; an interior-block
+solve is checked as the whole system it comes from.  An LU of the system
+itself gets one refinement sweep if its answer misses and fails after that;
+on the film and anisotropic systems its first answer verifies, so such a
+solve is one backsubstitution.  An LU may also serve a later, nearby matrix
+(the film's lagged operator moves little from one step to the next): the
+solve then refines against that matrix until its residual meets the
+matrix's own default_tolerance, and factors the matrix afresh once
+1 + STALE_SWEEPS_MAX sweeps have not got there.
 
 The steppers factor shifted systems I - a_ii*dt*L (identity_plus) and solve
 every implicit stage against them.  SparseOperator bundles the theta-method's
@@ -54,7 +56,7 @@ from .grids import _require_finite
 
 BANDED_BANDWIDTH_MAX = 5
 #: refinement sweeps a solve against a matrix other than the factored one
-#: takes beyond the first before it factors that matrix afresh
+#: may take beyond the first before it factors that matrix afresh
 STALE_SWEEPS_MAX = 3
 
 
@@ -187,9 +189,10 @@ def identity_plus(a: SparseMatrix, scale: float) -> SparseMatrix:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """How one verified solve went.  iterations counts the refinement
-    sweeps beyond the first; refactored says the solve outgrew a stale LU
-    and factored its matrix afresh."""
+    """How one verified solve went.  iterations counts the
+    backsubstitutions beyond the first, those on a stale LU included when
+    the solve outgrew it; refactored says it did, and factored its matrix
+    afresh."""
 
     residual_norm: float
     iterations: int
@@ -289,15 +292,12 @@ class Factorization:
 
     def _refine(self, a: SparseMatrix, rhs: np.ndarray, scale: float, tol: float,
                 sweeps_max: int) -> tuple:
-        """(x, residual, sweeps): the LU's answer refined against a, sweep by
-        sweep, until the max-norm residual relative to scale meets tol (a
-        NaN residual never does) or sweeps_max sweeps are done.
-
-        With an LU of a itself one sweep keeps the residual near machine
-        level even for stiff operators."""
+        """(x, residual, sweeps): the LU's answer, checked against a and
+        refined sweep by sweep only while its max-norm residual relative to
+        scale misses tol (a NaN residual always does), for at most
+        sweeps_max sweeps."""
         x = self._backsub(rhs)
-        x = x + self._backsub(rhs - a.matvec(x))
-        sweeps = 1
+        sweeps = 0
         while True:
             r = a.matvec(x) - rhs
             residual = float(np.max(np.abs(r))) / scale
@@ -319,10 +319,10 @@ class Factorization:
 
         Another matrix a is solved with this LU as a stale one, refined
         against a until its residual meets default_tolerance(a).  If
-        STALE_SWEEPS_MAX sweeps beyond the first do not get there, a is
-        factored in place (this object holds a's LU from then on) and solved
-        as a fresh one.  A fresh LU that misses its tolerance after one
-        sweep raises SolveError."""
+        1 + STALE_SWEEPS_MAX sweeps do not get there, a is factored in place
+        (this object holds a's LU from then on) and solved as a fresh one.
+        A fresh LU whose answer still misses its tolerance after one sweep
+        raises SolveError."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self._a.dimension,):
             raise ValueError(
@@ -334,24 +334,24 @@ class Factorization:
             coupling, g = fixed
             scale = max(scale, float(np.max(np.abs(g), initial=0.0)))
             rhs = rhs - coupling @ g
-        stale_sweeps, refactored = 0, False
+        stale, refactored = 0, False
         if a is not None and a is not self._a:
             if a.dimension != self._a.dimension:
                 raise ValueError("a stale LU serves matrices of its own dimension only")
             tol = default_tolerance(a)
-            x, residual, stale_sweeps = self._refine(a, rhs, scale, tol, 1 + STALE_SWEEPS_MAX)
+            x, residual, sweeps = self._refine(a, rhs, scale, tol, 1 + STALE_SWEEPS_MAX)
             if residual <= tol:
-                return x, SolveReport(residual, stale_sweeps - 1, self.method, tol)
+                return x, SolveReport(residual, sweeps, self.method, tol)
             # the same construction as every other factorization, in place
             self.__init__(a)
-            refactored = True
-        x, residual, _ = self._refine(self._a, rhs, scale, self._tol, 1)
+            stale, refactored = 1 + sweeps, True
+        x, residual, sweeps = self._refine(self._a, rhs, scale, self._tol, 1)
         if not residual <= self._tol:
             raise SolveError(
                 f"solution failed verification: residual {residual:.3e} > tol "
                 f"{self._tol:.3e} ({self.method}, |A|_inf = {self._a.operator_norm_inf():.3e})"
             )
-        return x, SolveReport(residual, stale_sweeps, self.method, self._tol, refactored)
+        return x, SolveReport(residual, stale + sweeps, self.method, self._tol, refactored)
 
 
 SourceTerm = Union[np.ndarray, Callable[[float], np.ndarray]]

@@ -218,14 +218,17 @@ class StepRecord:
 @dataclass
 class SolverStats:
     """What the stage solves of one run, or of several added up, did: the
-    LU routes in order of first use (linalg.Factorization.route), and how
-    many factorizations, verified solves and refinement sweeps beyond each
-    solve's first there were."""
+    LU routes in order of first use (linalg.Factorization.route), how many
+    factorizations and verified solves there were, the backsubstitutions
+    beyond each solve's first (SolveReport.iterations, so solves +
+    extra_sweeps is the backsubstitution count), and the worst residual as
+    a fraction of its tolerance."""
 
     routes: list = field(default_factory=list)
     factorizations: int = 0
     solves: int = 0
     extra_sweeps: int = 0
+    residual_max: float = 0.0
 
     def factored(self, route: str):
         self.factorizations += 1
@@ -237,6 +240,7 @@ class SolverStats:
         self.factorizations += other.factorizations
         self.solves += other.solves
         self.extra_sweeps += other.extra_sweeps
+        self.residual_max = max(self.residual_max, other.residual_max)
 
 
 @dataclass
@@ -415,6 +419,8 @@ class DirkStepper:
             self.stats.factored(self._fact.route)
         self.stats.solves += 1
         self.stats.extra_sweeps += report.iterations
+        self.stats.residual_max = max(self.stats.residual_max,
+                                      report.residual_norm / report.tolerance)
         return x, report
 
     def step(self, values: np.ndarray, t: float) -> tuple:

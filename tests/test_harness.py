@@ -156,7 +156,7 @@ class TestMetadata:
         cfg = ExperimentConfig("x", (4,), dt=0.1, t_end=1.0)
         p = tmp_path / "metadata.txt"
         solver = SolverStats(routes=["banded-lu", "sparse-lu/symmetric"],
-                             factorizations=5, solves=12, extra_sweeps=7)
+                             factorizations=5, solves=12, extra_sweeps=7, residual_max=0.25)
         write_metadata(p, cfg, solver)
         meta = read_metadata(p)
         assert meta["cutoffpde_version"] == cutoffpde.__version__
@@ -170,6 +170,16 @@ class TestMetadata:
         assert meta["solver_factorizations"] == "5"
         assert meta["solver_solves"] == "12"
         assert meta["solver_extra_sweeps"] == "7"
+        assert meta["solver_residual_max"] == "0.25"
+        names = list(meta)
+        assert names.index("solver_residual_max") == names.index("solver_extra_sweeps") + 1
+
+    def test_added_stats_keep_the_worst_residual(self):
+        total = SolverStats(solves=2, extra_sweeps=1, residual_max=0.5)
+        total.add(SolverStats(solves=3, residual_max=0.125))
+        assert (total.solves, total.extra_sweeps, total.residual_max) == (5, 1, 0.5)
+        total.add(SolverStats(solves=1, residual_max=0.75))
+        assert total.residual_max == 0.75
 
     def test_explicit_steps_name_no_solver(self, tmp_path):
         p = tmp_path / "metadata.txt"
@@ -186,6 +196,7 @@ class TestMetadata:
         assert meta["solver_factorizations"] == "1"
         assert meta["solver_solves"] == str(4 * 3)
         assert meta["solver_extra_sweeps"] == "0"
+        assert 0.0 < float(meta["solver_residual_max"]) <= 1.0
 
     def test_ladder_counts_add_up(self, tmp_path):
         out = tmp_path / "ladder"
@@ -196,6 +207,14 @@ class TestMetadata:
         assert meta["solver"] == "banded-lu,sparse-lu/symmetric"
         assert meta["solver_factorizations"] == "2"
         assert meta["solver_solves"] == str(2 * 2 * 3)
+        # the worst residual of the ladder is the worst of its grids' runs
+        worst = []
+        for j in ("4", "6"):
+            assert cli_main(["aniso-run", "-J", j, "--dt", "0.05", "--t-end", "0.1",
+                             "--out", str(tmp_path / j)]) == 0
+            worst.append(float(read_metadata(tmp_path / j / "metadata.txt")["solver_residual_max"]))
+        assert worst[0] != worst[1]
+        assert float(meta["solver_residual_max"]) == max(worst)
 
     def test_lub2d_factors_fewer_times_than_it_steps(self, tmp_path):
         out = tmp_path / "film2d"
@@ -207,6 +226,7 @@ class TestMetadata:
         assert 1 <= int(meta["solver_factorizations"]) < steps
         assert meta["solver_solves"] == str(3 * steps)
         assert int(meta["solver_extra_sweeps"]) > 0
+        assert 0.0 < float(meta["solver_residual_max"]) <= 1.0
 
 
 class TestRegularizationComparison:

@@ -1,5 +1,7 @@
 """Sparse matrices, the verified direct solvers, and the scheme-pair bundle."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,8 +20,14 @@ from cutoffpde.linalg import (
     identity_plus,
 )
 from cutoffpde.linalg import _diagonal_leads_columns
-from cutoffpde.lubrication import LubricationSpec, assemble_lubrication_1d, assemble_lubrication_2d
-from cutoffpde.stepping import SDIRK3_GAMMA
+from cutoffpde.cutoff import CutoffParams
+from cutoffpde.lubrication import (
+    LubricationSpec,
+    assemble_lubrication_1d,
+    assemble_lubrication_2d,
+    run_lubrication,
+)
+from cutoffpde.stepping import SDIRK3_GAMMA, StepperConfig, run
 
 
 def tridiag(n, lo, di, up):
@@ -319,6 +327,84 @@ class TestInteriorBlockSolve:
         assert np.allclose(full_x, spla.spsolve(whole.csr.tocsc(), full_rhs), rtol=1e-10, atol=1e-12)
 
 
+def count_backsubstitutions(monkeypatch, target=Factorization) -> list:
+    """Spy on _backsub of one Factorization, or of every one: the returned
+    list grows by one entry per backsubstitution."""
+    calls = []
+    backsub = target._backsub
+
+    def spy(*args):
+        calls.append(1)
+        return backsub(*args)
+
+    monkeypatch.setattr(target, "_backsub", spy)
+    return calls
+
+
+class TestSolvePolicy:
+    """A fresh LU's answer is checked before anything else and refined only
+    when it misses: one backsubstitution when it verifies, one sweep more
+    when it does not, and a SolveError when the sweep misses too."""
+
+    @staticmethod
+    def first_and_swept_residuals():
+        """(a, rhs, residual of the LU's answer, residual after one sweep) on
+        a shifted film system, where the sweep helps."""
+        a = shifted_film_2d()
+        rhs = np.random.default_rng(11).normal(size=a.dimension)
+        lu = Factorization(a)
+        first = lu._backsub(rhs)
+        swept = first - lu._backsub(a.matvec(first) - rhs)
+        r0, r1 = (TestStaleFactorization.true_residual(a, x, rhs) for x in (first, swept))
+        assert 0.0 < r1 < r0
+        return a, rhs, r0, r1
+
+    def test_verified_first_answer_is_one_backsubstitution(self, monkeypatch):
+        a, rhs, r0, _ = self.first_and_swept_residuals()
+        fact = Factorization(a, tol=r0)
+        calls = count_backsubstitutions(monkeypatch, fact)
+        _, report = fact.solve(rhs)
+        assert len(calls) == 1
+        assert report.iterations == 0 and report.residual_norm == r0
+
+    def test_missed_first_answer_takes_one_sweep(self, monkeypatch):
+        a, rhs, r0, r1 = self.first_and_swept_residuals()
+        fact = Factorization(a, tol=math.sqrt(r0 * r1))
+        calls = count_backsubstitutions(monkeypatch, fact)
+        _, report = fact.solve(rhs)
+        assert len(calls) == 2
+        assert report.iterations == 1 and report.residual_norm == r1
+
+    def test_missed_sweep_fails(self, monkeypatch):
+        a, rhs, _, r1 = self.first_and_swept_residuals()
+        fact = Factorization(a, tol=0.5 * r1)
+        calls = count_backsubstitutions(monkeypatch, fact)
+        with pytest.raises(SolveError, match="failed verification"):
+            fact.solve(rhs)
+        assert len(calls) == 2
+
+    @staticmethod
+    def backsubstitutions_add_up(stats, calls):
+        assert stats.solves > 0
+        assert stats.solves + stats.extra_sweeps == len(calls)
+        assert 0.0 < stats.residual_max <= 1.0
+
+    def test_anisotropic_run_counts_every_backsubstitution(self, monkeypatch):
+        calls = count_backsubstitutions(monkeypatch)
+        problem = assemble(AnisotropicSpec.pure_diffusion(Grid2D.square(0.0, 1.0, 16)))
+        _, trace = run(problem, StepperConfig(dt=1e-2, t_end=1.0, cutoff=CutoffParams(0.0)))
+        assert trace.solver.extra_sweeps == 0
+        self.backsubstitutions_add_up(trace.solver, calls)
+
+    def test_refactoring_film_run_counts_every_backsubstitution(self, monkeypatch):
+        calls = count_backsubstitutions(monkeypatch)
+        cfg = StepperConfig(dt=1e-5, t_end=4e-4, cutoff=CutoffParams(0.0))
+        _, trace, _ = run_lubrication(LubricationSpec.default_2d(16), cfg)
+        # the kept LU was outgrown and the run's matrix factored afresh
+        assert trace.solver.factorizations > 1
+        self.backsubstitutions_add_up(trace.solver, calls)
+
+
 class TestStaleFactorization:
     """An LU kept for a later matrix: solves refine against that matrix until
     its own tolerance is met, and factor it afresh when they cannot."""
@@ -332,13 +418,15 @@ class TestStaleFactorization:
     def true_residual(a, x, rhs):
         return float(np.max(np.abs(a.matvec(x) - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
 
-    def test_nearby_matrix_meets_its_tolerance(self):
+    def test_nearby_matrix_meets_its_tolerance(self, monkeypatch):
         a0 = shifted_film_2d()
         a1 = shifted_film_2d(self.film_state(1e-3))
         f = Factorization(a0)
         rhs = np.random.default_rng(7).normal(size=a1.dimension)
+        calls = count_backsubstitutions(monkeypatch, f)
         x, report = f.solve(rhs, a1)
         assert report.iterations > 0 and not report.refactored
+        assert len(calls) == 1 + report.iterations
         assert report.tolerance == default_tolerance(a1)
         assert self.true_residual(a1, x, rhs) <= default_tolerance(a1)
         # the LU is still a0's: its own solves stay fresh
@@ -347,16 +435,19 @@ class TestStaleFactorization:
         _, again = f.solve(rhs, a1)
         assert again.iterations > 0
 
-    def test_distant_matrix_refactors(self):
+    def test_distant_matrix_refactors(self, monkeypatch):
         a0 = shifted_film_2d()
         spec = LubricationSpec.default_2d(16)
         a1 = identity_plus(assemble_lubrication_2d(Field(spec.grid, self.film_state(5.0)), spec),
                            -SDIRK3_GAMMA * 1e-4)
         f = Factorization(a0)
         rhs = np.random.default_rng(8).normal(size=a1.dimension)
+        calls = count_backsubstitutions(monkeypatch, f)
         x, report = f.solve(rhs, a1)
         assert report.refactored
-        assert report.iterations == 1 + STALE_SWEEPS_MAX
+        # the stale LU's answer and 1 + STALE_SWEEPS_MAX sweeps, then the
+        # fresh LU's answer, which verifies
+        assert report.iterations == 2 + STALE_SWEEPS_MAX == len(calls) - 1
         assert report.residual_norm <= report.tolerance == default_tolerance(a1)
         assert self.true_residual(a1, x, rhs) <= default_tolerance(a1)
         # the object now holds a1's LU

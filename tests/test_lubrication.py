@@ -622,3 +622,24 @@ class TestRunLubrication:
             for a, b in zip(trace.records, trace.records[1:])
         ]
         assert max(drifts) <= 1e-9
+
+
+class TestWholeRunConservation:
+    """Through touchdown, where the cutoff clips mass every step, each step's
+    solve still conserves the mass of the floored state it started from, and
+    every floored state is nonnegative."""
+
+    @pytest.mark.parametrize("spec, t_end", [
+        (LubricationSpec.default_1d(100), 2.5e-3),   # touchdown and liftoff
+        (LubricationSpec.default_2d(12), 1e-3),
+    ], ids=["1d", "2d"])
+    def test_every_step(self, spec, t_end):
+        cfg = StepperConfig(dt=1e-5, t_end=t_end, cutoff=CutoffParams(0.0))
+        _, trace, record = run_lubrication(spec, cfg)
+        records = trace.records
+        assert len(records) == round(t_end / 1e-5) + 1
+        assert record.onset_precutoff_time is not None
+        assert any(r.mass_post > r.mass_pre for r in records)
+        for prev, cur in zip(records, records[1:]):
+            assert abs(cur.mass_pre - prev.mass_post) <= 1e-9 * prev.mass_post, cur.step
+        assert all(r.min_post >= 0.0 for r in records)
