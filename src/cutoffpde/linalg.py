@@ -8,20 +8,27 @@ that format (a duplicate entry would be overwritten there, not summed).
 
 Solves are direct: systems whose bandwidth is at most BANDED_BANDWIDTH_MAX
 on each side go through LAPACK banded LU (gbtrf/gbtrs), everything else
-through SuperLU.  SuperLU's ordering is chosen from the matrix.  When every
-column's diagonal entry is the largest in magnitude in that column (the
-shifted film operators, also where the film is dry), partial pivoting takes
-the diagonal first, so the symmetric strategy fits: an A + A^T minimum-degree
-ordering in SymmetricMode.  On the 2D film it halves the factorization time
-and cuts the fill by a fifth (40x40) to a third (80x80) against the default.
-Other matrices keep the default COLAMD ordering.  A whole anisotropic system
-would be one of them: its Dirichlet rows leave a 1 on the diagonal under
-column entries up to 5.6e4 times larger (J = 160), where the symmetric
-strategy pivots off the diagonal and triples the fill.  So the stepper
-factors only its interior block, which passes the column test (fill 1.88M
-against COLAMD's 3.30M on the whole system at J = 160), and solves name the
-Dirichlet values as fixed unknowns (Factorization.solve).  The pivot
-threshold stays at SuperLU's default of 1.0 either way.
+through SuperLU.  SuperLU factors the transpose A^T, which is A's CSR arrays
+read as CSC (no copy), and solves transposed (trans="T"), which returns the
+x of A x = b.  Its transposed triangular solves gather where the plain ones
+scatter: on the same LU they take 0.73-0.94 times as long on the anisotropic
+interior blocks (J = 40 to 160) and the 40x40 and 80x80 films, whose fill is
+the same either way round.  SuperLU's ordering is chosen from the matrix it
+factors.  When every column's diagonal entry is the largest in magnitude in
+that column (every row's, in A), partial pivoting takes the diagonal first,
+so the symmetric strategy fits: an A + A^T minimum-degree ordering in
+SymmetricMode.  On the 2D film it halves the factorization time and cuts the
+fill by a fifth (40x40) to a third (80x80) against the default.  Other
+matrices keep the default COLAMD ordering.  The shifted film operators pass
+the test either way round, also where the film is dry.  A whole anisotropic
+system passes it on A^T, since its Dirichlet rows hold only their diagonal 1;
+A itself would not, as those 1s sit under column entries up to 5.6e4 times
+larger (J = 160), where the symmetric strategy pivots off the diagonal and
+triples the fill.  The stepper factors only the interior block, which passes
+the test either way round (fill 1.88M against COLAMD's 3.30M on the whole A
+at J = 160), and solves name the Dirichlet values as fixed unknowns
+(Factorization.solve).  The pivot threshold stays at SuperLU's default of 1.0
+either way.
 
 Every solve checks the LU's answer against the system (max-norm residual
 against the configured tolerance) and refines it only while that check
@@ -217,10 +224,12 @@ def _diagonal_leads_columns(csc: sp.csc_matrix) -> bool:
     """Whether every column's diagonal entry is the largest in magnitude in
     that column (ties count); a matrix with an empty column is not.
 
-    Partial pivoting at SuperLU's default threshold of 1.0 then takes the
-    diagonal as each column's first candidate, so the symmetric strategy
-    (an A + A^T minimum-degree ordering, applied to rows and columns alike)
-    fits the matrix."""
+    Factorization asks it of the matrix SuperLU factors, A^T read from A's
+    CSR arrays, whose columns are the rows of A.  Partial pivoting at
+    SuperLU's default threshold of 1.0 then takes the diagonal as each
+    column's first candidate, so the symmetric strategy (an A + A^T
+    minimum-degree ordering, applied to rows and columns alike) fits the
+    matrix."""
     if not np.all(np.diff(csc.indptr)):
         return False
     # largest magnitude per column from its largest and smallest entry, with
@@ -233,7 +242,13 @@ def _diagonal_leads_columns(csc: sp.csc_matrix) -> bool:
 
 class Factorization:
     """Reusable LU of one SparseMatrix; each solve re-verifies its residual,
-    against the factored matrix or a later one of the same dimension."""
+    against the factored matrix or a later one of the same dimension.
+
+    A banded matrix is factored as it is.  Any other is factored by SuperLU
+    as its transpose, A's CSR arrays read as CSC, and solved transposed, so
+    every backsubstitution still returns the x of A x = b.  fill counts the
+    stored entries of the LU: SuperLU's nnz of L and U, or the size of the
+    LAPACK band array."""
 
     def __init__(self, a: SparseMatrix, tol: float = None):
         self._a = a
@@ -256,20 +271,23 @@ class Factorization:
             if info < 0:
                 raise SolveError(f"banded factorization failed (lapack info {info})")
             self._lu, self._ipiv, self._kl, self._ku = lu, ipiv, kl, ku
+            self.fill = lu.size
         else:
-            csc = a.csr.tocsc()
-            if _diagonal_leads_columns(csc):
+            # A's CSR arrays read as CSC are A^T, with no copy
+            at = sp.csc_matrix((a.data, a.indices, a.indptr), shape=(n, n))
+            if _diagonal_leads_columns(at):
                 self._route = "sparse-lu/symmetric"
                 ordering = dict(permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
             else:
                 self._route = "sparse-lu/colamd"
                 ordering = {}
             try:
-                self._splu = spla.splu(csc, **ordering)
+                self._splu = spla.splu(at, **ordering)
             except RuntimeError as err:
                 raise SolveError(
                     f"sparse factorization failed ({err}); |A|_inf = {a.operator_norm_inf():.3e}"
                 ) from err
+            self.fill = self._splu.nnz
 
     @property
     def method(self) -> str:
@@ -288,7 +306,8 @@ class Factorization:
             if info != 0:
                 raise SolveError(f"banded back-substitution failed (lapack info {info})")
             return x
-        return self._splu.solve(rhs)
+        # the LU is A^T's: its transposed solve is A's
+        return self._splu.solve(rhs, trans="T")
 
     def _refine(self, a: SparseMatrix, rhs: np.ndarray, scale: float, tol: float,
                 sweeps_max: int) -> tuple:

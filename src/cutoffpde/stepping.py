@@ -221,19 +221,22 @@ class SolverStats:
     LU routes in order of first use (linalg.Factorization.route), how many
     factorizations and verified solves there were, the backsubstitutions
     beyond each solve's first (SolveReport.iterations, so solves +
-    extra_sweeps is the backsubstitution count), and the worst residual as
-    a fraction of its tolerance."""
+    extra_sweeps is the backsubstitution count), the worst residual as a
+    fraction of its tolerance, and the stored entries of the largest LU
+    (linalg.Factorization.fill)."""
 
     routes: list = field(default_factory=list)
     factorizations: int = 0
     solves: int = 0
     extra_sweeps: int = 0
     residual_max: float = 0.0
+    lu_fill: int = 0
 
-    def factored(self, route: str):
+    def factored(self, fact: Factorization):
         self.factorizations += 1
-        if route not in self.routes:
-            self.routes.append(route)
+        self.lu_fill = max(self.lu_fill, fact.fill)
+        if fact.route not in self.routes:
+            self.routes.append(fact.route)
 
     def add(self, other: "SolverStats"):
         self.routes += [route for route in other.routes if route not in self.routes]
@@ -241,6 +244,7 @@ class SolverStats:
         self.solves += other.solves
         self.extra_sweeps += other.extra_sweeps
         self.residual_max = max(self.residual_max, other.residual_max)
+        self.lu_fill = max(self.lu_fill, other.lu_fill)
 
 
 @dataclass
@@ -403,7 +407,7 @@ class DirkStepper:
             tol = default_tolerance(self._system, self._coupling)
         if self._fact is None or self._fact.method == "banded-lu":
             self._fact = Factorization(self._system, tol)
-            self.stats.factored(self._fact.route)
+            self.stats.factored(self._fact)
 
     def _solve(self, rhs: np.ndarray, held: np.ndarray) -> tuple:
         """(x, report) of one implicit stage.  Given the Dirichlet values
@@ -416,7 +420,7 @@ class DirkStepper:
             x[self._interior], report = self._fact.solve(
                 rhs[self._interior], self._system, fixed=(self._coupling, held))
         if report.refactored:
-            self.stats.factored(self._fact.route)
+            self.stats.factored(self._fact)
         self.stats.solves += 1
         self.stats.extra_sweeps += report.iterations
         self.stats.residual_max = max(self.stats.residual_max,

@@ -155,8 +155,8 @@ class TestMetadata:
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         cfg = ExperimentConfig("x", (4,), dt=0.1, t_end=1.0)
         p = tmp_path / "metadata.txt"
-        solver = SolverStats(routes=["banded-lu", "sparse-lu/symmetric"],
-                             factorizations=5, solves=12, extra_sweeps=7, residual_max=0.25)
+        solver = SolverStats(routes=["banded-lu", "sparse-lu/symmetric"], factorizations=5,
+                             solves=12, extra_sweeps=7, residual_max=0.25, lu_fill=900)
         write_metadata(p, cfg, solver)
         meta = read_metadata(p)
         assert meta["cutoffpde_version"] == cutoffpde.__version__
@@ -171,21 +171,25 @@ class TestMetadata:
         assert meta["solver_solves"] == "12"
         assert meta["solver_extra_sweeps"] == "7"
         assert meta["solver_residual_max"] == "0.25"
+        assert meta["solver_lu_fill"] == "900"
         names = list(meta)
         assert names.index("solver_residual_max") == names.index("solver_extra_sweeps") + 1
+        assert names.index("solver_lu_fill") == names.index("solver_residual_max") + 1
 
     def test_added_stats_keep_the_worst_residual(self):
-        total = SolverStats(solves=2, extra_sweeps=1, residual_max=0.5)
-        total.add(SolverStats(solves=3, residual_max=0.125))
+        total = SolverStats(solves=2, extra_sweeps=1, residual_max=0.5, lu_fill=40)
+        total.add(SolverStats(solves=3, residual_max=0.125, lu_fill=30))
         assert (total.solves, total.extra_sweeps, total.residual_max) == (5, 1, 0.5)
-        total.add(SolverStats(solves=1, residual_max=0.75))
-        assert total.residual_max == 0.75
+        assert total.lu_fill == 40
+        total.add(SolverStats(solves=1, residual_max=0.75, lu_fill=70))
+        assert (total.residual_max, total.lu_fill) == (0.75, 70)
 
     def test_explicit_steps_name_no_solver(self, tmp_path):
         p = tmp_path / "metadata.txt"
         write_metadata(p, ExperimentConfig("x", (4,), dt=0.1, t_end=1.0), SolverStats())
         meta = read_metadata(p)
         assert meta["solver"] == "none" and meta["solver_factorizations"] == "0"
+        assert meta["solver_lu_fill"] == "0"
 
     def test_aniso_run_factors_once(self, tmp_path):
         out = tmp_path / "run"
@@ -198,6 +202,16 @@ class TestMetadata:
         assert meta["solver_extra_sweeps"] == "0"
         assert 0.0 < float(meta["solver_residual_max"]) <= 1.0
 
+    def test_aniso_run_records_lu_fill(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli_main(["aniso-run", "-J", "16", "--dt", "0.05", "--t-end", "0.1",
+                         "--out", str(out)]) == 0
+        meta = read_metadata(out / "metadata.txt")
+        assert meta["solver"] == "sparse-lu/symmetric"
+        # L and U hold at least the entries of the 15^2 interior block,
+        # five or more a row
+        assert int(meta["solver_lu_fill"]) >= 5 * 15 ** 2
+
     def test_ladder_counts_add_up(self, tmp_path):
         out = tmp_path / "ladder"
         assert cli_main(["aniso-convergence", "--grids", "4,6", "--dt", "0.05",
@@ -207,14 +221,19 @@ class TestMetadata:
         assert meta["solver"] == "banded-lu,sparse-lu/symmetric"
         assert meta["solver_factorizations"] == "2"
         assert meta["solver_solves"] == str(2 * 2 * 3)
-        # the worst residual of the ladder is the worst of its grids' runs
-        worst = []
+        # the worst residual of the ladder is the worst of its grids' runs,
+        # and its LU fill the larger of theirs
+        worst, fill = [], []
         for j in ("4", "6"):
             assert cli_main(["aniso-run", "-J", j, "--dt", "0.05", "--t-end", "0.1",
                              "--out", str(tmp_path / j)]) == 0
-            worst.append(float(read_metadata(tmp_path / j / "metadata.txt")["solver_residual_max"]))
+            grid_meta = read_metadata(tmp_path / j / "metadata.txt")
+            worst.append(float(grid_meta["solver_residual_max"]))
+            fill.append(int(grid_meta["solver_lu_fill"]))
         assert worst[0] != worst[1]
         assert float(meta["solver_residual_max"]) == max(worst)
+        assert min(fill) > 0 and fill[0] != fill[1]
+        assert int(meta["solver_lu_fill"]) == max(fill)
 
     def test_lub2d_factors_fewer_times_than_it_steps(self, tmp_path):
         out = tmp_path / "film2d"
@@ -227,6 +246,7 @@ class TestMetadata:
         assert meta["solver_solves"] == str(3 * steps)
         assert int(meta["solver_extra_sweeps"]) > 0
         assert 0.0 < float(meta["solver_residual_max"]) <= 1.0
+        assert int(meta["solver_lu_fill"]) > 0
 
 
 class TestRegularizationComparison:
@@ -393,20 +413,36 @@ class TestCli:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     @staticmethod
-    def artifact_per_blas_threads(tmp_path, argv, name):
+    def run_in_fresh_process(argv, out, **env):
+        """Run the CLI with --out in a fresh interpreter, with the package
+        on its path and env added to the environment."""
+        src = str(Path(cutoffpde.__file__).resolve().parent.parent)
+        env = dict(os.environ, **env,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "cutoffpde.cli", *argv, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+
+    def artifact_per_blas_threads(self, tmp_path, argv, name):
         """The bytes of one artifact of a CLI run, run in a fresh process
         under 1 and under 2 BLAS threads."""
-        src = str(Path(cutoffpde.__file__).resolve().parent.parent)
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            subprocess.run([sys.executable, "-m", "cutoffpde.cli", *argv, "--out", str(out)],
-                           env=env, check=True, capture_output=True, timeout=300)
+            self.run_in_fresh_process(argv, out, OPENBLAS_NUM_THREADS=threads,
+                                      OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
             outputs.append((out / name).read_bytes())
         return outputs
+
+    @pytest.mark.parametrize("argv", [
+        ["aniso-run", "-J", "16", "--dt", "0.05", "--t-end", "0.2"],
+        ["lub2d", "-J", "8", "--dt", "1e-6", "--t-end", "2e-5"],
+    ], ids=["aniso-run", "lub2d"])
+    def test_reruns_in_separate_processes_are_identical(self, tmp_path, argv):
+        outs = (tmp_path / "first", tmp_path / "second")
+        for out in outs:
+            self.run_in_fresh_process(argv, out)
+        for name in ("final.csv", "trace.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_trace_does_not_depend_on_blas_threads(self, tmp_path):
         # 101^2 nodes is above the size at which OpenBLAS splits a dot

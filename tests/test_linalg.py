@@ -204,11 +204,16 @@ def shifted_film_2d(u=None):
     return identity_plus(assemble_lubrication_2d(Field(spec.grid, u), spec), -SDIRK3_GAMMA * 1e-6)
 
 
+def factored_transpose(a):
+    """A^T as SuperLU factors it: a's CSR arrays read as CSC."""
+    return sp.csc_matrix((a.data, a.indices, a.indptr), shape=a.csr.shape)
+
+
 class TestSparseOrderingChoice:
-    """SuperLU's symmetric mode with an A + A^T ordering serves matrices
-    whose diagonal leads every column (the shifted film operators); the rest
-    (anisotropic Dirichlet rows leave a 1 under large column entries) keep
-    the default COLAMD ordering."""
+    """SuperLU factors A^T.  Its symmetric mode with an A + A^T ordering
+    serves matrices whose diagonal leads every column of A^T, that is every
+    row of A (the shifted film operators, whole anisotropic systems); the
+    rest keep the default COLAMD ordering."""
 
     SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
 
@@ -234,12 +239,13 @@ class TestSparseOrderingChoice:
         return f
 
     def check_sparse(self, a, symmetric):
-        csc = a.csr.tocsc()
-        assert _diagonal_leads_columns(csc) is symmetric
+        at = factored_transpose(a)
+        assert _diagonal_leads_columns(at) is symmetric
         f = self.solves_verified(a)
         assert f.method == "sparse-lu"
+        assert f.route == ("sparse-lu/symmetric" if symmetric else "sparse-lu/colamd")
         # the factorization took the ordering the predicate chose
-        want = spla.splu(csc, **(self.SYMMETRIC if symmetric else {}))
+        want = spla.splu(at, **(self.SYMMETRIC if symmetric else {}))
         assert np.array_equal(f._splu.perm_c, want.perm_c)
         assert np.array_equal(f._splu.perm_r, want.perm_r)
 
@@ -254,7 +260,14 @@ class TestSparseOrderingChoice:
         self.check_sparse(a, True)
 
     def test_anisotropic_dirichlet_rows_take_default_route(self):
-        self.check_sparse(self.shifted_aniso(), False)
+        # a Dirichlet row holds only its diagonal 1, so the rows of the whole
+        # system lead and its factored transpose takes the symmetric route
+        a = self.shifted_aniso()
+        assert _diagonal_leads_columns(a.csr.tocsc()) is False
+        self.check_sparse(a, True)
+        # its own transpose puts the 1s under larger column entries of the
+        # factored matrix, which keeps the default route
+        self.check_sparse(SparseMatrix(a.csr.T), False)
 
     def test_off_diagonal_column_maximum(self):
         a = SparseMatrix(np.array([[1.0, 0.0, 0.5], [2.0, 4.0, 0.0], [0.0, 1.0, 3.0]]))
@@ -325,6 +338,53 @@ class TestInteriorBlockSolve:
         assert np.all(residual[mask] == 0.0)
         assert np.max(np.abs(residual)) / whole_scale <= default_tolerance(whole)
         assert np.allclose(full_x, spla.spsolve(whole.csr.tocsc(), full_rhs), rtol=1e-10, atol=1e-12)
+
+
+def nonsymmetric_colamd_matrix():
+    """A 12x12 nonsymmetric matrix off the banded route whose row 0 is led
+    by an entry seven off the diagonal: its factored transpose takes COLAMD."""
+    n = 12
+    dense = np.diag(np.full(n, 10.0)) + np.diag(np.arange(1.0, n), 1) - np.diag(np.full(n - 1, 2.0), -1)
+    dense[0, 7] = 25.0
+    dense[9, 2] = -3.0
+    return SparseMatrix(dense)
+
+
+class TestTransposedSolve:
+    """SuperLU holds the LU of A^T and solves transposed: every answer is the
+    x of A x = b, not of A^T x = b, and a fresh LU's first answer verifies."""
+
+    @staticmethod
+    def system(name):
+        """(a, coupling or None, problem or None, route) of one nonsymmetric
+        system: a convection interior block, a film, a small COLAMD one."""
+        if name == "convection interior block":
+            _, block, coupling, problem = interior_system(16, convection=True)
+            return block, coupling, problem, "sparse-lu/symmetric"
+        if name == "film":
+            a = shifted_film_2d(TestSparseOrderingChoice.dry_patch_state())
+            return a, None, None, "sparse-lu/symmetric"
+        a = nonsymmetric_colamd_matrix()
+        assert max(a.bandwidth()) > BANDED_BANDWIDTH_MAX
+        return a, None, None, "sparse-lu/colamd"
+
+    @pytest.mark.parametrize("name", ["convection interior block", "film", "nonsymmetric colamd"])
+    def test_fresh_lu_solves_a_not_its_transpose(self, monkeypatch, name):
+        a, coupling, problem, route = self.system(name)
+        dense = a.to_dense()
+        assert np.max(np.abs(dense - dense.T)) > 1e-3 * np.max(np.abs(dense))
+        rhs = np.random.default_rng(5).normal(size=a.dimension)
+        fixed, reduced = None, rhs
+        if coupling is not None:
+            g = problem.boundary_values(0.5)[problem.dirichlet_mask]
+            fixed, reduced = (coupling, g), rhs - coupling @ g
+        fact = Factorization(a, None if coupling is None else default_tolerance(a, coupling))
+        assert fact.route == route
+        calls = count_backsubstitutions(monkeypatch, fact)
+        x, report = fact.solve(rhs, fixed=fixed)
+        assert len(calls) == 1 and report.iterations == 0
+        assert np.allclose(x, np.linalg.solve(dense, reduced), rtol=1e-9, atol=1e-12)
+        assert not np.allclose(x, np.linalg.solve(dense.T, reduced), rtol=1e-3)
 
 
 def count_backsubstitutions(monkeypatch, target=Factorization) -> list:
@@ -429,6 +489,7 @@ class TestStaleFactorization:
         assert len(calls) == 1 + report.iterations
         assert report.tolerance == default_tolerance(a1)
         assert self.true_residual(a1, x, rhs) <= default_tolerance(a1)
+        assert np.allclose(x, np.linalg.solve(a1.to_dense(), rhs), rtol=1e-9, atol=1e-12)
         # the LU is still a0's: its own solves stay fresh
         _, fresh = f.solve(rhs)
         assert fresh.iterations == 0
@@ -470,7 +531,8 @@ class TestStaleFactorization:
         assert Factorization(tridiag(10, -1.0, 4.0, -1.0)).route == "banded-lu"
         assert Factorization(shifted_film_2d()).route == "sparse-lu/symmetric"
         aniso = TestSparseOrderingChoice.shifted_aniso()
-        assert Factorization(aniso).route == "sparse-lu/colamd"
+        assert Factorization(aniso).route == "sparse-lu/symmetric"
+        assert Factorization(SparseMatrix(aniso.csr.T)).route == "sparse-lu/colamd"
 
 
 class TestSolvers:
