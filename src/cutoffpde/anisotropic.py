@@ -16,10 +16,10 @@ machinery is exercised against.
 Spatial operator: u_xx, u_yy by 3-point central differences, the mixed term
 2 Dxy u_xy by the 4-corner stencil
 (u_{i+1,j+1} - u_{i+1,j-1} - u_{i-1,j+1} + u_{i-1,j-1}) / (4 hx hy),
-drift by central first differences.  Boundary nodes keep zero operator rows;
-the stepper solves for the interior nodes and holds the boundary nodes at the
-Dirichlet values.  Every term of the forcing carries the e^{-t} of the
-solution, so the source is the forcing at t = 0 scaled by e^{-t}.
+drift by central first differences.  Boundary nodes keep empty operator
+rows, which the stepper's shifted system turns into identity rows that
+return the Dirichlet values.  Every term of the forcing carries the e^{-t}
+of the solution, so the source is the forcing at t = 0 scaled by e^{-t}.
 """
 
 from __future__ import annotations

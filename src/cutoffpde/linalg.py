@@ -11,9 +11,9 @@ on each side go through LAPACK banded LU (gbtrf/gbtrs), everything else
 through SuperLU.  SuperLU factors the transpose A^T, which is A's CSR arrays
 read as CSC (no copy), and solves transposed (trans="T"), which returns the
 x of A x = b.  Its transposed triangular solves gather where the plain ones
-scatter: on the same LU they take 0.73-0.94 times as long on the anisotropic
-interior blocks (J = 40 to 160) and the 40x40 and 80x80 films, whose fill is
-the same either way round.  SuperLU's ordering is chosen from the matrix it
+scatter: on the same LU they take 0.64-0.91 times as long on the whole
+anisotropic systems (J = 40 to 160) and the 40x40 and 80x80 films, whose
+fill is the same either way round.  The ordering follows the matrix SuperLU
 factors.  When every column's diagonal entry is the largest in magnitude in
 that column (every row's, in A), partial pivoting takes the diagonal first,
 so the symmetric strategy fits: an A + A^T minimum-degree ordering in
@@ -24,19 +24,18 @@ the test either way round, also where the film is dry.  A whole anisotropic
 system passes it on A^T, since its Dirichlet rows hold only their diagonal 1;
 A itself would not, as those 1s sit under column entries up to 5.6e4 times
 larger (J = 160), where the symmetric strategy pivots off the diagonal and
-triples the fill.  The stepper factors only the interior block, which passes
-the test either way round (fill 1.88M against COLAMD's 3.30M on the whole A
-at J = 160), and solves name the Dirichlet values as fixed unknowns
-(Factorization.solve).  The pivot threshold stays at SuperLU's default of 1.0
-either way.
+triples the fill.  The stepper factors the whole system, identity rows
+included (fill 1.96M against COLAMD's 3.30M on A at J = 160): a solve whose
+right-hand side holds the Dirichlet values there returns them there, and the
+residual is the whole system's.  The pivot threshold stays at SuperLU's
+default of 1.0 either way.
 
 Every solve checks the LU's answer against the system (max-norm residual
-against the configured tolerance) and refines it only while that check
-fails, so a returned solution is always a checked one; an interior-block
-solve is checked as the whole system it comes from.  An LU of the system
-itself gets one refinement sweep if its answer misses and fails after that;
-on the film and anisotropic systems its first answer verifies, so such a
-solve is one backsubstitution.  An LU may also serve a later, nearby matrix
+against the system's default_tolerance) and refines it only while that
+check fails, so a returned solution is always a checked one.  An LU of the
+system itself gets one refinement sweep if its answer misses and fails after
+that; on the film and anisotropic systems its first answer verifies, so such
+a solve is one backsubstitution.  An LU may also serve a later, nearby matrix
 (the film's lagged operator moves little from one step to the next): the
 solve then refines against that matrix until its residual meets the
 matrix's own default_tolerance, and factors the matrix afresh once
@@ -138,13 +137,11 @@ class SparseMatrix:
     def operator_norm_inf(self) -> float:
         """Exact max absolute row sum, computed on first use and kept."""
         if self._norm is None:
-            self._norm = float(self.abs_row_sums().max()) if self.nnz else 0.0
+            # each row summed in storage order, as a product with ones would
+            row_sums = np.bincount(self.entry_rows(), weights=np.abs(self.data),
+                                   minlength=self.dimension)
+            self._norm = float(row_sums.max()) if self.nnz else 0.0
         return self._norm
-
-    def abs_row_sums(self) -> np.ndarray:
-        """Sum of |a_ij| over each row, in storage order, as a product with
-        ones would sum it."""
-        return np.bincount(self.entry_rows(), weights=np.abs(self.data), minlength=self.dimension)
 
     def entry_rows(self) -> np.ndarray:
         """Row index of every stored entry, in storage order.
@@ -208,16 +205,12 @@ class SolveReport:
     refactored: bool = False
 
 
-def default_tolerance(a: SparseMatrix, coupling: sp.csr_matrix = None) -> float:
-    """1e-12 times the system scale |A|_inf; the residual check is relative to
-    max(1, |rhs|_inf), so stiff operators get proportional slack.  Given the
-    coupling C of an interior block a (Factorization.solve), A is the whole
-    system [[a, C], [0, I]]."""
-    norm = a.operator_norm_inf()
-    if coupling is not None:
-        row_sums = a.abs_row_sums() + abs(coupling) @ np.ones(coupling.shape[1])
-        norm = float(row_sums.max(initial=0.0))
-    return 1e-12 * max(1.0, norm)
+def default_tolerance(a: SparseMatrix) -> float:
+    """1e-12 times the system scale max(1, |A|_inf); the residual check is
+    relative to max(1, |rhs|_inf), so stiff operators get proportional
+    slack.  A system with Dirichlet identity rows is measured whole: its
+    scale counts the boundary columns of the interior rows."""
+    return 1e-12 * max(1.0, a.operator_norm_inf())
 
 
 def _diagonal_leads_columns(csc: sp.csc_matrix) -> bool:
@@ -250,11 +243,9 @@ class Factorization:
     stored entries of the LU: SuperLU's nnz of L and U, or the size of the
     LAPACK band array."""
 
-    def __init__(self, a: SparseMatrix, tol: float = None):
+    def __init__(self, a: SparseMatrix):
         self._a = a
-        self._tol = default_tolerance(a) if tol is None else float(tol)
-        if self._tol <= 0:
-            raise ValueError("solver tolerance must be positive")
+        self._tol = default_tolerance(a)
         kl, ku = a.bandwidth()
         n = a.dimension
         if max(kl, ku) <= BANDED_BANDWIDTH_MAX:
@@ -325,16 +316,12 @@ class Factorization:
             x = x - self._backsub(r)
             sweeps += 1
 
-    def solve(self, rhs: np.ndarray, a: SparseMatrix = None, fixed: tuple = None) -> tuple:
+    def solve(self, rhs: np.ndarray, a: SparseMatrix = None) -> tuple:
         """(x, SolveReport) with a x = rhs verified; a defaults to the
-        factored matrix.
-
-        fixed = (C, g) makes a the interior block of the whole system
-        [[a, C], [0, I]] [x; y] = [rhs; g], whose identity rows fix y = g
-        (Dirichlet nodes).  The solve returns the x of a x = rhs - C g and
-        verifies the whole system: its identity rows hold exactly, and the
-        residual of the others is measured against max(1, |[rhs; g]|_inf),
-        not against the scale of rhs - C g, which C g can dominate.
+        factored matrix.  The residual is measured against max(1, |rhs|_inf).
+        A system with Dirichlet identity rows is solved whole: its rhs holds
+        the boundary values there, and the interior rows are measured on the
+        scale of that whole right-hand side.
 
         Another matrix a is solved with this LU as a stale one, refined
         against a until its residual meets default_tolerance(a).  If
@@ -349,10 +336,6 @@ class Factorization:
             )
         _require_finite(rhs, "solve rhs")
         scale = max(1.0, float(np.max(np.abs(rhs), initial=0.0)))
-        if fixed is not None:
-            coupling, g = fixed
-            scale = max(scale, float(np.max(np.abs(g), initial=0.0)))
-            rhs = rhs - coupling @ g
         stale, refactored = 0, False
         if a is not None and a is not self._a:
             if a.dimension != self._a.dimension:

@@ -11,16 +11,15 @@ and returns the post-cutoff state.
 Every step of a run is taken by one stage solver, ``DirkStepper``, built
 once per run and driven by a stiffly accurate diagonally implicit
 Runge-Kutta tableau with a single nonzero diagonal value, so one shifted
-system I - a_ii*dt*L serves all implicit stages of a step.  With Dirichlet
-nodes only its interior block is factored: the stages solve for the interior
-nodes and hold the Dirichlet ones at their boundary values exactly.  The
-stepper owns that system, its LU and the reuse policy: an operator handed
-over again is neither shifted nor factored again; a new one is shifted, and
-factored when the LU in hand is a banded one (it costs about two
-backsubstitutions), while a sparse LU is kept and its solves refine against
-the new system until they outgrow it (linalg.Factorization.solve).  The
-counts of what it did go into the run's trace as SolverStats.  Two tableaux
-are provided:
+system I - a_ii*dt*L serves all implicit stages of a step.  Dirichlet nodes
+keep identity rows in it, and the stages solve it whole with the boundary
+values on those rows.  The stepper owns that system, its LU and the reuse
+policy: an operator handed over again is neither shifted nor factored again;
+a new one is shifted, and factored when the LU in hand is a banded one (it
+costs about two backsubstitutions), while a sparse LU is kept and its solves
+refine against the new system until they outgrow it
+(linalg.Factorization.solve).  The counts of what it did go into the run's
+trace as SolverStats.  Two tableaux are provided:
 
 * the theta-method as a 2-stage EDIRK whose first stage is explicit
   (theta = 1 backward Euler, theta = 1/2 Crank-Nicolson),
@@ -50,7 +49,6 @@ from .linalg import (
     SolveError,
     SparseMatrix,
     SparseOperator,
-    default_tolerance,
     identity_plus,
 )
 
@@ -283,10 +281,10 @@ class LinearProblem:
     """Semidiscrete linear IBVP: du/dt = L u + s(t) at interior nodes,
     u = g(t) at Dirichlet nodes.
 
-    l_matrix must have zero rows at the Dirichlet nodes (the stepper solves
-    for the interior nodes only and holds the Dirichlet ones at
-    boundary_values); source(t) is zero there and boundary_values(t) is zero
-    off them.
+    l_matrix must store no entry in the rows of the Dirichlet nodes (the
+    stepper solves I - a_ii*dt*L whole, so those rows are identity rows that
+    return boundary_values); source(t) is zero there and boundary_values(t)
+    is zero off them.
     """
 
     grid: Grid
@@ -307,6 +305,8 @@ class LinearProblem:
         init = np.asarray(self.initial_values, dtype=float)
         if init.shape != (n,):
             raise ValueError("initial values length does not match the grid")
+        if np.diff(self.l_matrix.indptr)[mask].any():
+            raise ValueError("operator stores entries in Dirichlet rows")
         object.__setattr__(self, "dirichlet_mask", mask)
         object.__setattr__(self, "initial_values", init)
 
@@ -359,12 +359,12 @@ class DirkStepper:
     Stages with a_ii = 0 are explicit.  A stage whose slope no later stage
     uses is skipped, unless it is the last one, whose value is the new state.
     Nodes in dirichlet_mask take boundary_values at the time of every
-    implicit stage and of the last stage, exactly: the shifted system is
-    then factored on its interior block A_II = I - a_ii*dt*L_II alone, and
-    a stage solves A_II x_I = rhs_I - A_IB g(t_i), verified as the whole
-    system with identity rows at the Dirichlet nodes (linalg
-    Factorization.solve).  Stages use the state exactly as handed in --
-    flooring happens only at step boundaries, in the run loop.
+    implicit stage and of the last stage, exactly: L has empty rows there,
+    so the shifted system has identity rows, and the stage's right-hand side
+    carries g(t_i) on them.  The whole system is solved and verified (linalg
+    Factorization.solve), and the stage value is set to g(t_i) on the
+    Dirichlet nodes after the solve.  Stages use the state exactly as handed
+    in -- flooring happens only at step boundaries, in the run loop.
     """
 
     def __init__(self, tableau: ButcherTableau, l_matrix: SparseMatrix, dt: float,
@@ -376,13 +376,12 @@ class DirkStepper:
         self._dt = dt
         self._shift = -gamma * dt
         self._source = source
-        self._boundary = self._interior = None
+        self._boundary = None
         if dirichlet_mask is not None and dirichlet_mask.any():
             self._boundary = np.flatnonzero(dirichlet_mask)
-            self._interior = np.flatnonzero(~dirichlet_mask)
         self._bvals = boundary_values
         self.stats = SolverStats()
-        self._l = self._system = self._coupling = self._fact = None
+        self._l = self._system = self._fact = None
         self.use(l_matrix)
 
     def use(self, l_matrix: SparseMatrix):
@@ -395,30 +394,14 @@ class DirkStepper:
         self._l = l_matrix
         if not self._shift:
             return
-        tol = None
-        if self._boundary is None:
-            self._system = identity_plus(l_matrix, self._shift)
-        else:
-            # a sorted column selection of canonical rows is canonical
-            rows = l_matrix.csr[self._interior]
-            self._system = identity_plus(
-                SparseMatrix.from_canonical(rows[:, self._interior]), self._shift)
-            self._coupling = self._shift * rows[:, self._boundary]
-            tol = default_tolerance(self._system, self._coupling)
+        self._system = identity_plus(l_matrix, self._shift)
         if self._fact is None or self._fact.method == "banded-lu":
-            self._fact = Factorization(self._system, tol)
+            self._fact = Factorization(self._system)
             self.stats.factored(self._fact)
 
-    def _solve(self, rhs: np.ndarray, held: np.ndarray) -> tuple:
-        """(x, report) of one implicit stage.  Given the Dirichlet values
-        held, only the interior is solved, into rhs in place; the caller
-        sets the Dirichlet nodes."""
-        if held is None:
-            x, report = self._fact.solve(rhs, self._system)
-        else:
-            x = rhs
-            x[self._interior], report = self._fact.solve(
-                rhs[self._interior], self._system, fixed=(self._coupling, held))
+    def _solve(self, rhs: np.ndarray) -> tuple:
+        """(x, report) of one implicit stage."""
+        x, report = self._fact.solve(rhs, self._system)
         if report.refactored:
             self.stats.factored(self._fact)
         self.stats.solves += 1
@@ -448,10 +431,11 @@ class DirkStepper:
             held = None
             if self._boundary is not None and (a[i, i] != 0.0 or i == last):
                 held = self._bvals(ti)[self._boundary]
+                rhs[self._boundary] = held
             if a[i, i] == 0.0:
                 x = rhs
             else:
-                x, report = self._solve(rhs, held)
+                x, report = self._solve(rhs)
                 worst = max(worst, report.residual_norm)
             if held is not None:
                 x[self._boundary] = held

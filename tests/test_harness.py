@@ -208,23 +208,24 @@ class TestMetadata:
                          "--out", str(out)]) == 0
         meta = read_metadata(out / "metadata.txt")
         assert meta["solver"] == "sparse-lu/symmetric"
-        # L and U hold at least the entries of the 15^2 interior block,
-        # five or more a row
+        # L and U hold at least the entries of the 15^2 interior rows of
+        # the whole system, five or more a row
         assert int(meta["solver_lu_fill"]) >= 5 * 15 ** 2
 
     def test_ladder_counts_add_up(self, tmp_path):
         out = tmp_path / "ladder"
-        assert cli_main(["aniso-convergence", "--grids", "4,6", "--dt", "0.05",
+        assert cli_main(["aniso-convergence", "--grids", "3,6", "--dt", "0.05",
                          "--t-end", "0.1", "--out", str(out)]) == 0
         meta = read_metadata(out / "metadata.txt")
-        # the 3x3 interior of J = 4 has bandwidth 4, the 5x5 one of J = 6 has 6
+        # the whole 4x4-node system of J = 3 has bandwidth 5, the 7x7 one of
+        # J = 6 has 8
         assert meta["solver"] == "banded-lu,sparse-lu/symmetric"
         assert meta["solver_factorizations"] == "2"
         assert meta["solver_solves"] == str(2 * 2 * 3)
         # the worst residual of the ladder is the worst of its grids' runs,
         # and its LU fill the larger of theirs
         worst, fill = [], []
-        for j in ("4", "6"):
+        for j in ("3", "6"):
             assert cli_main(["aniso-run", "-J", j, "--dt", "0.05", "--t-end", "0.1",
                              "--out", str(tmp_path / j)]) == 0
             grid_meta = read_metadata(tmp_path / j / "metadata.txt")

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from cutoffpde import linalg
 from cutoffpde.anisotropic import AnisotropicSpec, assemble
 from cutoffpde.grids import Field, Grid2D
 from cutoffpde.linalg import (
@@ -286,58 +287,57 @@ class TestSparseOrderingChoice:
         assert Factorization(self.shifted_aniso()).method == "sparse-lu"
 
 
-def interior_system(n_cells, convection=False, dt=1e-2):
-    """(whole shifted anisotropic system, its interior block, the interior
-    rows' boundary columns, the Dirichlet mask), sliced from the whole."""
+def whole_system(n_cells, convection=False, dt=1e-2):
+    """(shifted anisotropic system I - gamma*dt*L, Dirichlet identity rows
+    included, and its problem)."""
     grid = Grid2D.square(0.0, 1.0, n_cells)
     spec = AnisotropicSpec.with_convection(grid) if convection else AnisotropicSpec.pure_diffusion(grid)
     problem = assemble(spec)
-    mask = problem.dirichlet_mask
-    whole = SparseMatrix(sp.identity(grid.node_count) - SDIRK3_GAMMA * dt * problem.l_matrix.csr)
-    rows = whole.csr[~mask]
-    return whole, SparseMatrix(rows[:, ~mask]), rows[:, mask], problem
+    return identity_plus(problem.l_matrix, -SDIRK3_GAMMA * dt), problem
 
 
-class TestInteriorBlockSolve:
-    """Factorization.solve with fixed = (C, g): the LU of an interior block
-    serves the whole system [[A_II, C], [0, I]], and the check is that
-    system's, measured against the scale of its whole right-hand side."""
+class TestWholeSystemSolve:
+    """The stepper factors the whole shifted anisotropic system: its
+    Dirichlet identity rows return the boundary values a right-hand side
+    holds there, and the check is the whole system's, measured against the
+    scale of that right-hand side."""
 
     @pytest.mark.parametrize("convection", [False, True])
-    def test_interior_block_takes_symmetric_route(self, convection):
-        _, block, _, _ = interior_system(16, convection)
-        TestSparseOrderingChoice().check_sparse(block, True)
+    def test_whole_system_takes_symmetric_route(self, convection):
+        whole, _ = whole_system(16, convection)
+        TestSparseOrderingChoice().check_sparse(whole, True)
 
     @pytest.mark.parametrize("convection", [False, True])
     def test_tolerance_is_the_whole_systems(self, convection):
-        whole, block, coupling, _ = interior_system(16, convection)
-        assert default_tolerance(block, coupling) == pytest.approx(default_tolerance(whole), rel=1e-15)
-        # an interior block alone is never measured more loosely
-        assert default_tolerance(block) <= default_tolerance(block, coupling)
-
-    def test_solve_verifies_the_whole_system(self):
-        whole, block, coupling, problem = interior_system(16)
+        whole, problem = whole_system(16, convection)
         mask = problem.dirichlet_mask
-        # the whole right-hand side: a state inside, g on the boundary
-        full_rhs = np.where(mask, problem.boundary_values(0.5), 0.5 * problem.exact(0.0))
-        rhs, g = full_rhs[~mask], full_rhs[mask]
-        fact = Factorization(block, default_tolerance(block, coupling))
-        x, report = fact.solve(rhs, fixed=(coupling, g))
-        # the boundary columns dominate the reduced right-hand side
-        reduced = rhs - coupling @ g
-        whole_scale = max(1.0, np.max(np.abs(full_rhs)))
-        assert np.max(np.abs(reduced)) > 100.0 * whole_scale
-        # the reported residual is the whole system's, on its own scale
+        dense = whole.to_dense()
+        # the interior rows' boundary columns count towards the scale
+        row_sums = np.abs(dense[~mask]).sum(axis=1)
+        assert default_tolerance(whole) == pytest.approx(1e-12 * row_sums.max(), rel=1e-15)
+        # the interior block alone is never measured more loosely
+        block = SparseMatrix(dense[np.ix_(~mask, ~mask)])
+        assert default_tolerance(block) <= default_tolerance(whole)
+
+    @pytest.mark.parametrize("convection", [False, True])
+    def test_solve_verifies_the_whole_system(self, convection):
+        whole, problem = whole_system(16, convection)
+        mask = problem.dirichlet_mask
+        # a state inside, g on the boundary
+        rhs = np.where(mask, problem.boundary_values(0.5), 0.5 * problem.exact(0.0))
+        fact = Factorization(whole)
+        x, report = fact.solve(rhs)
+        # the identity rows return g bit for bit
+        assert np.array_equal(x[mask], rhs[mask])
+        # the boundary columns' products dwarf the right-hand side, which
+        # sets the scale of the check
+        scale = max(1.0, np.max(np.abs(rhs)))
+        coupling = whole.csr[~mask][:, mask]
+        assert np.max(np.abs(coupling @ rhs[mask])) > 100.0 * scale
         assert report.residual_norm == pytest.approx(
-            np.max(np.abs(block.matvec(x) - reduced)) / whole_scale, rel=1e-12, abs=0.0)
-        assert report.tolerance == default_tolerance(block, coupling)
-        # and it holds for the whole system solved independently
-        full_x = np.where(mask, full_rhs, 0.0)
-        full_x[~mask] = x
-        residual = whole.matvec(full_x) - full_rhs
-        assert np.all(residual[mask] == 0.0)
-        assert np.max(np.abs(residual)) / whole_scale <= default_tolerance(whole)
-        assert np.allclose(full_x, spla.spsolve(whole.csr.tocsc(), full_rhs), rtol=1e-10, atol=1e-12)
+            np.max(np.abs(whole.matvec(x) - rhs)) / scale, rel=1e-12, abs=0.0)
+        assert report.residual_norm <= report.tolerance == default_tolerance(whole)
+        assert np.allclose(x, spla.spsolve(whole.csr.tocsc(), rhs), rtol=1e-10, atol=1e-12)
 
 
 def nonsymmetric_colamd_matrix():
@@ -356,35 +356,30 @@ class TestTransposedSolve:
 
     @staticmethod
     def system(name):
-        """(a, coupling or None, problem or None, route) of one nonsymmetric
-        system: a convection interior block, a film, a small COLAMD one."""
-        if name == "convection interior block":
-            _, block, coupling, problem = interior_system(16, convection=True)
-            return block, coupling, problem, "sparse-lu/symmetric"
+        """(a, route) of one nonsymmetric system: a convection whole system,
+        a film, a small COLAMD one."""
+        if name == "convection whole system":
+            return whole_system(16, convection=True)[0], "sparse-lu/symmetric"
         if name == "film":
             a = shifted_film_2d(TestSparseOrderingChoice.dry_patch_state())
-            return a, None, None, "sparse-lu/symmetric"
+            return a, "sparse-lu/symmetric"
         a = nonsymmetric_colamd_matrix()
         assert max(a.bandwidth()) > BANDED_BANDWIDTH_MAX
-        return a, None, None, "sparse-lu/colamd"
+        return a, "sparse-lu/colamd"
 
-    @pytest.mark.parametrize("name", ["convection interior block", "film", "nonsymmetric colamd"])
+    @pytest.mark.parametrize("name", ["convection whole system", "film", "nonsymmetric colamd"])
     def test_fresh_lu_solves_a_not_its_transpose(self, monkeypatch, name):
-        a, coupling, problem, route = self.system(name)
+        a, route = self.system(name)
         dense = a.to_dense()
         assert np.max(np.abs(dense - dense.T)) > 1e-3 * np.max(np.abs(dense))
         rhs = np.random.default_rng(5).normal(size=a.dimension)
-        fixed, reduced = None, rhs
-        if coupling is not None:
-            g = problem.boundary_values(0.5)[problem.dirichlet_mask]
-            fixed, reduced = (coupling, g), rhs - coupling @ g
-        fact = Factorization(a, None if coupling is None else default_tolerance(a, coupling))
+        fact = Factorization(a)
         assert fact.route == route
         calls = count_backsubstitutions(monkeypatch, fact)
-        x, report = fact.solve(rhs, fixed=fixed)
+        x, report = fact.solve(rhs)
         assert len(calls) == 1 and report.iterations == 0
-        assert np.allclose(x, np.linalg.solve(dense, reduced), rtol=1e-9, atol=1e-12)
-        assert not np.allclose(x, np.linalg.solve(dense.T, reduced), rtol=1e-3)
+        assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-9, atol=1e-12)
+        assert not np.allclose(x, np.linalg.solve(dense.T, rhs), rtol=1e-3)
 
 
 def count_backsubstitutions(monkeypatch, target=Factorization) -> list:
@@ -399,6 +394,11 @@ def count_backsubstitutions(monkeypatch, target=Factorization) -> list:
 
     monkeypatch.setattr(target, "_backsub", spy)
     return calls
+
+
+def pin_tolerance(monkeypatch, tol):
+    """Make every Factorization built from here on check against tol."""
+    monkeypatch.setattr(linalg, "default_tolerance", lambda a: tol)
 
 
 class TestSolvePolicy:
@@ -421,7 +421,8 @@ class TestSolvePolicy:
 
     def test_verified_first_answer_is_one_backsubstitution(self, monkeypatch):
         a, rhs, r0, _ = self.first_and_swept_residuals()
-        fact = Factorization(a, tol=r0)
+        pin_tolerance(monkeypatch, r0)
+        fact = Factorization(a)
         calls = count_backsubstitutions(monkeypatch, fact)
         _, report = fact.solve(rhs)
         assert len(calls) == 1
@@ -429,7 +430,8 @@ class TestSolvePolicy:
 
     def test_missed_first_answer_takes_one_sweep(self, monkeypatch):
         a, rhs, r0, r1 = self.first_and_swept_residuals()
-        fact = Factorization(a, tol=math.sqrt(r0 * r1))
+        pin_tolerance(monkeypatch, math.sqrt(r0 * r1))
+        fact = Factorization(a)
         calls = count_backsubstitutions(monkeypatch, fact)
         _, report = fact.solve(rhs)
         assert len(calls) == 2
@@ -437,7 +439,8 @@ class TestSolvePolicy:
 
     def test_missed_sweep_fails(self, monkeypatch):
         a, rhs, _, r1 = self.first_and_swept_residuals()
-        fact = Factorization(a, tol=0.5 * r1)
+        pin_tolerance(monkeypatch, 0.5 * r1)
+        fact = Factorization(a)
         calls = count_backsubstitutions(monkeypatch, fact)
         with pytest.raises(SolveError, match="failed verification"):
             fact.solve(rhs)
@@ -612,13 +615,10 @@ class TestSolvers:
         with pytest.raises(ValueError, match="non-finite"):
             f.solve(np.array([1.0, float("nan")]))
 
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            Factorization(SparseMatrix(sp.identity(2)), tol=0.0)
-
-    def test_unreachable_tolerance_fails_verification(self):
+    def test_unreachable_tolerance_fails_verification(self, monkeypatch):
         a = tridiag(8, -1.0, 2.4, -1.0)
-        f = Factorization(a, tol=1e-40)
+        pin_tolerance(monkeypatch, 1e-40)
+        f = Factorization(a)
         rng = np.random.default_rng(4)
         with pytest.raises(SolveError, match="failed verification"):
             f.solve(rng.normal(size=8))

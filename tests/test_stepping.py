@@ -326,10 +326,10 @@ class TestThetaRunMatchesMatrixPair:
     @pytest.mark.parametrize("theta,rtol,delta", [
         (1.0, 0.0, 0.0), (0.5, 1e-13, 0.0),
         # the floor lifts the boundary data to delta, and B0 (u^n)^+ reads
-        # the lifted values; the stage solver eliminates the boundary
-        # columns before the LU, the reference's LU of B1 after, so the
-        # rounding differs (2.8e-16 relative for backward Euler)
-        (1.0, 1e-13, 0.01), (0.5, 1e-13, 0.01), (0.0, 1e-13, 0.01),
+        # the lifted values.  Backward Euler stays exact: its one stage and
+        # the reference solve the same B1 with g(t + dt) on its identity
+        # rows and the same interior right-hand side, bit for bit
+        (1.0, 0.0, 0.01), (0.5, 1e-13, 0.01), (0.0, 1e-13, 0.01),
     ])
     def test_masked_heat_problem(self, theta, rtol, delta):
         base = TestThetaOperator.masked_problem()
@@ -440,7 +440,7 @@ class TestOneStepperPerRun:
             source=problem.source, dirichlet_mask=problem.dirichlet_mask,
             boundary_values=problem.boundary_values)
         assert np.array_equal(final.values, ref)
-        # the one operator is shifted and factored once, on its interior block
+        # the one operator is shifted and factored once, as a whole
         assert trace.solver.routes == ["sparse-lu/symmetric"]
         assert trace.solver.factorizations == 1
         assert trace.solver.solves == cfg.n_steps * (3 if integrator == "sdirk3" else 1)
@@ -479,10 +479,11 @@ class TestOneStepperPerRun:
         assert trace.solver.factorizations == 1 and trace.solver.solves == 3
 
 
-class TestInteriorSolve:
-    """With a Dirichlet mask the stepper factors the interior block of its
-    shifted system and holds the boundary nodes at g(t_i) exactly; every
-    stage residual is still the whole system's."""
+class TestWholeSystemSolve:
+    """With a Dirichlet mask the stepper factors its whole shifted system,
+    identity rows included, and solves every implicit stage with g(t_i) on
+    those rows: the LU returns g(t_i) there exactly, and every stage residual
+    is the whole system's."""
 
     @staticmethod
     def problem(convection=False, n_cells=12):
@@ -503,9 +504,25 @@ class TestInteriorSolve:
         mask, dt = problem.dirichlet_mask, 1e-2
         stepper = DirkStepper(tableau, problem.l_matrix, dt, source=problem.source,
                               dirichlet_mask=mask, boundary_values=problem.boundary_values)
+        # the LU's own answer on the Dirichlet nodes, before the stepper
+        # sets them
+        answers = []
+        solve = stepper._solve
+
+        def spy(rhs):
+            x, report = solve(rhs)
+            answers.append(x[mask].copy())
+            return x, report
+
+        stepper._solve = spy
+        implicit = [tableau.c[i] for i in tableau.dirk_plan[1] if tableau.a[i, i] != 0.0]
         floored = problem.initial_values
         for n in range(10):
+            answers.clear()
             values, _ = stepper.step(floored, n * dt)
+            assert len(answers) == len(implicit)
+            for c, got in zip(implicit, answers):
+                assert np.array_equal(got, problem.boundary_values(n * dt + c * dt)[mask])
             # the last stage's time, t + c_s*dt with c_s = 1
             assert np.array_equal(values[mask], problem.boundary_values(n * dt + dt)[mask])
             floored = apply_floor(values, 0.0)
@@ -521,13 +538,28 @@ class TestInteriorSolve:
         assert residuals.size == 20
         assert np.all(residuals <= self.whole_tolerance(self.problem(), gamma, 1e-2))
 
-    def test_convection_interior_block_takes_symmetric_route(self):
+    def test_convection_whole_system_takes_symmetric_route(self):
         problem = self.problem(convection=True)
         cfg = StepperConfig(dt=1e-2, t_end=0.1, cutoff=CutoffParams(0.0))
         _, trace = run(problem, cfg)
         assert trace.solver.routes == ["sparse-lu/symmetric"]
         tol = self.whole_tolerance(problem, SDIRK3_GAMMA, cfg.dt)
         assert all(r.residual <= tol for r in trace.records)
+
+    def test_delta_cutoff_run_holds_its_properties_every_step(self):
+        delta = 0.01
+        problem = self.problem(convection=True, n_cells=16)
+        cfg = StepperConfig(dt=1e-2, t_end=0.2, cutoff=CutoffParams(delta))
+        _, trace = run(problem, cfg)
+        records = trace.records[1:]
+        assert len(records) == 20
+        # the floor clips every step, so the checks below are not vacuous
+        assert all(r.min_pre < delta and r.mass_post > r.mass_pre for r in records)
+        tol = self.whole_tolerance(problem, SDIRK3_GAMMA, cfg.dt)
+        for r in records:
+            assert r.min_post >= delta, r.step
+            assert r.mass_post >= r.mass_pre, r.step
+            assert r.residual <= tol, r.step
 
 
 class TestLinearProblemValidation:
@@ -548,6 +580,12 @@ class TestLinearProblemValidation:
             LinearProblem(**{**good, "dirichlet_mask": np.zeros(4, dtype=bool)})
         with pytest.raises(ValueError, match="initial values length"):
             LinearProblem(**{**good, "initial_values": np.zeros(4)})
+
+    def test_dirichlet_rows_must_be_empty(self):
+        # a whole-system solve would couple an entry there into the interior
+        base = TestThetaOperator.masked_problem()
+        with pytest.raises(ValueError, match="entries in Dirichlet rows"):
+            replace(base, l_matrix=SparseMatrix(sp.identity(base.grid.node_count)))
 
 
 class TestSchemeDiagnostics:
