@@ -9,11 +9,12 @@ Subcommands map one-to-one onto the library drivers:
     reg-compare         mollified vs bare mobility side by side
     diagnostics         theta-scheme matrix norms on a small grid
 
-Each run writes CSV artifacts plus metadata.txt into --out; a run that
-stops early writes its partial trace.csv and a metadata.txt with an error
-line.  Exit codes:
+Each run writes CSV artifacts plus metadata.txt into --out, which is
+created before the run starts; a run that stops early writes its partial
+trace.csv and a metadata.txt with an error line.  Exit codes:
 0 on success, 1 on a numerical failure (divergence, solver breakdown,
-bad parameter values), 2 on unusable arguments (argparse).
+bad parameter values), 2 on unusable arguments (argparse, or an --out that
+cannot be created as a directory).
 """
 
 from __future__ import annotations
@@ -173,7 +174,6 @@ def _cmd_aniso_run(args) -> int:
     print(f"l2_error={err:.6e}  min_pre={last.min_pre:.6e}  "
           f"min_post={last.min_post:.6e}")
     if args.out:
-        ensure_dir(args.out)
         trace.write_csv(os.path.join(args.out, "trace.csv"))
         write_field_csv(final, os.path.join(args.out, "final.csv"))
         write_metadata(os.path.join(args.out, "metadata.txt"), exp, trace.solver)
@@ -198,7 +198,6 @@ def _run_lubrication_cmd(args, name, spec, h) -> int:
           f"max_touching={record.max_touching_length:.6e}  "
           f"final_min={final.values.min():.6e}")
     if args.out:
-        ensure_dir(args.out)
         trace.write_csv(os.path.join(args.out, "trace.csv"))
         write_field_csv(final, os.path.join(args.out, "final.csv"))
         record.write_csv(os.path.join(args.out, "singularity.csv"))
@@ -238,7 +237,6 @@ def _cmd_diagnostics(args) -> int:
           f"norm_b1inv_b0={diag.norm_b1inv_b0:.6e}  "
           f"k_implied={diag.k_implied:.6e}")
     if args.out:
-        ensure_dir(args.out)
         diag.write_text(os.path.join(args.out, "diagnostics.txt"))
     return 0
 
@@ -259,6 +257,12 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
+    if args.out:
+        try:
+            ensure_dir(args.out)
+        except OSError as exc:
+            print(f"error: unusable --out: {exc}", file=sys.stderr)
+            return 2
     try:
         return _COMMANDS[args.command](args)
     except (SolveError, DivergenceError, ValueError) as exc:

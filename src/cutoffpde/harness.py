@@ -199,7 +199,9 @@ def regularization_comparison(n_cells: int, dt: float, t_end: float,
                               out_dir: Optional[str] = None,
                               snapshot_every: Optional[int] = None) -> RegularizationComparison:
     """Run the 1D film once with the bare mobility and once mollified, and
-    compare touchdown/liftoff times and the final profiles."""
+    compare touchdown/liftoff times and the final profiles.  With out_dir
+    set, writes the comparison, both singularity records and a metadata.txt
+    whose solver counts add up the two runs."""
     runs = {}
     for tag, eps in (("exact", 0.0), ("mollified", epsilon)):
         spec = LubricationSpec.default_1d(n_cells=n_cells, epsilon=eps)
@@ -232,6 +234,12 @@ def regularization_comparison(n_cells: int, dt: float, t_end: float,
         cmp.write_csv(os.path.join(out_dir, "comparison.csv"))
         rec_a.write_csv(os.path.join(out_dir, "singularity_exact.csv"))
         rec_b.write_csv(os.path.join(out_dir, "singularity_mollified.csv"))
+        solver = SolverStats()
+        solver.add(trace_a.solver)
+        solver.add(trace_b.solver)
+        exp = ExperimentConfig(experiment="reg-compare", resolutions=[n_cells], dt=dt,
+                               t_end=t_end, cutoff_mode="nonneg", epsilon=epsilon)
+        write_metadata(os.path.join(out_dir, "metadata.txt"), exp, solver)
     return cmp
 
 

@@ -200,7 +200,6 @@ class SolveReport:
 
     residual_norm: float
     iterations: int
-    method: str
     tolerance: float
     refactored: bool = False
 
@@ -343,7 +342,7 @@ class Factorization:
             tol = default_tolerance(a)
             x, residual, sweeps = self._refine(a, rhs, scale, tol, 1 + STALE_SWEEPS_MAX)
             if residual <= tol:
-                return x, SolveReport(residual, sweeps, self.method, tol)
+                return x, SolveReport(residual, sweeps, tol)
             # the same construction as every other factorization, in place
             self.__init__(a)
             stale, refactored = 1 + sweeps, True
@@ -353,7 +352,7 @@ class Factorization:
                 f"solution failed verification: residual {residual:.3e} > tol "
                 f"{self._tol:.3e} ({self.method}, |A|_inf = {self._a.operator_norm_inf():.3e})"
             )
-        return x, SolveReport(residual, stale + sweeps, self.method, self._tol, refactored)
+        return x, SolveReport(residual, stale + sweeps, self._tol, refactored)
 
 
 SourceTerm = Union[np.ndarray, Callable[[float], np.ndarray]]

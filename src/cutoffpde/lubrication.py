@@ -31,11 +31,12 @@ diffusivity: one matrix per step, frozen across the SDIRK stages).  Node
 updates divide flux differences by the node's control volume (half cells at
 boundaries), which makes the trapezoid-weighted column sums of the
 assembled operator vanish and mass exactly conserved up to solver residual.
-Both operators are formed straight into canonical CSR from their stencils,
-entry for entry the sparse product of flux divergence and Laplacian.  The
-1D film factors its pentadiagonal system every step; the 2D film's sparse
-LU is kept across steps while its solves still refine to tolerance (see
-stepping.DirkStepper).
+One stencil product serves 1D and 2D: the flux divergence's entries meet
+the Laplacian rows they touch, laid out once per grid and cached, and the
+operator goes straight into canonical CSR, entry for entry the sparse
+product of flux divergence and Laplacian.  The 1D film factors its
+pentadiagonal system every step; the 2D film's sparse LU is kept across
+steps while its solves still refine to tolerance (see stepping.DirkStepper).
 """
 
 from __future__ import annotations
@@ -70,18 +71,14 @@ class MobilitySpec:
             raise ValueError("mobility epsilon must be >= 0")
 
 
-def _default_profile(x):
-    return 0.8 - np.cos(np.pi * x) + 0.25 * np.cos(2.0 * np.pi * x)
-
-
 def default_initial_1d(x):
     """Positive film with minimum 0.05 at x = 0 and mean 0.8."""
-    return _default_profile(x)
+    return 0.8 - np.cos(np.pi * x) + 0.25 * np.cos(2.0 * np.pi * x)
 
 
 def default_initial_2d(x, y):
     """Tensor-product film, minimum 0.0025, mean 0.64."""
-    return _default_profile(x) * _default_profile(y)
+    return default_initial_1d(x) * default_initial_1d(y)
 
 
 @dataclass(frozen=True)
@@ -124,23 +121,12 @@ def mobility(u, spec: MobilitySpec):
     return f if vals.ndim else float(f)
 
 
-#: grids whose Laplacian stays cached; a run uses one or two
+#: grids whose Laplacian rows stay cached; a run uses one or two
 LAPLACIAN_CACHE_SIZE = 32
 
 
-def _read_only(m: SparseMatrix) -> SparseMatrix:
-    """Freeze a matrix that the cache hands to every caller."""
-    for arr in (m.data, m.indices, m.indptr):
-        arr.flags.writeable = False
-    return m
-
-
-@lru_cache(maxsize=LAPLACIAN_CACHE_SIZE)
 def _laplacian_1d(grid: Grid1D) -> SparseMatrix:
-    """3-point Laplacian with even ghost reflection (u_x = 0 at both ends).
-
-    Built once per grid and shared by every caller, so its arrays are
-    read-only."""
+    """3-point Laplacian with even ghost reflection (u_x = 0 at both ends)."""
     n = grid.node_count
     h2 = grid.h ** 2
     main = np.full(n, -2.0 / h2)
@@ -148,54 +134,37 @@ def _laplacian_1d(grid: Grid1D) -> SparseMatrix:
     lap = sp.diags([off, main, off], [-1, 0, 1], format="lil")
     lap[0, 1] = 2.0 / h2
     lap[n - 1, n - 2] = 2.0 / h2
-    return _read_only(SparseMatrix(lap))
+    return SparseMatrix(lap)
 
 
-@lru_cache(maxsize=LAPLACIAN_CACHE_SIZE)
 def _laplacian_2d(grid: Grid2D) -> SparseMatrix:
-    """5-point Laplacian with even reflection on all four sides (cached like
-    the 1D one)."""
+    """5-point Laplacian with even reflection on all four sides."""
     lx = _laplacian_1d(Grid1D(grid.ax, grid.bx, grid.nx_cells)).csr
     ly = _laplacian_1d(Grid1D(grid.ay, grid.by, grid.ny_cells)).csr
     ix = sp.identity(grid.nx_cells + 1, format="csr")
     iy = sp.identity(grid.ny_cells + 1, format="csr")
-    return _read_only(SparseMatrix(sp.kron(iy, lx) + sp.kron(ly, ix)))
+    return SparseMatrix(sp.kron(iy, lx) + sp.kron(ly, ix))
 
 
 @lru_cache(maxsize=LAPLACIAN_CACHE_SIZE)
-def _laplacian_1d_rows(grid: Grid1D) -> np.ndarray:
-    """S[m + 1, i, k + 2] = Lap[i + m, i + k] for m = -1, 0, 1 and
-    k = -2..2, zero outside the matrix: the Laplacian rows that row i of a
-    tridiagonal D meets in D @ Lap, laid out on the five diagonals."""
-    lap = _laplacian_1d(grid)
-    n = lap.dimension
-    rows, cols = lap.entry_rows(), lap.indices
-    s = np.zeros((3, n, 5))
-    for m in (-1, 0, 1):
-        i = rows - m
-        inside = (i >= 0) & (i < n)
-        s[m + 1, i[inside], cols[inside] - i[inside] + 2] = lap.data[inside]
-    s.flags.writeable = False
-    return s
-
-
-@lru_cache(maxsize=LAPLACIAN_CACHE_SIZE)
-def _laplacian_2d_rows(grid: Grid2D) -> tuple:
+def _laplacian_rows(grid) -> tuple:
     """(offsets, S) with S[m, i, c] = Lap[i + o_m, i + offsets[c]], zero
-    outside the matrix: for the five flux-divergence offsets
-    o = (-(nx+1), -1, 0, 1, nx+1), in that order, the Laplacian rows that
-    row i of D meets in D @ Lap, laid out on the sorted distinct column
-    offsets of the product (13 of them on grids more than two cells
-    wide).  Cached like the Laplacian."""
-    lap = _laplacian_2d(grid)
+    outside the matrix, for the flux-divergence offsets o = (-1, 0, 1) in 1D
+    and (-(nx+1), -1, 0, 1, nx+1) in 2D: the Laplacian rows that row i of D
+    meets in D @ Lap, laid out on the sorted distinct sums of those offsets
+    (the five diagonals in 1D; 13 columns on 2D grids more than two cells
+    wide).  Built once per grid and shared by every caller, so read-only."""
+    if isinstance(grid, Grid1D):
+        lap, o = _laplacian_1d(grid), np.array([-1, 0, 1])
+    else:
+        w = grid.nx_cells + 1
+        lap, o = _laplacian_2d(grid), np.array([-w, -1, 0, 1, w])
+    offsets = np.unique(o[:, None] + o[None, :]).astype(np.int32)
     n = lap.dimension
-    w = grid.nx_cells + 1
-    five = np.array([-w, -1, 0, 1, w])
-    offsets = np.unique(five[:, None] + five[None, :]).astype(np.int32)
     rows, cols = lap.entry_rows(), lap.indices
-    s = np.zeros((5, n, offsets.size))
-    for m, o in enumerate(five):
-        i = rows - o
+    s = np.zeros((o.size, n, offsets.size))
+    for m, om in enumerate(o):
+        i = rows - om
         inside = (i >= 0) & (i < n)
         s[m, i[inside], np.searchsorted(offsets, cols[inside] - i[inside])] = lap.data[inside]
     offsets.flags.writeable = False
@@ -203,12 +172,21 @@ def _laplacian_2d_rows(grid: Grid2D) -> tuple:
     return offsets, s
 
 
-def _from_rows(band: np.ndarray, offsets: np.ndarray) -> SparseMatrix:
-    """Canonical CSR of A[i, i + offsets[c]] = band[i, c] (offsets sorted).
+def _stencil_product(d: np.ndarray, grid) -> SparseMatrix:
+    """-(D @ Lap) in canonical CSR from d[m, i] = D[i, i + o_m] (nodes in
+    storage order, o as in _laplacian_rows).
 
-    Slots off the matrix hold zeros, or NaN once a mobility overflows to
-    inf, so they are masked by position and not by value; exact zeros are
-    not stored.  Row-major order keeps columns sorted."""
+    Each entry sums D[i, j] * Lap[j, k] over ascending j, the order of a
+    sparse product, so the entries are the product's to the bit.  Slots off
+    the matrix hold zeros, or NaN once a mobility overflows to inf, so they
+    are masked by position and not by value; exact zeros (at touched-down
+    faces) are not stored.  Row-major order keeps columns sorted."""
+    offsets, s = _laplacian_rows(grid)
+    d = d.reshape(len(s), -1, 1)
+    band = d[0] * s[0]
+    for m in range(1, len(s)):
+        band += d[m] * s[m]
+    np.negative(band, out=band)
     n = band.shape[0]
     cols = np.arange(n, dtype=np.int32)[:, None] + offsets
     keep = (band != 0.0) & (cols >= 0) & (cols < n)
@@ -219,20 +197,6 @@ def _from_rows(band: np.ndarray, offsets: np.ndarray) -> SparseMatrix:
     )
 
 
-def _face_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + b)
-
-
-def _lagged_face_mobilities_1d(u_lagged: Field, spec: LubricationSpec) -> np.ndarray:
-    f = mobility(u_lagged.values, spec.mobility)
-    return _face_mean(f[:-1], f[1:])
-
-
-#: column offsets of the 1D film operator
-_PENTADIAGONAL = np.arange(-2, 3, dtype=np.int32)
-_PENTADIAGONAL.flags.writeable = False
-
-
 def assemble_lubrication_1d(u_lagged: Field, spec: LubricationSpec) -> SparseMatrix:
     """Matrix of the linear operator u -> -( f_hat u_xxx )_x with face
     mobilities frozen at the lagged state; pentadiagonal inside, reflected
@@ -241,10 +205,7 @@ def assemble_lubrication_1d(u_lagged: Field, spec: LubricationSpec) -> SparseMat
     The operator is -(D @ Lap), D the flux divergence
     w -> (1/vol_i) [c_i (w_{i+1} - w_i) - c_{i-1} (w_i - w_{i-1})] with
     c_i = f_{i+1/2}/h, zero flux through the domain ends and half-cell
-    volumes there.  Its five diagonals are formed directly, summing
-    D[i, j] * Lap[j, i+k] over j = i-1, i, i+1 in that order, which is the
-    order of a sparse product, so the entries are the product's to the bit;
-    exact zeros (at touched-down faces) are not stored.
+    volumes there, formed on its five diagonals by _stencil_product.
     """
     grid = spec.grid
     if not isinstance(grid, Grid1D) or u_lagged.grid != grid:
@@ -253,18 +214,14 @@ def assemble_lubrication_1d(u_lagged: Field, spec: LubricationSpec) -> SparseMat
     h = grid.h
     vol = np.full(n, h)
     vol[0] = vol[-1] = 0.5 * h
-    c = _lagged_face_mobilities_1d(u_lagged, spec) / h  # face i+1/2, i = 0..n-2
-    # d[i, m + 1] = D[i, i + m]
-    d = np.zeros((n, 3))
-    d[1:, 0] = c / vol[1:]
-    d[:-1, 2] = c / vol[:-1]
-    d[:, 1] = -d[:, 2] - d[:, 0]
-    s = _laplacian_1d_rows(grid)
-    band = d[:, :1] * s[0]
-    band += d[:, 1:2] * s[1]
-    band += d[:, 2:] * s[2]
-    np.negative(band, out=band)
-    return _from_rows(band, _PENTADIAGONAL)
+    f = mobility(u_lagged.values, spec.mobility)
+    c = 0.5 * (f[:-1] + f[1:]) / h  # face i+1/2, i = 0..n-2
+    # d[m + 1, i] = D[i, i + m]
+    d = np.zeros((3, n))
+    d[0, 1:] = c / vol[1:]
+    d[2, :-1] = c / vol[:-1]
+    d[1] = -d[2] - d[0]
+    return _stencil_product(d, grid)
 
 
 def assemble_lubrication_2d(u_lagged: Field, spec: LubricationSpec) -> SparseMatrix:
@@ -272,11 +229,10 @@ def assemble_lubrication_2d(u_lagged: Field, spec: LubricationSpec) -> SparseMat
     f_face * dw/dn, divergence over node control volumes (quarter cells at
     corners).
 
-    As in 1D the operator is -(D @ Lap), formed directly on its 13-point
-    stencil.  D[i, i] sums the east, west, north and south face terms in that
-    order, as a coordinate-format D sums its duplicates, and each entry sums
-    D[i, j] * Lap[j, k] over ascending j, as a sparse product does, so the
-    entries are the product's to the bit.
+    As in 1D the operator is -(D @ Lap), formed on its 13-point stencil by
+    _stencil_product.  D[i, i] sums the east, west, north and south face
+    terms in that order, as a coordinate-format D sums its duplicates, so
+    the entries are the sparse product's to the bit.
     """
     grid = spec.grid
     if not isinstance(grid, Grid2D) or u_lagged.grid != grid:
@@ -288,8 +244,8 @@ def assemble_lubrication_2d(u_lagged: Field, spec: LubricationSpec) -> SparseMat
     voly[0] = voly[-1] = 0.5 * grid.hy
 
     f = mobility(u_lagged.values, spec.mobility).reshape(ny + 1, nx + 1)
-    cx = _face_mean(f[:, :-1], f[:, 1:]) / grid.hx  # face (i+1/2, j)
-    cy = _face_mean(f[:-1], f[1:]) / grid.hy  # face (i, j+1/2)
+    cx = 0.5 * (f[:, :-1] + f[:, 1:]) / grid.hx  # face (i+1/2, j)
+    cy = 0.5 * (f[:-1] + f[1:]) / grid.hy  # face (i, j+1/2)
     # d[m, j, i] = D[k, k + o_m] at node k = (i, j), o = (S, W, C, E, N)
     d = np.zeros((5, ny + 1, nx + 1))
     d[0, 1:] = cy / voly[1:]
@@ -297,20 +253,7 @@ def assemble_lubrication_2d(u_lagged: Field, spec: LubricationSpec) -> SparseMat
     d[3, :, :-1] = cx / volx[:-1]
     d[4, :-1] = cy / voly[:-1]
     d[2] = -d[3] - d[1] - d[4] - d[0]
-    d = d.reshape(5, -1, 1)
-
-    offsets, s = _laplacian_2d_rows(grid)
-    band = d[0] * s[0]
-    for m in range(1, 5):
-        band += d[m] * s[m]
-    np.negative(band, out=band)
-    return _from_rows(band, offsets)
-
-
-def _assemble(u_lagged: Field, spec: LubricationSpec) -> SparseMatrix:
-    if isinstance(spec.grid, Grid1D):
-        return assemble_lubrication_1d(u_lagged, spec)
-    return assemble_lubrication_2d(u_lagged, spec)
+    return _stencil_product(d, grid)
 
 
 @dataclass
@@ -434,8 +377,9 @@ def run_lubrication(spec: LubricationSpec, cfg: StepperConfig) -> tuple:
     if cfg.snapshot_every is None:
         cfg = replace(cfg, snapshot_every=SNAPSHOT_EVERY_DEFAULT)
     grid = spec.grid
+    assemble = assemble_lubrication_1d if isinstance(grid, Grid1D) else assemble_lubrication_2d
     final, trace = march(grid, spec.initial_field().values.copy(), cfg, sdirk3_tableau(),
-                         lambda floored: _assemble(Field(grid, floored), spec))
+                         lambda floored: assemble(Field(grid, floored), spec))
     record_sing = track_singularity(trace.snapshots)
     for r in trace.records:
         if r.min_pre <= 0.0:

@@ -313,6 +313,18 @@ class TestCli:
         assert cli_main(["diagnostics", "-J", "4", "--theta", "1.5"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("under", [False, True])
+    def test_unusable_out_exits_two_before_the_run(self, tmp_path, capsys, under):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = str(taken / "run" if under else taken)
+        for argv in (["diagnostics", "-J", "4"],
+                     ["aniso-run", "-J", "6", "--dt", "0.05", "--t-end", "0.1"]):
+            assert cli_main(argv + ["--out", out]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:")
+            assert captured.out == ""
+
     def test_stopped_run_writes_its_partial_trace(self, tmp_path, capsys):
         # the mollified film without a cutoff goes negative and stops
         out = tmp_path / "film"
@@ -396,6 +408,14 @@ class TestCli:
         assert "final_max_diff=" in capsys.readouterr().out
         for name in ("comparison.csv", "singularity_exact.csv", "singularity_mollified.csv"):
             assert (out / name).exists()
+        meta = read_metadata(out / "metadata.txt")
+        assert meta["experiment"] == "reg-compare"
+        assert meta["resolutions"] == "64"
+        assert meta["epsilon"] == "1e-14"
+        assert meta["cutoff_mode"] == "nonneg"
+        assert meta["solver"] == "banded-lu"
+        # two runs of three SDIRK stages over ten steps
+        assert meta["solver_solves"] == str(2 * 3 * 10)
 
     def test_diagnostics_artifact(self, tmp_path, capsys):
         out = tmp_path / "diag"

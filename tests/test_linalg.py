@@ -550,8 +550,9 @@ class TestSolvers:
         a = tridiag(n, -1.0, 4.0, -1.5)
         rng = np.random.default_rng(0)
         rhs = rng.normal(size=n)
-        x, report = Factorization(a).solve(rhs)
-        assert report.method == "banded-lu"
+        f = Factorization(a)
+        x, report = f.solve(rhs)
+        assert f.method == "banded-lu"
         assert report.iterations == 0
         assert report.residual_norm <= report.tolerance
         assert np.allclose(x, np.linalg.solve(a.to_dense(), rhs), rtol=1e-10, atol=1e-12)
@@ -565,8 +566,9 @@ class TestSolvers:
         a = SparseMatrix.from_coo(n, rows, cols, vals)
         assert max(a.bandwidth()) > BANDED_BANDWIDTH_MAX
         rhs = np.arange(1.0, n + 1.0)
-        x, report = Factorization(a).solve(rhs)
-        assert report.method == "sparse-lu"
+        f = Factorization(a)
+        x, _ = f.solve(rhs)
+        assert f.method == "sparse-lu"
         assert np.allclose(x, np.linalg.solve(a.to_dense(), rhs), rtol=1e-12)
 
     def test_banded_route_with_identity_rows_matches_splu(self):

@@ -32,12 +32,7 @@ from cutoffpde.lubrication import (
     touching_length,
     track_singularity,
 )
-from cutoffpde.lubrication import (
-    _face_mean,
-    _lagged_face_mobilities_1d,
-    _laplacian_1d,
-    _laplacian_2d,
-)
+from cutoffpde.lubrication import _laplacian_1d, _laplacian_2d, _laplacian_rows
 from cutoffpde.stepping import DivergenceError, StepperConfig
 
 
@@ -50,7 +45,8 @@ def reference_operator_1d(u_lagged, spec):
     h = grid.h
     vol = np.full(n, h)
     vol[0] = vol[-1] = 0.5 * h
-    c = _lagged_face_mobilities_1d(u_lagged, spec) / h
+    f = mobility(u_lagged.values, spec.mobility)
+    c = 0.5 * (f[:-1] + f[1:]) / h
     left = np.arange(n - 1)
     right = left + 1
     rows = np.concatenate([left, left, right, right])
@@ -77,7 +73,7 @@ def reference_operator_2d(u_lagged, spec):
     gi, gj = np.meshgrid(np.arange(nx), np.arange(ny + 1))
     left = (gj * (nx + 1) + gi).ravel()
     right = left + 1
-    c = _face_mean(f[left], f[right]) / hx
+    c = 0.5 * (f[left] + f[right]) / hx
     vleft, vright = volx[gi.ravel()], volx[gi.ravel() + 1]
     rows += [left, left, right, right]
     cols += [right, left, right, left]
@@ -86,7 +82,7 @@ def reference_operator_2d(u_lagged, spec):
     gi, gj = np.meshgrid(np.arange(nx + 1), np.arange(ny))
     low = (gj * (nx + 1) + gi).ravel()
     high = low + (nx + 1)
-    c = _face_mean(f[low], f[high]) / hy
+    c = 0.5 * (f[low] + f[high]) / hy
     vlow, vhigh = voly[gj.ravel()], voly[gj.ravel() + 1]
     rows += [low, low, high, high]
     cols += [high, low, high, low]
@@ -339,19 +335,19 @@ class TestAssembly2DMatchesProduct:
 
 class TestLaplacianCache:
     def test_one_build_per_grid(self):
-        assert _laplacian_1d(Grid1D(-1.0, 1.0, 64)) is _laplacian_1d(Grid1D(-1.0, 1.0, 64))
-        assert _laplacian_2d(Grid2D.square(-1.0, 1.0, 6)) is _laplacian_2d(Grid2D.square(-1.0, 1.0, 6))
-        assert _laplacian_1d(Grid1D(-1.0, 1.0, 64)) is not _laplacian_1d(Grid1D(-1.0, 1.0, 65))
+        assert _laplacian_rows(Grid1D(-1.0, 1.0, 64)) is _laplacian_rows(Grid1D(-1.0, 1.0, 64))
+        assert _laplacian_rows(Grid2D.square(-1.0, 1.0, 6)) is _laplacian_rows(Grid2D.square(-1.0, 1.0, 6))
+        assert _laplacian_rows(Grid1D(-1.0, 1.0, 64)) is not _laplacian_rows(Grid1D(-1.0, 1.0, 65))
 
     def test_unchanged_by_a_run(self):
-        spec = LubricationSpec.default_1d(64)
-        lap = _laplacian_1d(spec.grid)
-        before = [arr.copy() for arr in (lap.indptr, lap.indices, lap.data)]
-        run_lubrication(spec, StepperConfig(dt=1e-6, t_end=1e-5, cutoff=CutoffParams(0.0)))
-        assert _laplacian_1d(spec.grid) is lap
-        for old, new in zip(before, (lap.indptr, lap.indices, lap.data)):
-            assert np.array_equal(old, new)
-        assert not lap.data.flags.writeable
+        for spec in (LubricationSpec.default_1d(64), LubricationSpec.default_2d(6)):
+            rows = _laplacian_rows(spec.grid)
+            before = [arr.copy() for arr in rows]
+            run_lubrication(spec, StepperConfig(dt=1e-6, t_end=1e-5, cutoff=CutoffParams(0.0)))
+            assert _laplacian_rows(spec.grid) is rows
+            for old, new in zip(before, rows):
+                assert np.array_equal(old, new)
+                assert not new.flags.writeable
 
 
 class TestAssembly2D:
