@@ -258,11 +258,11 @@ def write_failure(out_dir, cfg: ExperimentConfig, solver: SolverStats, err: Dive
 def write_metadata(path, cfg: ExperimentConfig, solver: SolverStats, error: str = None):
     """Echo every design toggle that the equations do not force, what the
     solver did over the experiment's runs (its LU routes, or "none" for
-    explicit steps only, its counts, its worst residual over tolerance and
-    the stored entries of its largest LU), then the package, numpy and scipy
-    versions, the error that stopped the run if one did, and every
-    *_NUM_THREADS variable set in the environment (one absent from the file
-    was unset)."""
+    explicit steps only, its counts, its worst residual over tolerance, the
+    stored entries of its largest LU and the solves that started from an
+    extrapolated guess), then the package, numpy and scipy versions, the
+    error that stopped the run if one did, and every *_NUM_THREADS variable
+    set in the environment (one absent from the file was unset)."""
     lines = {
         "experiment": cfg.experiment,
         "resolutions": ",".join(str(r) for r in cfg.resolutions),
@@ -287,6 +287,7 @@ def write_metadata(path, cfg: ExperimentConfig, solver: SolverStats, error: str 
         "solver_extra_sweeps": str(solver.extra_sweeps),
         "solver_residual_max": f"{solver.residual_max:.17g}",
         "solver_lu_fill": str(solver.lu_fill),
+        "solver_guessed": str(solver.guessed),
         "cutoffpde_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,

@@ -18,8 +18,13 @@ policy: an operator handed over again is neither shifted nor factored again;
 a new one is shifted, and factored when the LU in hand is a banded one (it
 costs about two backsubstitutions), while a sparse LU is kept and its solves
 refine against the new system until they outgrow it
-(linalg.Factorization.solve).  The counts of what it did go into the run's
-trace as SolverStats.  Two tableaux are provided:
+(linalg.Factorization.solve).  Once it keeps a sparse LU for a new operator,
+the stepper also keeps each implicit stage's solutions at the last three
+steps, and a solve on the stale LU starts from their quadratic
+extrapolation, 3*(x[n-1] - x[n-2]) + x[n-3]: the state moves little per
+step, so the guess lands far closer than the stale LU's own answer.  The
+counts of what it did go into the run's trace as SolverStats.  Two tableaux
+are provided:
 
 * the theta-method as a 2-stage EDIRK whose first stage is explicit
   (theta = 1 backward Euler, theta = 1/2 Crank-Nicolson),
@@ -34,6 +39,7 @@ reference ``step_linear`` that the theta runs are tested against.
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -220,8 +226,9 @@ class SolverStats:
     factorizations and verified solves there were, the backsubstitutions
     beyond each solve's first (SolveReport.iterations, so solves +
     extra_sweeps is the backsubstitution count), the worst residual as a
-    fraction of its tolerance, and the stored entries of the largest LU
-    (linalg.Factorization.fill)."""
+    fraction of its tolerance, the stored entries of the largest LU
+    (linalg.Factorization.fill), and how many solves started from an
+    extrapolated guess."""
 
     routes: list = field(default_factory=list)
     factorizations: int = 0
@@ -229,6 +236,7 @@ class SolverStats:
     extra_sweeps: int = 0
     residual_max: float = 0.0
     lu_fill: int = 0
+    guessed: int = 0
 
     def factored(self, fact: Factorization):
         self.factorizations += 1
@@ -243,6 +251,7 @@ class SolverStats:
         self.extra_sweeps += other.extra_sweeps
         self.residual_max = max(self.residual_max, other.residual_max)
         self.lu_fill = max(self.lu_fill, other.lu_fill)
+        self.guessed += other.guessed
 
 
 @dataclass
@@ -365,6 +374,12 @@ class DirkStepper:
     Factorization.solve), and the stage value is set to g(t_i) on the
     Dirichlet nodes after the solve.  Stages use the state exactly as handed
     in -- flooring happens only at step boundaries, in the run loop.
+
+    From the first time a sparse LU is kept for a new operator, every
+    implicit stage's solutions at the last three steps are kept too, and a
+    solve on that LU while it is stale starts from their quadratic
+    extrapolation.  A banded LU is factored afresh for every operator and
+    an operator handed over once is never stale, so neither keeps any.
     """
 
     def __init__(self, tableau: ButcherTableau, l_matrix: SparseMatrix, dt: float,
@@ -381,7 +396,7 @@ class DirkStepper:
             self._boundary = np.flatnonzero(dirichlet_mask)
         self._bvals = boundary_values
         self.stats = SolverStats()
-        self._l = self._system = self._fact = None
+        self._l = self._system = self._fact = self._history = None
         self.use(l_matrix)
 
     def use(self, l_matrix: SparseMatrix):
@@ -398,10 +413,21 @@ class DirkStepper:
         if self._fact is None or self._fact.method == "banded-lu":
             self._fact = Factorization(self._system)
             self.stats.factored(self._fact)
+        elif self._history is None:
+            # stage -> its solutions at the last three steps, oldest first
+            self._history = defaultdict(lambda: deque(maxlen=3))
 
-    def _solve(self, rhs: np.ndarray) -> tuple:
-        """(x, report) of one implicit stage."""
-        x, report = self._fact.solve(rhs, self._system)
+    def _solve(self, rhs: np.ndarray, stage: int) -> tuple:
+        """(x, report) of implicit stage `stage`; a solve on a stale LU
+        starts from the stage's extrapolated solutions once three are kept."""
+        past = None if self._history is None else self._history[stage]
+        guess = None
+        if past is not None and len(past) == 3 and self._fact.matrix is not self._system:
+            guess = 3.0 * (past[2] - past[1]) + past[0]
+            self.stats.guessed += 1
+        x, report = self._fact.solve(rhs, self._system, guess)
+        if past is not None:
+            past.append(x.copy())
         if report.refactored:
             self.stats.factored(self._fact)
         self.stats.solves += 1
@@ -435,7 +461,7 @@ class DirkStepper:
             if a[i, i] == 0.0:
                 x = rhs
             else:
-                x, report = self._solve(rhs)
+                x, report = self._solve(rhs, i)
                 worst = max(worst, report.residual_norm)
             if held is not None:
                 x[self._boundary] = held

@@ -156,7 +156,8 @@ class TestMetadata:
         cfg = ExperimentConfig("x", (4,), dt=0.1, t_end=1.0)
         p = tmp_path / "metadata.txt"
         solver = SolverStats(routes=["banded-lu", "sparse-lu/symmetric"], factorizations=5,
-                             solves=12, extra_sweeps=7, residual_max=0.25, lu_fill=900)
+                             solves=12, extra_sweeps=7, residual_max=0.25, lu_fill=900,
+                             guessed=3)
         write_metadata(p, cfg, solver)
         meta = read_metadata(p)
         assert meta["cutoffpde_version"] == cutoffpde.__version__
@@ -172,15 +173,17 @@ class TestMetadata:
         assert meta["solver_extra_sweeps"] == "7"
         assert meta["solver_residual_max"] == "0.25"
         assert meta["solver_lu_fill"] == "900"
+        assert meta["solver_guessed"] == "3"
         names = list(meta)
         assert names.index("solver_residual_max") == names.index("solver_extra_sweeps") + 1
         assert names.index("solver_lu_fill") == names.index("solver_residual_max") + 1
+        assert names.index("solver_guessed") == names.index("solver_lu_fill") + 1
 
     def test_added_stats_keep_the_worst_residual(self):
-        total = SolverStats(solves=2, extra_sweeps=1, residual_max=0.5, lu_fill=40)
-        total.add(SolverStats(solves=3, residual_max=0.125, lu_fill=30))
+        total = SolverStats(solves=2, extra_sweeps=1, residual_max=0.5, lu_fill=40, guessed=1)
+        total.add(SolverStats(solves=3, residual_max=0.125, lu_fill=30, guessed=2))
         assert (total.solves, total.extra_sweeps, total.residual_max) == (5, 1, 0.5)
-        assert total.lu_fill == 40
+        assert total.lu_fill == 40 and total.guessed == 3
         total.add(SolverStats(solves=1, residual_max=0.75, lu_fill=70))
         assert (total.residual_max, total.lu_fill) == (0.75, 70)
 
@@ -200,6 +203,8 @@ class TestMetadata:
         assert meta["solver_factorizations"] == "1"
         assert meta["solver_solves"] == str(4 * 3)
         assert meta["solver_extra_sweeps"] == "0"
+        # its one operator is never stale, so no solve starts from a guess
+        assert meta["solver_guessed"] == "0"
         assert 0.0 < float(meta["solver_residual_max"]) <= 1.0
 
     def test_aniso_run_records_lu_fill(self, tmp_path):
@@ -248,6 +253,7 @@ class TestMetadata:
         assert int(meta["solver_extra_sweeps"]) > 0
         assert 0.0 < float(meta["solver_residual_max"]) <= 1.0
         assert int(meta["solver_lu_fill"]) > 0
+        assert 0 < int(meta["solver_guessed"]) < 3 * steps
 
 
 class TestRegularizationComparison:

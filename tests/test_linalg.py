@@ -461,7 +461,8 @@ class TestSolvePolicy:
 
     def test_refactoring_film_run_counts_every_backsubstitution(self, monkeypatch):
         calls = count_backsubstitutions(monkeypatch)
-        cfg = StepperConfig(dt=1e-5, t_end=4e-4, cutoff=CutoffParams(0.0))
+        # through touchdown, where the matrix moves fastest
+        cfg = StepperConfig(dt=1e-5, t_end=1e-3, cutoff=CutoffParams(0.0))
         _, trace, _ = run_lubrication(LubricationSpec.default_2d(16), cfg)
         # the kept LU was outgrown and the run's matrix factored afresh
         assert trace.solver.factorizations > 1
@@ -470,7 +471,8 @@ class TestSolvePolicy:
 
 class TestStaleFactorization:
     """An LU kept for a later matrix: solves refine against that matrix until
-    its own tolerance is met, and factor it afresh when they cannot."""
+    its own tolerance is met, and factor it afresh when they cannot.  A
+    stale solve may start from a guess; a fresh one ignores it."""
 
     @staticmethod
     def film_state(scale):
@@ -517,6 +519,54 @@ class TestStaleFactorization:
         # the object now holds a1's LU
         _, fresh = f.solve(rhs, a1)
         assert fresh.iterations == 0 and not fresh.refactored
+
+    def extrapolated(self, rhs):
+        """(a3, guess): the film system four small moves from the 16x16
+        initial film's, and the quadratic extrapolation of the solutions of
+        the three before it, as the stepper forms its guesses."""
+        a1, a2, a3 = (shifted_film_2d(self.film_state(k * 1e-3)) for k in (1, 2, 3))
+        x1, x2, x3 = (Factorization(a).solve(rhs)[0] for a in (a1, a2, a3))
+        return shifted_film_2d(self.film_state(4e-3)), 3.0 * (x3 - x2) + x1
+
+    def test_guess_takes_fewer_backsubstitutions(self, monkeypatch):
+        rhs = np.random.default_rng(9).normal(size=shifted_film_2d().dimension)
+        a4, guess = self.extrapolated(rhs)
+        counts = []
+        for g in (None, guess):
+            f = Factorization(shifted_film_2d())
+            calls = count_backsubstitutions(monkeypatch, f)
+            x, report = f.solve(rhs, a4, g)
+            assert not report.refactored and len(calls) == 1 + report.iterations
+            assert report.residual_norm <= report.tolerance == default_tolerance(a4)
+            assert self.true_residual(a4, x, rhs) <= default_tolerance(a4)
+            counts.append(len(calls))
+        assert counts[1] < counts[0]
+
+    def test_fresh_lu_ignores_a_guess(self, monkeypatch):
+        a = shifted_film_2d()
+        rhs = np.random.default_rng(10).normal(size=a.dimension)
+        f = Factorization(a)
+        plain, _ = f.solve(rhs)
+        calls = count_backsubstitutions(monkeypatch, f)
+        for other in (None, a):
+            x, report = f.solve(rhs, other, np.full(a.dimension, np.nan))
+            assert x.tobytes() == plain.tobytes()
+            assert report.iterations == 0 and not report.refactored
+        assert len(calls) == 2
+
+    def test_non_finite_guess_refactors(self, monkeypatch):
+        rhs = np.random.default_rng(12).normal(size=shifted_film_2d().dimension)
+        a4, guess = self.extrapolated(rhs)
+        guess[5] = np.inf
+        f = Factorization(shifted_film_2d())
+        calls = count_backsubstitutions(monkeypatch, f)
+        x, report = f.solve(rhs, a4, guess)
+        # a NaN residual misses every check: the guessed answer and
+        # 1 + STALE_SWEEPS_MAX sweeps, then the fresh LU's answer from rhs
+        assert report.refactored and f.matrix is a4
+        assert report.iterations == 2 + STALE_SWEEPS_MAX == len(calls) - 1
+        assert np.all(np.isfinite(x))
+        assert self.true_residual(a4, x, rhs) <= default_tolerance(a4)
 
     def test_fresh_solve_reports_no_extra_sweeps(self):
         a = shifted_film_2d()

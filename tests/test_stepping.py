@@ -10,7 +10,13 @@ import scipy.sparse as sp
 from cutoffpde.anisotropic import AnisotropicSpec, assemble
 from cutoffpde.cutoff import CutoffParams, apply_floor
 from cutoffpde.grids import Field, Grid1D, Grid2D
-from cutoffpde.linalg import SparseMatrix, SparseOperator, default_tolerance, identity_plus
+from cutoffpde.linalg import (
+    Factorization,
+    SparseMatrix,
+    SparseOperator,
+    default_tolerance,
+    identity_plus,
+)
 from cutoffpde.lubrication import (
     LubricationSpec,
     assemble_lubrication_1d,
@@ -427,7 +433,7 @@ class TestOneStepperPerRun:
         assert np.array_equal(final.values, ref)
         assert trace.solver.routes == ["banded-lu"]
         assert trace.solver.factorizations == cfg.n_steps
-        assert trace.solver.extra_sweeps == 0
+        assert trace.solver.extra_sweeps == trace.solver.guessed == 0
 
     @pytest.mark.parametrize("integrator", ["sdirk3", "theta"])
     def test_linear_anisotropic_run_matches_fresh_steppers(self, integrator):
@@ -444,6 +450,7 @@ class TestOneStepperPerRun:
         assert trace.solver.routes == ["sparse-lu/symmetric"]
         assert trace.solver.factorizations == 1
         assert trace.solver.solves == cfg.n_steps * (3 if integrator == "sdirk3" else 1)
+        assert trace.solver.guessed == 0
 
     def test_2d_film_keeps_its_lu_and_verifies_every_step(self):
         spec = LubricationSpec.default_2d(16)
@@ -458,6 +465,37 @@ class TestOneStepperPerRun:
         for (_, start), rec in zip(trace.snapshots, trace.records[1:]):
             system = identity_plus(assemble_lubrication_2d(start, spec), -SDIRK3_GAMMA * cfg.dt)
             assert rec.residual <= default_tolerance(system)
+
+    def test_stale_solves_start_from_extrapolated_stages(self, monkeypatch):
+        solves = []
+        solve = Factorization.solve
+
+        def spy(fact, rhs, a=None, guess=None):
+            stale = fact.matrix is not a
+            x, report = solve(fact, rhs, a, guess)
+            solves.append((stale, guess, x))
+            return x, report
+
+        monkeypatch.setattr(Factorization, "solve", spy)
+        spec = LubricationSpec.default_2d(16)
+        cfg = StepperConfig(dt=1e-6, t_end=3e-5, cutoff=CutoffParams(0.0))
+        _, trace, _ = run_lubrication(spec, cfg)
+        assert len(solves) == 3 * cfg.n_steps
+        # the stages' history starts when the LU is first kept, at step 1,
+        # so the first guesses come at step 4
+        assert all(guess is None for _, guess, _ in solves[:12])
+        guessed = 0
+        for n in range(4, cfg.n_steps):
+            for i in range(3):
+                stale, guess, _ = solves[3 * n + i]
+                if not stale:
+                    assert guess is None
+                    continue
+                # the stage's solutions at the three steps before
+                x1, x2, x3 = (solves[3 * m + i][2] for m in (n - 1, n - 2, n - 3))
+                assert np.array_equal(guess, 3.0 * (x1 - x2) + x3)
+                guessed += 1
+        assert guessed == trace.solver.guessed > 0
 
     def test_solve_failure_carries_the_trace(self):
         # backward Euler with dt = 1/2 shifts L = 2I to the zero matrix
@@ -509,8 +547,8 @@ class TestWholeSystemSolve:
         answers = []
         solve = stepper._solve
 
-        def spy(rhs):
-            x, report = solve(rhs)
+        def spy(rhs, stage):
+            x, report = solve(rhs, stage)
             answers.append(x[mask].copy())
             return x, report
 
