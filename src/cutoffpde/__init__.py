@@ -21,7 +21,7 @@ from .grids import (
     max_undershoot,
     trapezoid_weights,
 )
-from .linalg import Factorization, SolveError, SparseMatrix, SparseOperator
+from .linalg import Factorization, SolveError, SparseMatrix
 from .stepping import (
     SDIRK3_GAMMA,
     ButcherTableau,
@@ -76,7 +76,6 @@ __all__ = [
     "SolveError",
     "SolverStats",
     "SparseMatrix",
-    "SparseOperator",
     "StepperConfig",
     "apply_floor",
     "assemble",

@@ -9,11 +9,12 @@ Subcommands map one-to-one onto the library drivers:
     reg-compare         mollified vs bare mobility side by side
     diagnostics         theta-scheme matrix norms on a small grid
 
-Each run writes CSV artifacts plus metadata.txt into --out, which is
-created before the run starts; a run that stops early writes its partial
-trace.csv and a metadata.txt with an error line.  Exit codes:
-0 on success, 1 on a numerical failure (divergence, solver breakdown,
-bad parameter values), 2 on unusable arguments (argparse, or an --out that
+Each run writes CSV artifacts plus metadata.txt into --out, except
+diagnostics, which writes diagnostics.txt only; --out is created before the
+run starts, and a run that stops early writes its partial trace.csv and a
+metadata.txt with an error line.  Exit codes: 0 on success, 1 on a numerical
+failure (divergence, solver breakdown, bad parameter values), 2 on unusable
+arguments (argparse, a malformed list value among them, or an --out that
 cannot be created as a directory).
 """
 
@@ -28,7 +29,6 @@ from .grids import Grid2D, l2_norm, write_field_csv
 from .harness import (
     ExperimentConfig,
     convergence_study,
-    ensure_dir,
     regularization_comparison,
     write_failure,
     write_metadata,
@@ -44,7 +44,12 @@ from .stepping import (
 )
 
 
-def _parse_snapshots(text):
+# argparse types; a ValueError they raise exits 2 with "invalid <name> value"
+def int_list(text):
+    return [int(tok) for tok in text.split(",")]
+
+
+def float_list(text):
     if not text:
         return ()
     return tuple(float(tok) for tok in text.split(","))
@@ -72,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("aniso-convergence", help="anisotropic layer grid ladder")
-    p.add_argument("--grids", default="10,20,40,80",
+    p.add_argument("--grids", type=int_list, default="10,20,40,80",
                    help="comma list of cells per side")
     p.add_argument("--convection", action="store_true")
     p.add_argument("--integrator", choices=("sdirk3", "theta"), default="sdirk3")
@@ -92,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-J", "--grid", type=int, default=1000, help="cells")
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--snapshot-every", type=int, default=None)
-    p.add_argument("--snapshots", default="", help="comma list of times")
+    p.add_argument("--snapshots", type=float_list, default="", help="comma list of times")
     _add_common(p, default_dt=1e-6, default_tend=2.5e-3)
     _add_cutoff(p)
 
@@ -100,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-J", "--grid", type=int, default=80, help="cells per side")
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--snapshot-every", type=int, default=None)
-    p.add_argument("--snapshots", default="", help="comma list of times")
+    p.add_argument("--snapshots", type=float_list, default="", help="comma list of times")
     _add_common(p, default_dt=1e-6, default_tend=1e-3)
     _add_cutoff(p)
 
@@ -144,8 +149,7 @@ def _run_or_write_failure(out, exp, driver, *args):
 
 
 def _cmd_aniso_convergence(args) -> int:
-    grids = [int(tok) for tok in args.grids.split(",")]
-    cfg = _experiment_config(args, "aniso-convergence", grids,
+    cfg = _experiment_config(args, "aniso-convergence", args.grids,
                              convection=args.convection,
                              integrator=args.integrator, theta=args.theta)
     report = convergence_study(cfg)
@@ -186,7 +190,7 @@ def _run_lubrication_cmd(args, name, spec, h) -> int:
         dt=args.dt, t_end=args.t_end,
         cutoff=exp.cutoff_for(h),
         snapshot_every=args.snapshot_every,
-        snapshot_times=_parse_snapshots(args.snapshots),
+        snapshot_times=args.snapshots,
     )
     final, trace, record = _run_or_write_failure(args.out, exp, run_lubrication, spec, cfg)
 
@@ -231,8 +235,8 @@ def _cmd_reg_compare(args) -> int:
 def _cmd_diagnostics(args) -> int:
     grid = Grid2D.square(0.0, 1.0, args.grid)
     problem = assemble(AnisotropicSpec.pure_diffusion(grid))
-    op = theta_operator(problem, args.dt, args.theta)
-    diag = scheme_diagnostics(op, args.dt)
+    b1, b0, _ = theta_operator(problem, args.dt, args.theta)
+    diag = scheme_diagnostics(b1, b0, args.dt)
     print(f"norm_b1_inv={diag.norm_b1_inv:.6e}  "
           f"norm_b1inv_b0={diag.norm_b1inv_b0:.6e}  "
           f"k_implied={diag.k_implied:.6e}")
@@ -259,7 +263,7 @@ def cli_main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 2
     if args.out:
         try:
-            ensure_dir(args.out)
+            os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             print(f"error: unusable --out: {exc}", file=sys.stderr)
             return 2

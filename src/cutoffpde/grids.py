@@ -147,10 +147,6 @@ class Field:
         self._check_same_grid(other)
         return Field(self.grid, self.values - other.values)
 
-    def __add__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
-        return Field(self.grid, self.values + other.values)
-
 
 def trapezoid_weights(grid: Grid) -> np.ndarray:
     """Quadrature weights per node; sum equals the domain measure."""

@@ -157,7 +157,7 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
             report.write_csv(os.path.join(cfg.out_dir, "convergence.csv"))
         raise
     if cfg.out_dir:
-        ensure_dir(cfg.out_dir)
+        os.makedirs(cfg.out_dir, exist_ok=True)
         report.write_csv(os.path.join(cfg.out_dir, "convergence.csv"))
         write_metadata(os.path.join(cfg.out_dir, "metadata.txt"), cfg, solver)
     return report
@@ -230,7 +230,7 @@ def regularization_comparison(n_cells: int, dt: float, t_end: float,
         record_mollified=rec_b,
     )
     if out_dir:
-        ensure_dir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
         cmp.write_csv(os.path.join(out_dir, "comparison.csv"))
         rec_a.write_csv(os.path.join(out_dir, "singularity_exact.csv"))
         rec_b.write_csv(os.path.join(out_dir, "singularity_mollified.csv"))
@@ -243,14 +243,10 @@ def regularization_comparison(n_cells: int, dt: float, t_end: float,
     return cmp
 
 
-def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-
-
 def write_failure(out_dir, cfg: ExperimentConfig, solver: SolverStats, err: DivergenceError):
     """The artifacts of a run that stopped: its partial trace.csv and a
     metadata.txt with an error line."""
-    ensure_dir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     err.trace.write_csv(os.path.join(out_dir, "trace.csv"))
     write_metadata(os.path.join(out_dir, "metadata.txt"), cfg, solver, error=str(err))
 

@@ -49,16 +49,12 @@ guess, as the solve right after a refactor does: its own answer is far
 finer than a guess that merely passes the check.
 
 The steppers factor shifted systems I - a_ii*dt*L (identity_plus) and solve
-every implicit stage against them.  SparseOperator bundles the theta-method's
-matrix pair B1 u^{n+1} = B0 u^n + F^n, with F a fixed vector or a callback
-evaluated at the step's start time; it feeds the max-norm scheme diagnostics
-and the one-step reference step_linear.
+every implicit stage against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -374,38 +370,3 @@ class Factorization:
             )
         return x, SolveReport(residual, stale + sweeps, self._tol, refactored)
 
-
-SourceTerm = Union[np.ndarray, Callable[[float], np.ndarray]]
-
-
-@dataclass(frozen=True)
-class SparseOperator:
-    """One-step scheme pair: B1 u^{n+1} = B0 u^n + F^n.
-
-    ``source`` is the fixed vector F, or a callable t_n -> F^n when the
-    forcing or boundary data move in time.
-    """
-
-    b1: SparseMatrix
-    b0: SparseMatrix
-    source: SourceTerm
-
-    def __post_init__(self):
-        n = self.b1.dimension
-        if self.b0.dimension != n:
-            raise ValueError("B0 and B1 dimensions differ")
-        if isinstance(self.source, np.ndarray) and self.source.shape != (n,):
-            raise ValueError("source vector length does not match the matrices")
-
-    @property
-    def dimension(self) -> int:
-        return self.b1.dimension
-
-    def source_at(self, t: float) -> np.ndarray:
-        if callable(self.source):
-            f = np.asarray(self.source(t), dtype=float)
-        else:
-            f = self.source
-        if f.shape != (self.dimension,):
-            raise ValueError("source callback returned a vector of wrong length")
-        return f

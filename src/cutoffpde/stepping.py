@@ -50,13 +50,7 @@ import scipy.sparse.linalg as spla
 
 from .cutoff import CutoffParams, apply_floor
 from .grids import Field, Grid, trapezoid_weights
-from .linalg import (
-    Factorization,
-    SolveError,
-    SparseMatrix,
-    SparseOperator,
-    identity_plus,
-)
+from .linalg import Factorization, SolveError, SparseMatrix, identity_plus
 
 #: diagonal of the 3-stage SDIRK scheme; real root of
 #: g^3 - 3 g^2 + (3/2) g - 1/6 in (1/6, 1/2)
@@ -164,7 +158,7 @@ def theta_tableau(theta: float) -> ButcherTableau:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Fixed-step run configuration.
+    """Fixed-step run configuration; runs start at t = 0.
 
     cutoff = None disables flooring entirely; CutoffParams(0.0) is the plain
     nonnegative cutoff.  Every factorization checks its solves against its
@@ -175,7 +169,6 @@ class StepperConfig:
 
     dt: float
     t_end: float
-    t0: float = 0.0
     cutoff: Optional[CutoffParams] = None
     integrator: str = "sdirk3"
     theta: float = 1.0
@@ -185,8 +178,8 @@ class StepperConfig:
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.t_end > self.t0:
-            raise ValueError("t_end must exceed t0")
+        if not self.t_end > 0.0:
+            raise ValueError("t_end must be positive")
         if self.integrator not in ("theta", "sdirk3"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if not 0.0 <= self.theta <= 1.0:
@@ -199,11 +192,10 @@ class StepperConfig:
 
     @property
     def n_steps(self) -> int:
-        span = self.t_end - self.t0
-        k = int(round(span / self.dt))
-        if k < 1 or abs(k * self.dt - span) > 1e-6 * self.dt:
+        k = int(round(self.t_end / self.dt))
+        if k < 1 or abs(k * self.dt - self.t_end) > 1e-6 * self.dt:
             raise ValueError(
-                f"t_end - t0 = {span} is not an integer multiple of dt = {self.dt}"
+                f"t_end = {self.t_end} is not an integer multiple of dt = {self.dt}"
             )
         return k
 
@@ -266,7 +258,6 @@ class RunTrace:
 
     records: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
-    diverged: bool = False
     solver: SolverStats = field(default_factory=SolverStats)
 
     def write_csv(self, path):
@@ -320,12 +311,15 @@ class LinearProblem:
         object.__setattr__(self, "initial_values", init)
 
 
-def theta_operator(problem: LinearProblem, dt: float, theta: float) -> SparseOperator:
-    """Assemble the theta-method pair for one linear problem.
+def theta_operator(problem: LinearProblem, dt: float, theta: float) -> tuple:
+    """(B1, B0, source) of the theta-method pair B1 u^{n+1} = B0 u^n + F^n
+    for one linear problem, with source(t_n) = F^n.
 
     B1 = I - theta*dt*L picks up identity rows at Dirichlet nodes for free
     (their L rows are zero); B0 keeps the interior identity only, so boundary
     values enter purely through the source, pinned at the new time level.
+    source raises ValueError when problem.source returns a vector of the
+    wrong length.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
@@ -336,11 +330,13 @@ def theta_operator(problem: LinearProblem, dt: float, theta: float) -> SparseOpe
 
     def source(t: float) -> np.ndarray:
         f = dt * (theta * problem.source(t + dt) + (1.0 - theta) * problem.source(t))
+        if np.shape(f) != mask.shape:
+            raise ValueError("source callback returned a vector of wrong length")
         if mask.any():
             f = np.where(mask, problem.boundary_values(t + dt), f)
         return f
 
-    return SparseOperator(b1=b1, b0=b0, source=source)
+    return b1, b0, source
 
 
 def _floor_values(values: np.ndarray, cutoff: Optional[CutoffParams]) -> np.ndarray:
@@ -349,14 +345,16 @@ def _floor_values(values: np.ndarray, cutoff: Optional[CutoffParams]) -> np.ndar
     return apply_floor(values, cutoff.delta)
 
 
-def step_linear(op: SparseOperator, u: Field, cfg: StepperConfig, t: float = 0.0) -> Field:
-    """One step of B1 u^{n+1} = B0 (u^n)^+ + F^n.
+def step_linear(b1: SparseMatrix, b0: SparseMatrix, source: Callable[[float], np.ndarray],
+                u: Field, cfg: StepperConfig, t: float = 0.0) -> Field:
+    """One step of B1 u^{n+1} = B0 (u^n)^+ + F^n from t, with F^n = source(t)
+    (theta_operator's pair).
 
     The cutoff (if enabled in cfg) is applied to the incoming state before
     the right-hand side is formed; the returned state is not cut.
     """
-    rhs = op.b0.matvec(_floor_values(u.values, cfg.cutoff)) + op.source_at(t)
-    x, _ = Factorization(op.b1).solve(rhs)
+    rhs = b0.matvec(_floor_values(u.values, cfg.cutoff)) + source(t)
+    x, _ = Factorization(b1).solve(rhs)
     return Field(u.grid, x)
 
 
@@ -482,7 +480,7 @@ def _wants_snapshot(step: int, t: float, cfg: StepperConfig) -> bool:
 
 def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig, tableau: ButcherTableau,
           operator_for: Callable[[np.ndarray], SparseMatrix], **stage_terms) -> tuple:
-    """Advance from t0 to t_end with fixed dt; the one loop every run uses.
+    """Advance from t = 0 to t_end with fixed dt; the one loop every run uses.
 
     Per step: floor the current state (if a cutoff is configured), hand
     operator_for(floored) to the run's one DirkStepper (built on the first
@@ -512,19 +510,15 @@ def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig, tableau: ButcherT
         if _wants_snapshot(step, t, cfg):
             trace.snapshots.append((t, Field(grid, floored.copy())))
 
-    def diverged(message: str) -> DivergenceError:
-        trace.diverged = True
-        return DivergenceError(message, trace)
-
     floored = _floor_values(initial, cfg.cutoff)
-    record(0, cfg.t0, initial, floored, 0.0)
+    record(0, 0.0, initial, floored, 0.0)
     stepper = None
     for n in range(cfg.n_steps):
-        t_n = cfg.t0 + n * cfg.dt
+        t_n = n * cfg.dt
         try:
             l_matrix = operator_for(floored)
         except ValueError as err:
-            raise diverged(f"no step possible from t = {t_n}: {err}") from err
+            raise DivergenceError(f"no step possible from t = {t_n}: {err}", trace) from err
         try:
             if stepper is None:
                 stepper = DirkStepper(tableau, l_matrix, cfg.dt, **stage_terms)
@@ -533,10 +527,11 @@ def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig, tableau: ButcherT
                 stepper.use(l_matrix)
             values, residual = stepper.step(floored, t_n)
         except SolveError as err:
-            raise diverged(f"stage solve failed in the step from t = {t_n}: {err}") from err
-        t_next = cfg.t0 + (n + 1) * cfg.dt
+            raise DivergenceError(
+                f"stage solve failed in the step from t = {t_n}: {err}", trace) from err
+        t_next = (n + 1) * cfg.dt
         if not np.all(np.isfinite(values)):
-            raise diverged(f"state went non-finite at t = {t_next}")
+            raise DivergenceError(f"state went non-finite at t = {t_next}", trace)
         floored = _floor_values(values, cfg.cutoff)
         record(n + 1, t_next, values, floored, residual)
 
@@ -544,7 +539,7 @@ def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig, tableau: ButcherT
 
 
 def run(problem: LinearProblem, cfg: StepperConfig) -> tuple:
-    """Advance a linear problem from t0 to t_end with fixed dt.
+    """Advance a linear problem from t = 0 to t_end with fixed dt.
 
     The stepper of cfg.integrator gets the same operator every step, so it
     shifts and factors it once; see march for the loop.  Returns
@@ -582,20 +577,22 @@ class SchemeDiagnostics:
 DIAGNOSTICS_SIZE_CAP = 2500
 
 
-def scheme_diagnostics(op: SparseOperator, dt: float) -> SchemeDiagnostics:
+def scheme_diagnostics(b1: SparseMatrix, b0: SparseMatrix, dt: float) -> SchemeDiagnostics:
     """Report |B1^{-1}|_inf, |B1^{-1} B0|_inf and the growth constant
     K = max(0, (|B1^{-1} B0|_inf - 1)/dt) they imply.
 
     Forms B1^{-1} columnwise, so it is capped at dimension 2500.
     """
-    n = op.dimension
+    n = b1.dimension
+    if b0.dimension != n:
+        raise ValueError("B0 and B1 dimensions differ")
     if n > DIAGNOSTICS_SIZE_CAP:
         raise ValueError(
             f"diagnostics are dense and capped at dimension {DIAGNOSTICS_SIZE_CAP}, got {n}"
         )
-    lu = spla.splu(op.b1.csr.tocsc())
+    lu = spla.splu(b1.csr.tocsc())
     b1_inv = lu.solve(np.eye(n))
-    prop = lu.solve(op.b0.to_dense())
+    prop = lu.solve(b0.to_dense())
     norm_b1_inv = float(np.max(np.abs(b1_inv).sum(axis=1)))
     norm_prop = float(np.max(np.abs(prop).sum(axis=1)))
     return SchemeDiagnostics(

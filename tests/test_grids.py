@@ -82,11 +82,10 @@ class TestField:
         with pytest.raises(ValueError):
             a - b
 
-    def test_add_sub(self):
+    def test_sub(self):
         g = Grid1D(0.0, 1.0, 2)
         a = Field(g, np.array([1.0, 2.0, 3.0]))
         b = Field(g, np.array([0.5, 0.5, 0.5]))
-        assert np.array_equal((a + b).values, [1.5, 2.5, 3.5])
         assert np.array_equal((a - b).values, [0.5, 1.5, 2.5])
 
 
@@ -139,7 +138,7 @@ class TestL2Norm:
             b = Field(g, rng.normal(size=18))
             s = float(rng.normal())
             assert l2_norm(Field(g, s * a.values)) == pytest.approx(abs(s) * l2_norm(a), rel=1e-12)
-            assert l2_norm(a + b) <= l2_norm(a) + l2_norm(b) + 1e-12
+            assert l2_norm(Field(g, a.values + b.values)) <= l2_norm(a) + l2_norm(b) + 1e-12
 
 
 class TestMaxUndershoot:
@@ -188,7 +187,7 @@ class TestMass:
         rng = np.random.default_rng(5)
         a = Field(g, rng.normal(size=13))
         b = Field(g, rng.normal(size=13))
-        assert mass(a + b) == pytest.approx(mass(a) + mass(b), abs=1e-13)
+        assert mass(Field(g, a.values + b.values)) == pytest.approx(mass(a) + mass(b), abs=1e-13)
 
 
 class TestFieldCsv:

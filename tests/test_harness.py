@@ -298,6 +298,10 @@ class TestCli:
         assert cli_main(["no-such-command"]) == 2
         assert cli_main(["lub1d", "--no-such-flag"]) == 2
         assert cli_main(["lub1d", "--cutoff", "banana"]) == 2
+        # malformed comma lists
+        assert cli_main(["aniso-convergence", "--grids", "10,abc"]) == 2
+        assert cli_main(["aniso-convergence", "--grids", ""]) == 2
+        assert cli_main(["lub1d", "--snapshots", "x"]) == 2
         capsys.readouterr()
 
     def test_unread_flags_are_rejected(self, capsys):

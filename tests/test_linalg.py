@@ -1,4 +1,4 @@
-"""Sparse matrices, the verified direct solvers, and the scheme-pair bundle."""
+"""Sparse matrices and the verified direct solvers."""
 
 import math
 
@@ -16,7 +16,6 @@ from cutoffpde.linalg import (
     Factorization,
     SolveError,
     SparseMatrix,
-    SparseOperator,
     default_tolerance,
     identity_plus,
 )
@@ -690,37 +689,3 @@ class TestSolvers:
             x, report = Factorization(a).solve(rhs)
             assert report.residual_norm <= report.tolerance
             assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-8, atol=1e-10)
-
-
-class TestSparseOperator:
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimensions differ"):
-            SparseOperator(SparseMatrix(sp.identity(2)), SparseMatrix(sp.identity(3)), np.zeros(2))
-
-    def test_source_length_checked(self):
-        with pytest.raises(ValueError, match="source vector length"):
-            SparseOperator(SparseMatrix(sp.identity(2)), SparseMatrix(sp.identity(2)), np.zeros(3))
-
-    def test_fixed_source(self):
-        src = np.array([1.0, 2.0])
-        op = SparseOperator(SparseMatrix(sp.identity(2)), SparseMatrix(sp.identity(2)), src)
-        assert np.array_equal(op.source_at(0.0), src)
-        assert np.array_equal(op.source_at(5.0), src)
-        assert op.dimension == 2
-
-    def test_callable_source(self):
-        op = SparseOperator(
-            SparseMatrix(sp.identity(2)),
-            SparseMatrix(sp.identity(2)),
-            lambda t: np.array([t, -t]),
-        )
-        assert np.array_equal(op.source_at(2.0), [2.0, -2.0])
-
-    def test_callable_source_length_checked(self):
-        op = SparseOperator(
-            SparseMatrix(sp.identity(2)),
-            SparseMatrix(sp.identity(2)),
-            lambda t: np.zeros(3),
-        )
-        with pytest.raises(ValueError, match="wrong length"):
-            op.source_at(0.0)

@@ -539,7 +539,6 @@ class TestRunLubrication:
         with pytest.raises(DivergenceError, match="node 50") as info:
             run_lubrication(spec, cfg)
         trace = info.value.trace
-        assert trace.diverged
         assert trace.records[-1].min_pre < 0.0
         assert all(r.min_pre > 0.0 for r in trace.records[:-1])
 

@@ -13,7 +13,6 @@ from cutoffpde.grids import Field, Grid1D, Grid2D
 from cutoffpde.linalg import (
     Factorization,
     SparseMatrix,
-    SparseOperator,
     default_tolerance,
     identity_plus,
 )
@@ -159,7 +158,6 @@ class TestButcherValidation:
 class TestStepperConfig:
     def test_n_steps(self):
         assert StepperConfig(dt=0.1, t_end=1.0).n_steps == 10
-        assert StepperConfig(dt=0.1, t_end=1.0, t0=0.5).n_steps == 5
 
     def test_non_multiple_rejected(self):
         with pytest.raises(ValueError, match="integer multiple"):
@@ -205,22 +203,28 @@ class TestThetaOperator:
     def test_matrix_pair(self):
         problem = self.masked_problem()
         dt, theta = 0.5, 0.7
-        op = theta_operator(problem, dt, theta)
+        b1, b0, _ = theta_operator(problem, dt, theta)
         ldense = problem.l_matrix.to_dense()
-        assert np.allclose(op.b1.to_dense(), np.eye(5) - theta * dt * ldense, atol=1e-15)
+        assert np.allclose(b1.to_dense(), np.eye(5) - theta * dt * ldense, atol=1e-15)
         interior = np.diag((~problem.dirichlet_mask).astype(float))
-        assert np.allclose(op.b0.to_dense(), interior + (1 - theta) * dt * ldense, atol=1e-15)
+        assert np.allclose(b0.to_dense(), interior + (1 - theta) * dt * ldense, atol=1e-15)
         # Dirichlet rows of B1 are identity rows, so boundary values pass through
-        assert np.array_equal(op.b1.to_dense()[0], np.eye(5)[0])
+        assert np.array_equal(b1.to_dense()[0], np.eye(5)[0])
 
     def test_source_wiring(self):
         problem = self.masked_problem()
-        op = theta_operator(problem, dt=0.5, theta=0.7)
-        f = op.source_at(1.0)
+        _, _, source = theta_operator(problem, dt=0.5, theta=0.7)
+        f = source(1.0)
         # masked nodes carry g(t+dt), interior dt*(theta*s(t+dt)+(1-theta)*s(t))
         assert f[0] == pytest.approx(3.0, abs=1e-15)
         assert f[-1] == pytest.approx(3.0, abs=1e-15)
         assert f[2] == pytest.approx(0.5 * (0.7 * 1.5 + 0.3 * 1.0), rel=1e-14)
+
+    def test_source_length_checked(self):
+        problem = replace(self.masked_problem(), source=lambda t: np.zeros(3))
+        _, _, source = theta_operator(problem, dt=0.5, theta=0.7)
+        with pytest.raises(ValueError, match="wrong length"):
+            source(0.0)
 
     def test_theta_range_checked(self):
         with pytest.raises(ValueError, match="theta"):
@@ -257,7 +261,6 @@ class TestRunMatchesStabilityFunction:
         assert trace.records[0].min_pre == 1.0
         for r in trace.records:
             assert r.t == pytest.approx(0.25 * r.step, abs=1e-15)
-        assert not trace.diverged
 
 
 class TestCutoffInsideRun:
@@ -323,10 +326,10 @@ class TestThetaRunMatchesMatrixPair:
 
     @staticmethod
     def reference(problem, cfg):
-        op = theta_operator(problem, cfg.dt, cfg.theta)
+        b1, b0, source = theta_operator(problem, cfg.dt, cfg.theta)
         u = Field(problem.grid, problem.initial_values)
         for n in range(cfg.n_steps):
-            u = step_linear(op, u, cfg, n * cfg.dt)
+            u = step_linear(b1, b0, source, u, cfg, n * cfg.dt)
         return u.values
 
     @pytest.mark.parametrize("theta,rtol,delta", [
@@ -370,16 +373,16 @@ class TestStepHelpers:
     def test_step_linear_backward_euler(self):
         lam, dt = -3.0, 0.1
         problem = scalar_problem(lam, [1.0, 0.5, 2.0])
-        op = theta_operator(problem, dt, 1.0)
+        b1, b0, source = theta_operator(problem, dt, 1.0)
         cfg = StepperConfig(dt=dt, t_end=dt, integrator="theta", theta=1.0)
-        u1 = step_linear(op, Field(problem.grid, problem.initial_values), cfg)
+        u1 = step_linear(b1, b0, source, Field(problem.grid, problem.initial_values), cfg)
         assert np.allclose(u1.values, problem.initial_values / 1.3, rtol=1e-14)
 
     def test_step_linear_floors_incoming_state(self):
         problem = scalar_problem(0.0, [-1.0, 1.0, 2.0])
-        op = theta_operator(problem, 0.1, 1.0)
+        b1, b0, source = theta_operator(problem, 0.1, 1.0)
         cfg = StepperConfig(dt=0.1, t_end=0.1, integrator="theta", cutoff=CutoffParams(0.0))
-        u1 = step_linear(op, Field(problem.grid, problem.initial_values), cfg)
+        u1 = step_linear(b1, b0, source, Field(problem.grid, problem.initial_values), cfg)
         assert np.array_equal(u1.values, [0.0, 1.0, 2.0])
 
     def test_sdirk3_step_matches_stability(self):
@@ -419,7 +422,7 @@ class TestOneStepperPerRun:
         floored = apply_floor(initial, cfg.cutoff.delta)
         for n in range(cfg.n_steps):
             stepper = DirkStepper(tableau, operator_for(floored), cfg.dt, **stage_terms)
-            values, _ = stepper.step(floored, cfg.t0 + n * cfg.dt)
+            values, _ = stepper.step(floored, n * cfg.dt)
             floored = apply_floor(values, cfg.cutoff.delta)
         return floored
 
@@ -512,7 +515,6 @@ class TestOneStepperPerRun:
         with pytest.raises(DivergenceError, match="t = 1.5.*singular") as info:
             march(grid, np.ones(n), cfg, theta_tableau(1.0), operator_for)
         trace = info.value.trace
-        assert trace.diverged
         assert [r.step for r in trace.records] == [0, 1, 2, 3]
         assert trace.solver.factorizations == 1 and trace.solver.solves == 3
 
@@ -629,10 +631,7 @@ class TestLinearProblemValidation:
 class TestSchemeDiagnostics:
     def test_synthetic_pair(self):
         n, dt = 4, 0.25
-        op = SparseOperator(
-            SparseMatrix(sp.identity(n)), SparseMatrix(1.5 * sp.identity(n)), np.zeros(n)
-        )
-        d = scheme_diagnostics(op, dt)
+        d = scheme_diagnostics(SparseMatrix(sp.identity(n)), SparseMatrix(1.5 * sp.identity(n)), dt)
         assert d.norm_b1_inv == pytest.approx(1.0, rel=1e-14)
         assert d.norm_b1inv_b0 == pytest.approx(1.5, rel=1e-14)
         assert d.k_implied == pytest.approx(2.0, rel=1e-13)
@@ -640,15 +639,14 @@ class TestSchemeDiagnostics:
 
     def test_contraction_floors_to_zero(self):
         n = 3
-        op = SparseOperator(
-            SparseMatrix(sp.identity(n)), SparseMatrix(0.5 * sp.identity(n)), np.zeros(n)
-        )
-        assert scheme_diagnostics(op, 0.1).k_implied == 0.0
+        d = scheme_diagnostics(SparseMatrix(sp.identity(n)), SparseMatrix(0.5 * sp.identity(n)), 0.1)
+        assert d.k_implied == 0.0
 
     def test_backward_euler_heat_is_contractive(self):
         problem, _ = make_heat_problem(20)
         for dt in (1e-2, 1e-3):
-            d = scheme_diagnostics(theta_operator(problem, dt, 1.0), dt)
+            b1, b0, _ = theta_operator(problem, dt, 1.0)
+            d = scheme_diagnostics(b1, b0, dt)
             assert d.norm_b1_inv <= 1.0 + 1e-12
             assert d.norm_b1inv_b0 <= 1.0 + 1e-12
             assert d.k_implied == 0.0
@@ -660,21 +658,24 @@ class TestSchemeDiagnostics:
         norm_l = problem.l_matrix.operator_norm_inf()
         for dt in (2e-4, 1e-4, 5e-5):
             assert dt * norm_l <= 1.0
-            d = scheme_diagnostics(theta_operator(problem, dt, 0.5), dt)
+            b1, b0, _ = theta_operator(problem, dt, 0.5)
+            d = scheme_diagnostics(b1, b0, dt)
             assert d.norm_b1inv_b0 <= 1.0 + 1e-10
             assert d.k_implied == 0.0
 
     def test_size_cap(self):
         n = DIAGNOSTICS_SIZE_CAP + 1
-        op = SparseOperator(SparseMatrix(sp.identity(n)), SparseMatrix(sp.identity(n)), np.zeros(n))
+        eye = SparseMatrix(sp.identity(n))
         with pytest.raises(ValueError, match="capped at dimension"):
-            scheme_diagnostics(op, 0.1)
+            scheme_diagnostics(eye, eye, 0.1)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            scheme_diagnostics(SparseMatrix(sp.identity(2)), SparseMatrix(sp.identity(3)), 0.1)
 
     def test_write_text(self, tmp_path):
-        op = SparseOperator(
-            SparseMatrix(sp.identity(2)), SparseMatrix(sp.identity(2)), np.zeros(2)
-        )
-        d = scheme_diagnostics(op, 0.5)
+        eye = SparseMatrix(sp.identity(2))
+        d = scheme_diagnostics(eye, eye, 0.5)
         p = tmp_path / "diag.txt"
         d.write_text(p)
         lines = p.read_text().splitlines()
