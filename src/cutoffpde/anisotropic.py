@@ -18,8 +18,10 @@ Spatial operator: u_xx, u_yy by 3-point central differences, the mixed term
 (u_{i+1,j+1} - u_{i+1,j-1} - u_{i-1,j+1} + u_{i-1,j-1}) / (4 hx hy),
 drift by central first differences.  Boundary nodes keep empty operator
 rows, which the stepper's shifted system turns into identity rows that
-return the Dirichlet values.  Every term of the forcing carries the e^{-t}
-of the solution, so the source is the forcing at t = 0 scaled by e^{-t}.
+return the Dirichlet values.  One source callback gives the forcing inside
+and the Dirichlet data on the boundary.  Every term of the forcing carries
+the e^{-t} of the solution, so inside it is the forcing at t = 0 scaled by
+e^{-t}; on the boundary it is the closed form.
 """
 
 from __future__ import annotations
@@ -104,8 +106,9 @@ def forcing(t, x, y, spec: AnisotropicSpec):
 
 def assemble(spec: AnisotropicSpec) -> LinearProblem:
     """Build the semidiscrete problem: 9-point interior stencil, zero rows on
-    the Dirichlet boundary, forcing and boundary callbacks from the closed
-    form, initial data sampled at t = 0."""
+    the Dirichlet boundary, one source callback from the closed form
+    (forcing inside, Dirichlet data on the boundary), initial data sampled
+    at t = 0."""
     grid = spec.grid
     nx, ny = grid.nx_cells, grid.ny_cells
     hx, hy = grid.hx, grid.hy
@@ -149,18 +152,15 @@ def assemble(spec: AnisotropicSpec) -> LinearProblem:
     lattice[0, :] = lattice[-1, :] = True
     lattice[:, 0] = lattice[:, -1] = True
 
-    forcing_at_0 = np.where(mask, 0.0, forcing(0.0, x, y, spec))
+    forcing_at_0 = forcing(0.0, x, y, spec)
     x_boundary, y_boundary = x[mask], y[mask]
 
     def source(t: float) -> np.ndarray:
-        return math.exp(-t) * forcing_at_0
-
-    def boundary_values(t: float) -> np.ndarray:
+        f = math.exp(-t) * forcing_at_0
         # the closed form is elementwise: evaluated on the boundary nodes
         # alone it gives the same bits there
-        g = np.zeros(grid.node_count)
-        g[mask] = exact_solution(t, x_boundary, y_boundary)
-        return g
+        f[mask] = exact_solution(t, x_boundary, y_boundary)
+        return f
 
     def exact(t: float) -> np.ndarray:
         return exact_solution(t, x, y)
@@ -170,7 +170,6 @@ def assemble(spec: AnisotropicSpec) -> LinearProblem:
         l_matrix=l_matrix,
         dirichlet_mask=mask,
         source=source,
-        boundary_values=boundary_values,
         initial_values=exact(0.0),
         exact=exact,
     )

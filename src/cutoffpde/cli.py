@@ -35,13 +35,7 @@ from .harness import (
 )
 from .linalg import SolveError
 from .lubrication import LubricationSpec, run_lubrication
-from .stepping import (
-    DivergenceError,
-    StepperConfig,
-    run,
-    scheme_diagnostics,
-    theta_operator,
-)
+from .stepping import DivergenceError, run, scheme_diagnostics, theta_operator
 
 
 # argparse types; a ValueError they raise exits 2 with "invalid <name> value"
@@ -169,10 +163,7 @@ def _cmd_aniso_run(args) -> int:
     exp = _experiment_config(args, "aniso-run", [args.grid],
                              convection=args.convection,
                              integrator=args.integrator, theta=args.theta)
-    cfg = StepperConfig(dt=args.dt, t_end=args.t_end,
-                        cutoff=exp.cutoff_for(grid.hx),
-                        integrator=args.integrator, theta=args.theta)
-    final, trace = _run_or_write_failure(args.out, exp, run, problem, cfg)
+    final, trace = _run_or_write_failure(args.out, exp, run, problem, exp.run_config(grid.hx))
     err = l2_norm(final - exact_field(spec, args.t_end))
     last = trace.records[-1]
     print(f"l2_error={err:.6e}  min_pre={last.min_pre:.6e}  "
@@ -186,12 +177,7 @@ def _cmd_aniso_run(args) -> int:
 
 def _run_lubrication_cmd(args, name, spec, h) -> int:
     exp = _experiment_config(args, name, [args.grid], epsilon=args.epsilon)
-    cfg = StepperConfig(
-        dt=args.dt, t_end=args.t_end,
-        cutoff=exp.cutoff_for(h),
-        snapshot_every=args.snapshot_every,
-        snapshot_times=args.snapshots,
-    )
+    cfg = exp.run_config(h, snapshot_every=args.snapshot_every, snapshot_times=args.snapshots)
     final, trace, record = _run_or_write_failure(args.out, exp, run_lubrication, spec, cfg)
 
     def fmt(v):

@@ -25,7 +25,15 @@ from .anisotropic import AnisotropicSpec, assemble, exact_field
 from .cutoff import CutoffParams
 from .grids import Grid2D, l2_norm
 from .lubrication import LubricationSpec, has_zero_plateau, run_lubrication
-from .stepping import SDIRK3_GAMMA, DivergenceError, SolverStats, StepperConfig, run
+from .stepping import (
+    SDIRK3_GAMMA,
+    DivergenceError,
+    SolverStats,
+    StepperConfig,
+    run,
+    sdirk3_tableau,
+    theta_tableau,
+)
 
 CUTOFF_MODES = ("off", "nonneg", "delta")
 
@@ -36,7 +44,9 @@ class ExperimentConfig:
 
     delta mode floors at delta = delta_coefficient * dt * h^2, recomputed per
     resolution, which keeps the floor below the scheme's own truncation
-    error.
+    error.  A setting no run would read is refused: theta other than 1
+    unless the integrator is "theta", delta_coefficient other than 1 unless
+    cutoff_mode is "delta".
     """
 
     experiment: str
@@ -56,13 +66,25 @@ class ExperimentConfig:
             raise ValueError(f"cutoff_mode must be one of {CUTOFF_MODES}")
         if not self.resolutions:
             raise ValueError("need at least one resolution")
+        if self.integrator not in ("theta", "sdirk3"):
+            raise ValueError(f"unknown integrator {self.integrator!r}")
+        if self.theta != 1.0 and self.integrator != "theta":
+            raise ValueError(f"theta = {self.theta} needs the theta integrator")
+        if self.delta_coefficient != 1.0 and self.cutoff_mode != "delta":
+            raise ValueError(
+                f"delta_coefficient = {self.delta_coefficient} needs cutoff_mode 'delta'")
 
-    def cutoff_for(self, h: float) -> Optional[CutoffParams]:
-        if self.cutoff_mode == "off":
-            return None
+    def run_config(self, h: float, **snapshots) -> StepperConfig:
+        """The StepperConfig of one run on a grid of spacing h; snapshots
+        are StepperConfig's snapshot_times and snapshot_every."""
+        cutoff = None
         if self.cutoff_mode == "nonneg":
-            return CutoffParams(0.0)
-        return CutoffParams(self.delta_coefficient * self.dt * h * h)
+            cutoff = CutoffParams(0.0)
+        elif self.cutoff_mode == "delta":
+            cutoff = CutoffParams(self.delta_coefficient * self.dt * h * h)
+        tableau = theta_tableau(self.theta) if self.integrator == "theta" else sdirk3_tableau()
+        return StepperConfig(dt=self.dt, t_end=self.t_end, cutoff=cutoff, tableau=tableau,
+                             **snapshots)
 
 
 @dataclass
@@ -136,12 +158,7 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
             spec = (AnisotropicSpec.with_convection(grid) if cfg.convection
                     else AnisotropicSpec.pure_diffusion(grid))
             problem = assemble(spec)
-            run_cfg = StepperConfig(
-                dt=cfg.dt, t_end=cfg.t_end,
-                cutoff=cfg.cutoff_for(grid.hx),
-                integrator=cfg.integrator, theta=cfg.theta,
-            )
-            final, trace = run(problem, run_cfg)
+            final, trace = run(problem, cfg.run_config(grid.hx))
             solver.add(trace.solver)
             err = l2_norm(final - exact_field(spec, cfg.t_end))
             last = trace.records[-1]
@@ -202,11 +219,12 @@ def regularization_comparison(n_cells: int, dt: float, t_end: float,
     compare touchdown/liftoff times and the final profiles.  With out_dir
     set, writes the comparison, both singularity records and a metadata.txt
     whose solver counts add up the two runs."""
+    exp = ExperimentConfig(experiment="reg-compare", resolutions=[n_cells], dt=dt,
+                           t_end=t_end, cutoff_mode="nonneg", epsilon=epsilon)
     runs = {}
     for tag, eps in (("exact", 0.0), ("mollified", epsilon)):
         spec = LubricationSpec.default_1d(n_cells=n_cells, epsilon=eps)
-        cfg = StepperConfig(dt=dt, t_end=t_end, cutoff=CutoffParams(0.0),
-                            snapshot_every=snapshot_every)
+        cfg = exp.run_config(spec.grid.h, snapshot_every=snapshot_every)
         runs[tag] = run_lubrication(spec, cfg)
 
     final_a, trace_a, rec_a = runs["exact"]
@@ -237,8 +255,6 @@ def regularization_comparison(n_cells: int, dt: float, t_end: float,
         solver = SolverStats()
         solver.add(trace_a.solver)
         solver.add(trace_b.solver)
-        exp = ExperimentConfig(experiment="reg-compare", resolutions=[n_cells], dt=dt,
-                               t_end=t_end, cutoff_mode="nonneg", epsilon=epsilon)
         write_metadata(os.path.join(out_dir, "metadata.txt"), exp, solver)
     return cmp
 

@@ -19,12 +19,14 @@ that column (every row's, in A), partial pivoting takes the diagonal first,
 so the symmetric strategy fits: an A + A^T minimum-degree ordering in
 SymmetricMode.  On the 2D film it halves the factorization time and cuts the
 fill by a fifth (40x40) to a third (80x80) against the default.  Other
-matrices keep the default COLAMD ordering.  The shifted film operators pass
-the test either way round, also where the film is dry.  A whole anisotropic
-system passes it on A^T, since its Dirichlet rows hold only their diagonal 1;
-A itself would not, as those 1s sit under column entries up to 5.6e4 times
-larger (J = 160), where the symmetric strategy pivots off the diagonal and
-triples the fill.  The stepper factors the whole system, identity rows
+matrices keep the default COLAMD ordering.  The shifted 2D film operators
+pass the test either way round, also where the film is dry.  The shifted 1D
+film operators fail it either way round (J = 100 and 1000 at t = 0), but
+they are pentadiagonal and go through banded LU, so they never reach
+SuperLU.  A whole anisotropic system passes it on A^T, since its Dirichlet
+rows hold only their diagonal 1; A itself would not, as those 1s sit under
+column entries up to 5.6e4 times larger (J = 160), where the symmetric
+strategy pivots off the diagonal and triples the fill.  The stepper factors the whole system, identity rows
 included (fill 1.96M against COLAMD's 3.30M on A at J = 160): a solve whose
 right-hand side holds the Dirichlet values there returns them there, and the
 residual is the whole system's.  The pivot threshold stays at SuperLU's

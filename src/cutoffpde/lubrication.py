@@ -51,7 +51,7 @@ import scipy.sparse as sp
 from .cutoff import CutoffParams
 from .grids import Field, Grid1D, Grid2D, trapezoid_weights
 from .linalg import SparseMatrix
-from .stepping import StepperConfig, march, sdirk3_tableau
+from .stepping import StepperConfig, march
 
 #: default snapshot cadence (steps) for singularity tracking
 SNAPSHOT_EVERY_DEFAULT = 10
@@ -359,16 +359,14 @@ def run_lubrication(spec: LubricationSpec, cfg: StepperConfig) -> tuple:
     """Advance the thin-film problem with lagged mobilities.
 
     Per step (see stepping.march): floor the state, assemble the operator
-    from the floored state, take one SDIRK step (stages share the step's
-    shifted system), record statistics.  Snapshots default to every
+    from the floored state, take one step of cfg.tableau (stages share the
+    step's shifted system), record statistics.  Snapshots default to every
     SNAPSHOT_EVERY_DEFAULT steps.  Returns (final_field, trace,
     singularity_record); the final field is post-cutoff.  Refuses to start
     without a cutoff when epsilon = 0 since the bare mobility rejects
     negative arguments; a mollified run without cutoff whose state goes
     negative stops with a DivergenceError carrying the trace.
     """
-    if cfg.integrator != "sdirk3":
-        raise ValueError("the lubrication driver runs the sdirk3 integrator only")
     if cfg.cutoff is None and spec.mobility.epsilon == 0.0:
         raise ValueError(
             "the unregularized mobility needs the cutoff enabled; "
@@ -378,7 +376,7 @@ def run_lubrication(spec: LubricationSpec, cfg: StepperConfig) -> tuple:
         cfg = replace(cfg, snapshot_every=SNAPSHOT_EVERY_DEFAULT)
     grid = spec.grid
     assemble = assemble_lubrication_1d if isinstance(grid, Grid1D) else assemble_lubrication_2d
-    final, trace = march(grid, spec.initial_field().values.copy(), cfg, sdirk3_tableau(),
+    final, trace = march(grid, spec.initial_field().values.copy(), cfg,
                          lambda floored: assemble(Field(grid, floored), spec))
     record_sing = track_singularity(trace.snapshots)
     for r in trace.records:

@@ -9,11 +9,13 @@ floored state for the thin film), records pre- and post-cutoff statistics,
 and returns the post-cutoff state.
 
 Every step of a run is taken by one stage solver, ``DirkStepper``, built
-once per run and driven by a stiffly accurate diagonally implicit
-Runge-Kutta tableau with a single nonzero diagonal value, so one shifted
-system I - a_ii*dt*L serves all implicit stages of a step.  Dirichlet nodes
-keep identity rows in it, and the stages solve it whole with the boundary
-values on those rows.  The stepper owns that system, its LU and the reuse
+once per run and driven by the tableau of the run's StepperConfig: a stiffly
+accurate diagonally implicit Runge-Kutta tableau with a single nonzero
+diagonal value, so one shifted system I - a_ii*dt*L serves all implicit
+stages of a step.  Dirichlet nodes keep identity rows in it, and the stages
+solve it whole with the boundary values on those rows; one source callback
+supplies both the interior source and those values, as the paper's F^n
+does.  The stepper owns that system, its LU and the reuse
 policy: an operator handed over again is neither shifted nor factored again;
 a new one is shifted, and factored when the LU in hand is a banded one (it
 costs about two backsubstitutions), while a sparse LU is kept and its solves
@@ -160,18 +162,19 @@ def theta_tableau(theta: float) -> ButcherTableau:
 class StepperConfig:
     """Fixed-step run configuration; runs start at t = 0.
 
-    cutoff = None disables flooring entirely; CutoffParams(0.0) is the plain
-    nonnegative cutoff.  Every factorization checks its solves against its
-    own scale-aware tolerance (linalg.default_tolerance).  snapshot_every
-    stores the post-cutoff state every k-th step (in addition to any
-    explicit snapshot_times).
+    tableau is the integrator every step of the run takes (SDIRK3 unless
+    given; theta_tableau(theta) for the theta-method).  cutoff = None
+    disables flooring entirely; CutoffParams(0.0) is the plain nonnegative
+    cutoff.  Every factorization checks its solves against its own
+    scale-aware tolerance (linalg.default_tolerance).  snapshot_every stores
+    the post-cutoff state every k-th step (in addition to any explicit
+    snapshot_times).
     """
 
     dt: float
     t_end: float
     cutoff: Optional[CutoffParams] = None
-    integrator: str = "sdirk3"
-    theta: float = 1.0
+    tableau: ButcherTableau = field(default_factory=sdirk3_tableau)
     snapshot_times: tuple = ()
     snapshot_every: Optional[int] = None
 
@@ -180,10 +183,6 @@ class StepperConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.t_end > 0.0:
             raise ValueError("t_end must be positive")
-        if self.integrator not in ("theta", "sdirk3"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be a positive step count")
         if any(t2 <= t1 for t1, t2 in zip(self.snapshot_times, self.snapshot_times[1:])):
@@ -281,17 +280,16 @@ class LinearProblem:
     """Semidiscrete linear IBVP: du/dt = L u + s(t) at interior nodes,
     u = g(t) at Dirichlet nodes.
 
-    l_matrix must store no entry in the rows of the Dirichlet nodes (the
-    stepper solves I - a_ii*dt*L whole, so those rows are identity rows that
-    return boundary_values); source(t) is zero there and boundary_values(t)
-    is zero off them.
+    source(t) is the paper's F: one vector holding s(t) at the interior
+    nodes and g(t) at the Dirichlet nodes.  l_matrix must store no entry in
+    the rows of the Dirichlet nodes (the stepper solves I - a_ii*dt*L whole,
+    so those rows are identity rows that return g).
     """
 
     grid: Grid
     l_matrix: SparseMatrix
     dirichlet_mask: np.ndarray
     source: Callable[[float], np.ndarray]
-    boundary_values: Callable[[float], np.ndarray]
     initial_values: np.ndarray
     exact: Optional[Callable[[float], np.ndarray]] = None
 
@@ -317,9 +315,9 @@ def theta_operator(problem: LinearProblem, dt: float, theta: float) -> tuple:
 
     B1 = I - theta*dt*L picks up identity rows at Dirichlet nodes for free
     (their L rows are zero); B0 keeps the interior identity only, so boundary
-    values enter purely through the source, pinned at the new time level.
-    source raises ValueError when problem.source returns a vector of the
-    wrong length.
+    values enter purely through the source, pinned at the new time level:
+    F^n takes g from problem.source(t_n + dt).  source raises ValueError
+    when problem.source returns a vector of the wrong length.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
@@ -329,14 +327,18 @@ def theta_operator(problem: LinearProblem, dt: float, theta: float) -> tuple:
     b0 = SparseMatrix(interior + (1.0 - theta) * dt * problem.l_matrix.csr)
 
     def source(t: float) -> np.ndarray:
-        f = dt * (theta * problem.source(t + dt) + (1.0 - theta) * problem.source(t))
-        if np.shape(f) != mask.shape:
-            raise ValueError("source callback returned a vector of wrong length")
-        if mask.any():
-            f = np.where(mask, problem.boundary_values(t + dt), f)
-        return f
+        new = _checked(problem.source(t + dt), mask.size)
+        f = dt * (theta * new + (1.0 - theta) * _checked(problem.source(t), mask.size))
+        return np.where(mask, new, f)
 
     return b1, b0, source
+
+
+def _checked(f, n: int) -> np.ndarray:
+    """f, once it is known to be a vector of length n."""
+    if np.shape(f) != (n,):
+        raise ValueError("source callback returned a vector of wrong length")
+    return f
 
 
 def _floor_values(values: np.ndarray, cutoff: Optional[CutoffParams]) -> np.ndarray:
@@ -359,19 +361,22 @@ def step_linear(b1: SparseMatrix, b0: SparseMatrix, source: Callable[[float], np
 
 
 class DirkStepper:
-    """Stage solver of du/dt = L u + s(t) for one stiffly accurate,
-    diagonally implicit tableau; solves I - a_ii*dt*L for every implicit
-    stage, with L the operator last handed to ``use``.
+    """Stage solver of du/dt = L u + s(t), u = g(t) on dirichlet_mask, for
+    one stiffly accurate, diagonally implicit tableau; solves I - a_ii*dt*L
+    for every implicit stage, with L the operator last handed to ``use``.
 
-    Stages with a_ii = 0 are explicit.  A stage whose slope no later stage
-    uses is skipped, unless it is the last one, whose value is the new state.
-    Nodes in dirichlet_mask take boundary_values at the time of every
+    source(t) gives s(t) at interior nodes and g(t) at Dirichlet nodes (a
+    LinearProblem's source); it raises ValueError unless it returns one
+    value per node.  Stages with a_ii = 0 are explicit.  A stage whose slope
+    no later stage uses is skipped, unless it is the last one, whose value
+    is the new state.  Nodes in dirichlet_mask take g at the time of every
     implicit stage and of the last stage, exactly: L has empty rows there,
     so the shifted system has identity rows, and the stage's right-hand side
     carries g(t_i) on them.  The whole system is solved and verified (linalg
     Factorization.solve), and the stage value is set to g(t_i) on the
-    Dirichlet nodes after the solve.  Stages use the state exactly as handed
-    in -- flooring happens only at step boundaries, in the run loop.
+    Dirichlet nodes after the solve.  Stage slopes are zero on the Dirichlet
+    nodes.  Stages use the state exactly as handed in -- flooring happens
+    only at step boundaries, in the run loop.
 
     From the first time a sparse LU is kept for a new operator, every
     implicit stage's solutions at the last three steps are kept too, and a
@@ -382,8 +387,7 @@ class DirkStepper:
 
     def __init__(self, tableau: ButcherTableau, l_matrix: SparseMatrix, dt: float,
                  source: Callable[[float], np.ndarray] = None,
-                 dirichlet_mask: np.ndarray = None,
-                 boundary_values: Callable[[float], np.ndarray] = None):
+                 dirichlet_mask: np.ndarray = None):
         gamma, self._live = tableau.dirk_plan
         self._tab = tableau
         self._dt = dt
@@ -392,7 +396,6 @@ class DirkStepper:
         self._boundary = None
         if dirichlet_mask is not None and dirichlet_mask.any():
             self._boundary = np.flatnonzero(dirichlet_mask)
-        self._bvals = boundary_values
         self.stats = SolverStats()
         self._l = self._system = self._fact = self._history = None
         self.use(l_matrix)
@@ -442,19 +445,19 @@ class DirkStepper:
         ks = {}
         worst = 0.0
         for i in self._live:
-            ti = t + c[i] * dt
             rhs = values.copy()
             for j in ks:
                 if a[i, j] != 0.0:
                     rhs += (dt * a[i, j]) * ks[j]
-            src = self._source(ti) if self._source is not None else None
-            if src is not None:
-                rhs += (a[i, i] * dt) * src
+            f = None
+            if self._source is not None:
+                f = _checked(self._source(t + c[i] * dt), values.size)
+                rhs += (a[i, i] * dt) * f
             # an explicit inner stage keeps the incoming (floored) boundary
             # values, as the B0 (u^n)^+ of the theta pair does
             held = None
             if self._boundary is not None and (a[i, i] != 0.0 or i == last):
-                held = self._bvals(ti)[self._boundary]
+                held = f[self._boundary]
                 rhs[self._boundary] = held
             if a[i, i] == 0.0:
                 x = rhs
@@ -465,8 +468,10 @@ class DirkStepper:
                 x[self._boundary] = held
             if i != last:
                 k = self._l.matvec(x)
-                if src is not None:
-                    k += src
+                if f is not None:
+                    k += f
+                    if self._boundary is not None:
+                        k[self._boundary] = 0.0
                 ks[i] = k
         # stiffly accurate: the last stage value is the new state
         return x, worst
@@ -478,13 +483,13 @@ def _wants_snapshot(step: int, t: float, cfg: StepperConfig) -> bool:
     return any(abs(t - ts) <= 0.5 * cfg.dt for ts in cfg.snapshot_times)
 
 
-def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig, tableau: ButcherTableau,
+def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig,
           operator_for: Callable[[np.ndarray], SparseMatrix], **stage_terms) -> tuple:
     """Advance from t = 0 to t_end with fixed dt; the one loop every run uses.
 
     Per step: floor the current state (if a cutoff is configured), hand
     operator_for(floored) to the run's one DirkStepper (built on the first
-    step with stage_terms: source, dirichlet_mask, boundary_values), take the
+    step with cfg.tableau and stage_terms: source, dirichlet_mask), take the
     step, record pre- and post-cutoff statistics of the new state.  Returns
     (final_field, trace) where the final field is post-cutoff and
     trace.solver holds the stepper's counts.  A ValueError from operator_for
@@ -521,7 +526,7 @@ def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig, tableau: ButcherT
             raise DivergenceError(f"no step possible from t = {t_n}: {err}", trace) from err
         try:
             if stepper is None:
-                stepper = DirkStepper(tableau, l_matrix, cfg.dt, **stage_terms)
+                stepper = DirkStepper(cfg.tableau, l_matrix, cfg.dt, **stage_terms)
                 trace.solver = stepper.stats
             else:
                 stepper.use(l_matrix)
@@ -541,18 +546,13 @@ def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig, tableau: ButcherT
 def run(problem: LinearProblem, cfg: StepperConfig) -> tuple:
     """Advance a linear problem from t = 0 to t_end with fixed dt.
 
-    The stepper of cfg.integrator gets the same operator every step, so it
+    The stepper of cfg.tableau gets the same operator every step, so it
     shifts and factors it once; see march for the loop.  Returns
     (final_field, trace).
     """
-    tableau = theta_tableau(cfg.theta) if cfg.integrator == "theta" else sdirk3_tableau()
-    return march(
-        problem.grid, problem.initial_values.copy(), cfg, tableau,
-        lambda floored: problem.l_matrix,
-        source=problem.source,
-        dirichlet_mask=problem.dirichlet_mask,
-        boundary_values=problem.boundary_values,
-    )
+    return march(problem.grid, problem.initial_values.copy(), cfg,
+                 lambda floored: problem.l_matrix,
+                 source=problem.source, dirichlet_mask=problem.dirichlet_mask)
 
 
 @dataclass(frozen=True)

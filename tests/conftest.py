@@ -10,7 +10,7 @@ from cutoffpde.grids import Field, Grid1D, l2_norm
 from cutoffpde.harness import ExperimentConfig, convergence_study, regularization_comparison
 from cutoffpde.linalg import SparseMatrix
 from cutoffpde.lubrication import LubricationSpec, run_lubrication
-from cutoffpde.stepping import LinearProblem, StepperConfig, run
+from cutoffpde.stepping import LinearProblem, StepperConfig, run, sdirk3_tableau, theta_tableau
 
 ANISO_RESOLUTIONS = (10, 20, 40, 80)
 ANISO_DT = 1e-2
@@ -51,7 +51,7 @@ def make_heat_problem(n_cells: int = 200) -> tuple:
 
     problem = LinearProblem(
         grid=grid, l_matrix=l_matrix, dirichlet_mask=mask,
-        source=zero, boundary_values=zero,
+        source=zero,
         initial_values=np.sin(np.pi * x), exact=exact,
     )
     return problem, grid
@@ -116,11 +116,11 @@ def heat_temporal_errors():
     dts = (4e-3, 2e-3, 1e-3)
     t_end = 0.1
     out = {}
-    for integ, extra in (("sdirk3", {}), ("theta", {"theta": 1.0})):
+    for integ, tableau in (("sdirk3", sdirk3_tableau()), ("theta", theta_tableau(1.0))):
         errs = []
         for dt in dts:
             problem, grid = make_heat_problem()
-            cfg = StepperConfig(dt=dt, t_end=t_end, integrator=integ, **extra)
+            cfg = StepperConfig(dt=dt, t_end=t_end, tableau=tableau)
             final, _ = run(problem, cfg)
             errs.append(l2_norm(final - Field(grid, problem.exact(t_end))))
         out[integ] = (dts, tuple(errs))

@@ -91,15 +91,16 @@ class TestForcing:
 
     @pytest.mark.parametrize("convection", [False, True])
     def test_source_is_the_masked_forcing(self, convection):
-        # the problem's source scales the forcing at t = 0 by e^{-t}
+        # inside, the problem's source scales the forcing at t = 0 by
+        # e^{-t}; on the boundary it is the Dirichlet data
         problem = assemble(spec_on(16, convection=convection))
         x, y = problem.grid.node_xy()
         interior = ~problem.dirichlet_mask
         for t in (0.0, 0.3, 1.0, 2.5, 7.0):
-            want = np.where(interior, forcing(t, x, y, spec_on(16, convection=convection)), 0.0)
+            want = forcing(t, x, y, spec_on(16, convection=convection))[interior]
             got = problem.source(t)
-            assert np.all(got[~interior] == 0.0)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.array_equal(got[~interior], exact_solution(t, x, y)[~interior])
+            assert np.max(np.abs(got[interior] - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_vanishing_diffusion_limit(self):
         grid = Grid2D.square(0.0, 1.0, 4)
@@ -217,15 +218,16 @@ class TestAssembly:
         assert l2[320] == pytest.approx(61.013, rel=1e-3)
 
     def test_initial_and_boundary_callbacks(self):
-        problem = assemble(spec_on(4))
+        spec = spec_on(4)
+        problem = assemble(spec)
         grid = problem.grid
         x, y = grid.node_xy()
         assert np.array_equal(problem.initial_values, exact_solution(0.0, x, y))
         mask = problem.dirichlet_mask
-        g = problem.boundary_values(0.7)
-        assert np.array_equal(g[mask], exact_solution(0.7, x, y)[mask])
-        assert np.all(g[~mask] == 0.0)
-        assert np.all(problem.source(0.3)[mask] == 0.0)
+        # one callback: the closed form on the boundary, the forcing inside
+        f = problem.source(0.7)
+        assert np.array_equal(f[mask], exact_solution(0.7, x, y)[mask])
+        assert np.array_equal(f[~mask], math.exp(-0.7) * forcing(0.0, x, y, spec)[~mask])
 
     def test_exact_field(self):
         spec = spec_on(3)

@@ -25,7 +25,7 @@ from cutoffpde.harness import (
 )
 from cutoffpde.harness import RegularizationComparison
 from cutoffpde.lubrication import SingularityRecord
-from cutoffpde.stepping import SolverStats
+from cutoffpde.stepping import SolverStats, sdirk3_tableau, theta_tableau
 
 
 def read_metadata(path) -> dict:
@@ -42,10 +42,33 @@ class TestExperimentConfig:
 
     def test_cutoff_for(self):
         base = dict(experiment="x", resolutions=(10,), dt=0.01, t_end=1.0)
-        assert ExperimentConfig(cutoff_mode="off", **base).cutoff_for(0.1) is None
-        assert ExperimentConfig(cutoff_mode="nonneg", **base).cutoff_for(0.1) == CutoffParams(0.0)
-        got = ExperimentConfig(cutoff_mode="delta", delta_coefficient=2.0, **base).cutoff_for(0.1)
-        assert got.delta == pytest.approx(2.0 * 0.01 * 0.01, rel=1e-15)
+        assert ExperimentConfig(cutoff_mode="off", **base).run_config(0.1).cutoff is None
+        got = ExperimentConfig(cutoff_mode="nonneg", **base).run_config(0.1).cutoff
+        assert got == CutoffParams(0.0)
+        got = ExperimentConfig(cutoff_mode="delta", delta_coefficient=2.0, **base).run_config(0.1)
+        assert got.cutoff.delta == pytest.approx(2.0 * 0.01 * 0.01, rel=1e-15)
+
+    def test_run_config(self):
+        base = dict(experiment="x", resolutions=(10,), dt=0.01, t_end=0.1)
+        cfg = ExperimentConfig(**base).run_config(0.1, snapshot_every=2, snapshot_times=(0.05,))
+        assert (cfg.dt, cfg.t_end, cfg.snapshot_every, cfg.snapshot_times) == (0.01, 0.1, 2, (0.05,))
+        assert np.array_equal(cfg.tableau.a, sdirk3_tableau().a)
+        cfg = ExperimentConfig(integrator="theta", theta=0.5, **base).run_config(0.1)
+        assert np.array_equal(cfg.tableau.a, theta_tableau(0.5).a)
+        with pytest.raises(ValueError, match="theta must lie in"):
+            ExperimentConfig(integrator="theta", theta=1.5, **base).run_config(0.1)
+
+    def test_unread_settings_are_refused(self):
+        base = dict(experiment="x", resolutions=(10,), dt=0.01, t_end=1.0)
+        with pytest.raises(ValueError, match="unknown integrator"):
+            ExperimentConfig(integrator="rk4", **base)
+        with pytest.raises(ValueError, match="needs the theta integrator"):
+            ExperimentConfig(theta=0.3, **base)
+        for mode in ("off", "nonneg"):
+            with pytest.raises(ValueError, match="needs cutoff_mode 'delta'"):
+                ExperimentConfig(cutoff_mode=mode, delta_coefficient=2.0, **base)
+        ExperimentConfig(integrator="theta", theta=0.3, cutoff_mode="delta",
+                         delta_coefficient=2.0, **base)
 
 
 class TestLoglogSlope:
@@ -322,6 +345,22 @@ class TestCli:
         # theta outside [0, 1]
         assert cli_main(["diagnostics", "-J", "4", "--theta", "1.5"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["aniso-run", "-J", "6", "--dt", "0.05", "--t-end", "0.1", "--theta", "0.3"],
+        ["aniso-convergence", "--grids", "6", "--dt", "0.05", "--t-end", "0.1",
+         "--integrator", "sdirk3", "--theta", "0.5"],
+        ["aniso-run", "-J", "6", "--dt", "0.05", "--t-end", "0.1", "--delta-coeff", "2"],
+        ["lub1d", "-J", "32", "--dt", "1e-6", "--t-end", "1e-5", "--cutoff", "nonneg",
+         "--delta-coeff", "2"],
+    ], ids=["theta-sdirk3", "theta-ladder", "delta-coeff-nonneg", "delta-coeff-film"])
+    def test_ignored_settings_exit_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "needs" in captured.err
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("under", [False, True])
     def test_unusable_out_exits_two_before_the_run(self, tmp_path, capsys, under):

@@ -323,7 +323,7 @@ class TestWholeSystemSolve:
         whole, problem = whole_system(16, convection)
         mask = problem.dirichlet_mask
         # a state inside, g on the boundary
-        rhs = np.where(mask, problem.boundary_values(0.5), 0.5 * problem.exact(0.0))
+        rhs = np.where(mask, problem.source(0.5), 0.5 * problem.exact(0.0))
         fact = Factorization(whole)
         x, report = fact.solve(rhs)
         # the identity rows return g bit for bit

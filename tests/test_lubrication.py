@@ -519,8 +519,6 @@ class TestTrackSingularity:
 class TestRunLubrication:
     def test_guards(self):
         spec = LubricationSpec.default_1d(50)
-        with pytest.raises(ValueError, match="sdirk3 integrator only"):
-            run_lubrication(spec, StepperConfig(dt=1e-6, t_end=1e-5, integrator="theta"))
         with pytest.raises(ValueError, match="needs the cutoff"):
             run_lubrication(spec, StepperConfig(dt=1e-6, t_end=1e-5))
 

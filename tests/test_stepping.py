@@ -54,7 +54,6 @@ def scalar_problem(lam: float, initial) -> LinearProblem:
         l_matrix=SparseMatrix(sp.diags(np.full(n, lam))),
         dirichlet_mask=np.zeros(n, dtype=bool),
         source=lambda t: np.zeros(n),
-        boundary_values=lambda t: np.zeros(n),
         initial_values=np.asarray(initial, dtype=float),
     )
 
@@ -68,7 +67,6 @@ def draining_problem(initial) -> LinearProblem:
         l_matrix=SparseMatrix.from_coo(n, [], [], []),
         dirichlet_mask=np.zeros(n, dtype=bool),
         source=lambda t: -np.ones(n),
-        boundary_values=lambda t: np.zeros(n),
         initial_values=np.asarray(initial, dtype=float),
     )
 
@@ -168,10 +166,6 @@ class TestStepperConfig:
             StepperConfig(dt=0.0, t_end=1.0)
         with pytest.raises(ValueError, match="t_end"):
             StepperConfig(dt=0.1, t_end=0.0)
-        with pytest.raises(ValueError, match="integrator"):
-            StepperConfig(dt=0.1, t_end=1.0, integrator="rk4")
-        with pytest.raises(ValueError, match="theta"):
-            StepperConfig(dt=0.1, t_end=1.0, theta=-0.1)
         with pytest.raises(ValueError, match="snapshot_every"):
             StepperConfig(dt=0.1, t_end=1.0, snapshot_every=0)
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -195,8 +189,7 @@ class TestThetaOperator:
             grid=grid,
             l_matrix=SparseMatrix.from_coo(n, rows, cols, vals),
             dirichlet_mask=mask,
-            source=lambda t: np.where(mask, 0.0, t),
-            boundary_values=lambda t: np.where(mask, 2.0 * t, 0.0),
+            source=lambda t: np.where(mask, 2.0 * t, t),
             initial_values=np.zeros(n),
         )
 
@@ -221,10 +214,11 @@ class TestThetaOperator:
         assert f[2] == pytest.approx(0.5 * (0.7 * 1.5 + 0.3 * 1.0), rel=1e-14)
 
     def test_source_length_checked(self):
-        problem = replace(self.masked_problem(), source=lambda t: np.zeros(3))
-        _, _, source = theta_operator(problem, dt=0.5, theta=0.7)
-        with pytest.raises(ValueError, match="wrong length"):
-            source(0.0)
+        for bad in TestRunChecksSourceLength.BAD_SOURCES:
+            problem = replace(self.masked_problem(), source=bad)
+            _, _, source = theta_operator(problem, dt=0.5, theta=0.7)
+            with pytest.raises(ValueError, match="source callback returned a vector of wrong length"):
+                source(0.0)
 
     def test_theta_range_checked(self):
         with pytest.raises(ValueError, match="theta"):
@@ -238,7 +232,7 @@ class TestRunMatchesStabilityFunction:
     def test_theta_run(self):
         lam, dt, n = -3.0, 0.1, 10
         problem = scalar_problem(lam, [1.0, 0.5, 2.0])
-        cfg = StepperConfig(dt=dt, t_end=n * dt, integrator="theta", theta=0.6)
+        cfg = StepperConfig(dt=dt, t_end=n * dt, tableau=theta_tableau(0.6))
         final, trace = run(problem, cfg)
         r = theta_tableau(0.6).stability(lam * dt).real
         assert np.allclose(final.values, r**n * problem.initial_values, rtol=1e-12)
@@ -247,14 +241,14 @@ class TestRunMatchesStabilityFunction:
     def test_sdirk3_run(self):
         lam, dt, n = -3.0, 0.1, 10
         problem = scalar_problem(lam, [1.0, 0.5, 2.0])
-        cfg = StepperConfig(dt=dt, t_end=n * dt, integrator="sdirk3")
+        cfg = StepperConfig(dt=dt, t_end=n * dt)
         final, trace = run(problem, cfg)
         r = sdirk3_tableau().stability(lam * dt).real
         assert np.allclose(final.values, r**n * problem.initial_values, rtol=1e-12)
 
     def test_trace_bookkeeping(self):
         problem = scalar_problem(-1.0, [1.0, 1.0, 1.0])
-        cfg = StepperConfig(dt=0.25, t_end=1.0, integrator="theta", theta=1.0)
+        cfg = StepperConfig(dt=0.25, t_end=1.0, tableau=theta_tableau(1.0))
         _, trace = run(problem, cfg)
         assert [r.step for r in trace.records] == [0, 1, 2, 3, 4]
         assert trace.records[0].residual == 0.0
@@ -267,7 +261,7 @@ class TestCutoffInsideRun:
     def test_floor_between_steps(self):
         problem = draining_problem([0.05, 1.0, 1.0])
         cfg = StepperConfig(
-            dt=0.1, t_end=0.3, integrator="theta", theta=1.0, cutoff=CutoffParams(0.0)
+            dt=0.1, t_end=0.3, tableau=theta_tableau(1.0), cutoff=CutoffParams(0.0)
         )
         final, trace = run(problem, cfg)
         # each step drains 0.1 from the floored state
@@ -281,7 +275,7 @@ class TestCutoffInsideRun:
     def test_delta_floor(self):
         problem = draining_problem([0.05, 1.0, 1.0])
         cfg = StepperConfig(
-            dt=0.1, t_end=0.3, integrator="theta", theta=1.0, cutoff=CutoffParams(0.025)
+            dt=0.1, t_end=0.3, tableau=theta_tableau(1.0), cutoff=CutoffParams(0.025)
         )
         final, trace = run(problem, cfg)
         assert all(r.min_post >= 0.025 for r in trace.records)
@@ -290,7 +284,7 @@ class TestCutoffInsideRun:
     def test_flooring_adds_mass(self):
         problem = draining_problem([0.05, 1.0, 1.0])
         cfg = StepperConfig(
-            dt=0.1, t_end=0.3, integrator="theta", theta=1.0, cutoff=CutoffParams(0.0)
+            dt=0.1, t_end=0.3, tableau=theta_tableau(1.0), cutoff=CutoffParams(0.0)
         )
         _, trace = run(problem, cfg)
         for r in trace.records:
@@ -298,7 +292,7 @@ class TestCutoffInsideRun:
 
     def test_no_cutoff_keeps_negatives(self):
         problem = draining_problem([0.05, 1.0, 1.0])
-        cfg = StepperConfig(dt=0.1, t_end=0.3, integrator="theta", theta=1.0)
+        cfg = StepperConfig(dt=0.1, t_end=0.3, tableau=theta_tableau(1.0))
         final, trace = run(problem, cfg)
         assert final.values[0] == pytest.approx(-0.25, abs=1e-15)
         assert trace.records[-1].min_pre == trace.records[-1].min_post
@@ -308,7 +302,7 @@ class TestSnapshots:
     def test_cadence_and_explicit_times(self):
         problem = draining_problem([1.0, 1.0, 1.0])
         cfg = StepperConfig(
-            dt=0.1, t_end=0.5, integrator="theta", theta=1.0,
+            dt=0.1, t_end=0.5, tableau=theta_tableau(1.0),
             cutoff=CutoffParams(0.0), snapshot_every=2, snapshot_times=(0.3,),
         )
         _, trace = run(problem, cfg)
@@ -325,8 +319,8 @@ class TestThetaRunMatchesMatrixPair:
     paper's B1/B0 pair is the reference it must reproduce."""
 
     @staticmethod
-    def reference(problem, cfg):
-        b1, b0, source = theta_operator(problem, cfg.dt, cfg.theta)
+    def reference(problem, cfg, theta):
+        b1, b0, source = theta_operator(problem, cfg.dt, theta)
         u = Field(problem.grid, problem.initial_values)
         for n in range(cfg.n_steps):
             u = step_linear(b1, b0, source, u, cfg, n * cfg.dt)
@@ -343,12 +337,12 @@ class TestThetaRunMatchesMatrixPair:
     def test_masked_heat_problem(self, theta, rtol, delta):
         base = TestThetaOperator.masked_problem()
         mask = base.dirichlet_mask
-        problem = replace(base, boundary_values=lambda t: np.where(mask, 1e-3 * (1.0 + t), 0.0),
+        problem = replace(base, source=lambda t: np.where(mask, 1e-3 * (1.0 + t), t),
                           initial_values=np.array([1e-3, -0.5, 1.0, -0.25, 1e-3]))
-        cfg = StepperConfig(dt=0.01, t_end=0.2, integrator="theta", theta=theta,
+        cfg = StepperConfig(dt=0.01, t_end=0.2, tableau=theta_tableau(theta),
                             cutoff=CutoffParams(delta))
         final, _ = run(problem, cfg)
-        expected = np.maximum(self.reference(problem, cfg), delta)
+        expected = np.maximum(self.reference(problem, cfg, theta), delta)
         if rtol == 0.0:
             assert np.array_equal(final.values, expected)
         else:
@@ -374,14 +368,14 @@ class TestStepHelpers:
         lam, dt = -3.0, 0.1
         problem = scalar_problem(lam, [1.0, 0.5, 2.0])
         b1, b0, source = theta_operator(problem, dt, 1.0)
-        cfg = StepperConfig(dt=dt, t_end=dt, integrator="theta", theta=1.0)
+        cfg = StepperConfig(dt=dt, t_end=dt)
         u1 = step_linear(b1, b0, source, Field(problem.grid, problem.initial_values), cfg)
         assert np.allclose(u1.values, problem.initial_values / 1.3, rtol=1e-14)
 
     def test_step_linear_floors_incoming_state(self):
         problem = scalar_problem(0.0, [-1.0, 1.0, 2.0])
         b1, b0, source = theta_operator(problem, 0.1, 1.0)
-        cfg = StepperConfig(dt=0.1, t_end=0.1, integrator="theta", cutoff=CutoffParams(0.0))
+        cfg = StepperConfig(dt=0.1, t_end=0.1, cutoff=CutoffParams(0.0))
         u1 = step_linear(b1, b0, source, Field(problem.grid, problem.initial_values), cfg)
         assert np.array_equal(u1.values, [0.0, 1.0, 2.0])
 
@@ -418,10 +412,10 @@ class TestOneStepperPerRun:
     its sparse LU across steps and still verifies every solve."""
 
     @staticmethod
-    def fresh_every_step(initial, cfg, tableau, operator_for, **stage_terms):
+    def fresh_every_step(initial, cfg, operator_for, **stage_terms):
         floored = apply_floor(initial, cfg.cutoff.delta)
         for n in range(cfg.n_steps):
-            stepper = DirkStepper(tableau, operator_for(floored), cfg.dt, **stage_terms)
+            stepper = DirkStepper(cfg.tableau, operator_for(floored), cfg.dt, **stage_terms)
             values, _ = stepper.step(floored, n * cfg.dt)
             floored = apply_floor(values, cfg.cutoff.delta)
         return floored
@@ -431,7 +425,7 @@ class TestOneStepperPerRun:
         cfg = StepperConfig(dt=1e-6, t_end=3e-5, cutoff=CutoffParams(0.0))
         final, trace, _ = run_lubrication(spec, cfg)
         ref = self.fresh_every_step(
-            spec.initial_field().values, cfg, sdirk3_tableau(),
+            spec.initial_field().values, cfg,
             lambda u: assemble_lubrication_1d(Field(spec.grid, u), spec))
         assert np.array_equal(final.values, ref)
         assert trace.solver.routes == ["banded-lu"]
@@ -441,13 +435,12 @@ class TestOneStepperPerRun:
     @pytest.mark.parametrize("integrator", ["sdirk3", "theta"])
     def test_linear_anisotropic_run_matches_fresh_steppers(self, integrator):
         problem = assemble(AnisotropicSpec.pure_diffusion(Grid2D.square(0.0, 1.0, 12)))
-        cfg = StepperConfig(dt=1e-2, t_end=0.1, cutoff=CutoffParams(0.0), integrator=integrator)
-        final, trace = run(problem, cfg)
         tableau = sdirk3_tableau() if integrator == "sdirk3" else theta_tableau(1.0)
+        cfg = StepperConfig(dt=1e-2, t_end=0.1, cutoff=CutoffParams(0.0), tableau=tableau)
+        final, trace = run(problem, cfg)
         ref = self.fresh_every_step(
-            problem.initial_values, cfg, tableau, lambda u: problem.l_matrix,
-            source=problem.source, dirichlet_mask=problem.dirichlet_mask,
-            boundary_values=problem.boundary_values)
+            problem.initial_values, cfg, lambda u: problem.l_matrix,
+            source=problem.source, dirichlet_mask=problem.dirichlet_mask)
         assert np.array_equal(final.values, ref)
         # the one operator is shifted and factored once, as a whole
         assert trace.solver.routes == ["sparse-lu/symmetric"]
@@ -511,9 +504,10 @@ class TestOneStepperPerRun:
             calls.append(len(calls))
             return singular if len(calls) == 4 else regular
 
-        cfg = StepperConfig(dt=0.5, t_end=5.0, integrator="theta", cutoff=CutoffParams(0.0))
+        cfg = StepperConfig(dt=0.5, t_end=5.0, tableau=theta_tableau(1.0),
+                            cutoff=CutoffParams(0.0))
         with pytest.raises(DivergenceError, match="t = 1.5.*singular") as info:
-            march(grid, np.ones(n), cfg, theta_tableau(1.0), operator_for)
+            march(grid, np.ones(n), cfg, operator_for)
         trace = info.value.trace
         assert [r.step for r in trace.records] == [0, 1, 2, 3]
         assert trace.solver.factorizations == 1 and trace.solver.solves == 3
@@ -543,7 +537,7 @@ class TestWholeSystemSolve:
         problem = self.problem()
         mask, dt = problem.dirichlet_mask, 1e-2
         stepper = DirkStepper(tableau, problem.l_matrix, dt, source=problem.source,
-                              dirichlet_mask=mask, boundary_values=problem.boundary_values)
+                              dirichlet_mask=mask)
         # the LU's own answer on the Dirichlet nodes, before the stepper
         # sets them
         answers = []
@@ -562,9 +556,9 @@ class TestWholeSystemSolve:
             values, _ = stepper.step(floored, n * dt)
             assert len(answers) == len(implicit)
             for c, got in zip(implicit, answers):
-                assert np.array_equal(got, problem.boundary_values(n * dt + c * dt)[mask])
+                assert np.array_equal(got, problem.source(n * dt + c * dt)[mask])
             # the last stage's time, t + c_s*dt with c_s = 1
-            assert np.array_equal(values[mask], problem.boundary_values(n * dt + dt)[mask])
+            assert np.array_equal(values[mask], problem.source(n * dt + dt)[mask])
             floored = apply_floor(values, 0.0)
 
     @pytest.mark.parametrize("integrator,gamma", [("sdirk3", SDIRK3_GAMMA), ("theta", 1.0)])
@@ -602,6 +596,69 @@ class TestWholeSystemSolve:
             assert r.residual <= tol, r.step
 
 
+class TestRunChecksSourceLength:
+    """A source must give one value per node; run refuses anything else, a
+    scalar included, with theta_operator's error."""
+
+    BAD_SOURCES = [lambda t: 1.0, lambda t: np.zeros(3)]
+
+    @pytest.mark.parametrize("source", BAD_SOURCES, ids=["scalar", "short"])
+    @pytest.mark.parametrize("tableau", [sdirk3_tableau(), theta_tableau(0.5)],
+                             ids=["sdirk3", "theta0.5"])
+    def test_run(self, source, tableau):
+        # 25 nodes
+        grid = Grid2D.square(0.0, 1.0, 4)
+        problem = replace(assemble(AnisotropicSpec.pure_diffusion(grid)), source=source)
+        cfg = StepperConfig(dt=0.1, t_end=0.2, tableau=tableau)
+        with pytest.raises(ValueError, match="source callback returned a vector of wrong length"):
+            run(problem, cfg)
+
+
+class TestBoundarySlopes:
+    """Stage slopes vanish on Dirichlet nodes: an explicit stage after an
+    implicit one keeps the incoming boundary values, however large g is."""
+
+    # stiffly accurate, one implicit value 1/2; stage 2 is explicit and its
+    # boundary values feed the interior of the last stage through L
+    TABLEAU = ButcherTableau(a=np.array([[0.5, 0.0, 0.0], [0.5, 0.0, 0.0], [0.25, 0.25, 0.5]]),
+                             b=np.array([0.25, 0.25, 0.5]), c=np.array([0.5, 0.5, 1.0]),
+                             order=1)
+
+    @staticmethod
+    def reference_step(problem, u, t, dt, tab):
+        """The stage equations on the interior unknowns alone, dense: every
+        stage holds u on the boundary unless it is implicit, where it holds
+        g(t_i), and only interior slopes exist."""
+        inner = ~problem.dirichlet_mask
+        ldense = problem.l_matrix.to_dense()
+        l_ii, l_ib = ldense[np.ix_(inner, inner)], ldense[np.ix_(inner, ~inner)]
+        slopes = []
+        for i in range(tab.stages):
+            f = problem.source(t + tab.c[i] * dt)
+            x = u.copy()
+            x[inner] += dt * sum(tab.a[i, j] * k for j, k in enumerate(slopes))
+            if tab.a[i, i] != 0.0:
+                g = f[~inner]
+                m = np.eye(l_ii.shape[0]) - tab.a[i, i] * dt * l_ii
+                x[inner] = np.linalg.solve(
+                    m, x[inner] + tab.a[i, i] * dt * (l_ib @ g + f[inner]))
+                x[~inner] = g
+            slopes.append(ldense[inner] @ x + f[inner])
+        return x
+
+    def test_run_matches_dense_stages(self):
+        base = TestThetaOperator.masked_problem()
+        mask = base.dirichlet_mask
+        problem = replace(base, source=lambda t: np.where(mask, 50.0 * (1.0 + t), t),
+                          initial_values=np.array([1.0, -0.5, 1.0, -0.25, 2.0]))
+        cfg = StepperConfig(dt=0.01, t_end=0.1, tableau=self.TABLEAU)
+        final, _ = run(problem, cfg)
+        u = problem.initial_values
+        for n in range(cfg.n_steps):
+            u = self.reference_step(problem, u, n * cfg.dt, cfg.dt, self.TABLEAU)
+        assert np.allclose(final.values, u, rtol=1e-12, atol=0.0)
+
+
 class TestLinearProblemValidation:
     def test_dimension_checks(self):
         grid = Grid1D(0.0, 1.0, 2)
@@ -610,7 +667,6 @@ class TestLinearProblemValidation:
             l_matrix=SparseMatrix(sp.identity(3)),
             dirichlet_mask=np.zeros(3, dtype=bool),
             source=lambda t: np.zeros(3),
-            boundary_values=lambda t: np.zeros(3),
             initial_values=np.zeros(3),
         )
         LinearProblem(**good)
