@@ -1,10 +1,17 @@
 """Square sparse matrices and the direct solvers the steppers run on.
 
-SparseMatrix is a square matrix in canonical CSR (sorted column indices,
-duplicates summed, no explicit zeros) with no arithmetic: callers compute on
-scipy matrices (``.csr``) and wrap the result.  The banded fill of
-Factorization writes ``data`` into the band by position, so it relies on
-that format (a duplicate entry would be overwritten there, not summed).
+SparseMatrix is a square matrix held in one of two forms, with no
+arithmetic beyond what the solvers need (a product, a norm, the shift of
+identity_plus): canonical CSR (sorted column indices, duplicates summed, no
+explicit zeros), which callers compute on as scipy matrices (``.csr``) and
+wrap, or its diagonals (the 1D film's five, from assembly to
+backsubstitution).  A matrix on its diagonals forms
+its CSR arrays only when a caller asks for them; its product sums each row
+from 0.0 in ascending column order, as scipy's CSR product does, and its
+shift and norm are those of the CSR matrix, so either form gives the same
+bits.  Banded LU fills LAPACK's band storage from the diagonals, those of a
+CSR matrix laid out by position first (a duplicate entry would be
+overwritten there, not summed, hence the canonical format).
 
 Solves are direct: systems whose bandwidth is at most BANDED_BANDWIDTH_MAX
 on each side go through LAPACK banded LU (gbtrf/gbtrs), everything else
@@ -26,10 +33,10 @@ they are pentadiagonal and go through banded LU, so they never reach
 SuperLU.  A whole anisotropic system passes it on A^T, since its Dirichlet
 rows hold only their diagonal 1; A itself would not, as those 1s sit under
 column entries up to 5.6e4 times larger (J = 160), where the symmetric
-strategy pivots off the diagonal and triples the fill.  The stepper factors the whole system, identity rows
-included (fill 1.96M against COLAMD's 3.30M on A at J = 160): a solve whose
-right-hand side holds the Dirichlet values there returns them there, and the
-residual is the whole system's.  The pivot threshold stays at SuperLU's
+strategy pivots off the diagonal and triples the fill.  The stepper factors
+the whole system, identity rows included (fill 1.96M against COLAMD's 3.30M
+on A at J = 160): a solve whose right-hand side holds the Dirichlet values
+there returns them there, and the residual is the whole system's.  The pivot threshold stays at SuperLU's
 default of 1.0 either way.
 
 Every solve checks the LU's answer against the system (max-norm residual
@@ -51,7 +58,9 @@ guess, as the solve right after a refactor does: its own answer is far
 finer than a guess that merely passes the check.
 
 The steppers factor shifted systems I - a_ii*dt*L (identity_plus) and solve
-every implicit stage against them.
+every implicit stage against them.  The 1D film's pentadiagonal system is
+shifted on its diagonals and factored fresh every step (gbtrf and gbtrs are
+looked up once, at import): a step builds no scipy sparse matrix.
 """
 
 from __future__ import annotations
@@ -69,6 +78,8 @@ BANDED_BANDWIDTH_MAX = 5
 #: refinement sweeps a solve against a matrix other than the factored one
 #: may take beyond the first before it factors that matrix afresh
 STALE_SWEEPS_MAX = 3
+#: the banded LU pair, looked up once instead of per factorization
+_GBTRF, _GBTRS = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
 
 
 class SolveError(RuntimeError):
@@ -76,9 +87,15 @@ class SolveError(RuntimeError):
 
 
 class SparseMatrix:
-    """Immutable-by-convention square matrix in canonical CSR."""
+    """Immutable-by-convention square matrix, held in canonical CSR or on
+    its diagonals.
 
-    __slots__ = ("_csr", "_rows", "_norm")
+    A matrix built from_diagonals keeps them, band[c, i] = A[i, i +
+    offsets[c]], and forms its product, norm, shift and LAPACK band storage
+    on them; its CSR arrays are built only when asked for (csr, indptr,
+    indices, data, to_dense)."""
+
+    __slots__ = ("_csr", "_band", "_rows", "_norm")
 
     def __init__(self, matrix):
         csr = sp.csr_matrix(matrix, dtype=float, copy=True)
@@ -88,7 +105,7 @@ class SparseMatrix:
         csr.sort_indices()
         csr.eliminate_zeros()
         self._csr = csr
-        self._rows = self._norm = None
+        self._band = self._rows = self._norm = None
 
     @classmethod
     def from_canonical(cls, csr: sp.csr_matrix) -> "SparseMatrix":
@@ -97,7 +114,17 @@ class SparseMatrix:
         and no re-canonicalization.  The caller vouches for the format."""
         m = cls.__new__(cls)
         m._csr = csr
-        m._rows = m._norm = None
+        m._band = m._rows = m._norm = None
+        return m
+
+    @classmethod
+    def from_diagonals(cls, offsets: np.ndarray, band: np.ndarray) -> "SparseMatrix":
+        """Adopt the (k, n) array band[c, i] = A[i, i + offsets[c]] as it is,
+        offsets ascending with 0 among them.  Slots off the matrix must hold
+        zeros; a zero on the matrix is an entry that CSR does not store."""
+        m = cls.__new__(cls)
+        m._band = (offsets, band)
+        m._csr = m._rows = m._norm = None
         return m
 
     @classmethod
@@ -111,50 +138,90 @@ class SparseMatrix:
 
     @property
     def csr(self) -> sp.csr_matrix:
+        if self._csr is None:
+            offsets, band = self._band
+            n = band.shape[1]
+            # row-major order keeps the columns sorted
+            by_row = band.T
+            keep = by_row != 0.0
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+            cols = np.arange(n, dtype=np.int32)[:, None] + offsets.astype(np.int32)
+            self._csr = sp.csr_matrix((by_row[keep], cols[keep], indptr), shape=(n, n))
         return self._csr
 
     @property
     def dimension(self) -> int:
-        return self._csr.shape[0]
+        return self._csr.shape[0] if self._band is None else self._band[1].shape[1]
 
     @property
     def nnz(self) -> int:
-        return self._csr.nnz
+        return self._csr.nnz if self._band is None else int(np.count_nonzero(self._band[1]))
 
     @property
     def indptr(self) -> np.ndarray:
-        return self._csr.indptr
+        return self.csr.indptr
 
     @property
     def indices(self) -> np.ndarray:
-        return self._csr.indices
+        return self.csr.indices
 
     @property
     def data(self) -> np.ndarray:
-        return self._csr.data
+        return self.csr.data
+
+    def diagonals(self) -> tuple:
+        """(offsets, band) with band[c, i] = A[i, i + offsets[c]], zero off
+        the matrix: the diagonals the matrix was built from, or those its
+        stored entries span."""
+        if self._band is not None:
+            return self._band
+        kl, ku = self.bandwidth()
+        rows, cols = self.entry_rows(), self._csr.indices
+        band = np.zeros((kl + ku + 1, self.dimension))
+        band[kl + cols - rows, rows] = self._csr.data
+        return np.arange(-kl, ku + 1), band
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            raise ValueError(f"matvec operand has shape {x.shape}, expected ({self.dimension},)")
-        return self._csr @ x
+        n = self.dimension
+        if x.shape != (n,):
+            raise ValueError(f"matvec operand has shape {x.shape}, expected ({n},)")
+        if self._band is None:
+            return self._csr @ x
+        # row i sums band[c, i] * x[i + offsets[c]] from 0.0 in ascending
+        # column order, as scipy's CSR product does; the slots off the
+        # matrix meet the zero padding of x and add zeros
+        offsets, band = self._band
+        first = -offsets[0]
+        padded = np.zeros(n + first + offsets[-1])
+        padded[first:first + n] = x
+        y = np.zeros(n)
+        for o, diagonal in zip(offsets, band):
+            y += diagonal * padded[first + o:first + o + n]
+        return y
 
     def operator_norm_inf(self) -> float:
         """Exact max absolute row sum, computed on first use and kept."""
         if self._norm is None:
-            # each row summed in storage order, as a product with ones would
-            row_sums = np.bincount(self.entry_rows(), weights=np.abs(self.data),
-                                   minlength=self.dimension)
+            if self._band is None:
+                # each row summed in storage order, as a product with ones would
+                row_sums = np.bincount(self.entry_rows(), weights=np.abs(self.data),
+                                       minlength=self.dimension)
+            else:
+                row_sums = np.zeros(self.dimension)
+                for diagonal in np.abs(self._band[1]):
+                    row_sums += diagonal
             self._norm = float(row_sums.max()) if self.nnz else 0.0
         return self._norm
 
     def entry_rows(self) -> np.ndarray:
         """Row index of every stored entry, in storage order.
 
-        Computed on first use and kept (read-only): the norm, the bandwidth,
-        the banded fill and the shift all read it from one matrix."""
+        Computed on first use and kept (read-only): the norm, the bandwidth
+        and the shift all read it from one matrix."""
         if self._rows is None:
-            indptr = self._csr.indptr
+            indptr = self.indptr
             rows = np.repeat(np.arange(self.dimension, dtype=indptr.dtype), np.diff(indptr))
             rows.flags.writeable = False
             self._rows = rows
@@ -164,23 +231,35 @@ class SparseMatrix:
         """(lower, upper) bandwidth from the stored pattern."""
         if self.nnz == 0:
             return (0, 0)
-        d = self.entry_rows() - self._csr.indices
-        return (int(max(d.max(), 0)), int(max(-d.min(), 0)))
+        if self._band is None:
+            d = self.entry_rows() - self._csr.indices
+            return (int(max(d.max(), 0)), int(max(-d.min(), 0)))
+        offsets, band = self._band
+        used = offsets[band.any(axis=1)]
+        return (int(max(-used[0], 0)), int(max(used[-1], 0)))
 
     def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
+        return self.csr.toarray()
 
 
 def identity_plus(a: SparseMatrix, scale: float) -> SparseMatrix:
     """I + scale * A, the shifted systems the implicit steppers factor.
 
     Equal to scipy's sorted merge of I and scale*A bit for bit, and canonical
-    as it comes.  When every row holds its diagonal entry the pattern stays,
-    so the sum is formed on the CSR arrays: the diagonal becomes
-    1 + scale*a_ii and entries that come out as exact zeros are dropped.  A
-    row without one (a Dirichlet row, a dry stretch of film) needs a 1
-    inserted, which scipy's merge does in one pass, faster than numpy can
-    shift the arrays."""
+    as it comes.  A matrix on its diagonals is shifted on them: scale*band
+    with 1 added to the main diagonal, so a row without a diagonal entry
+    (the dry stretch of a 1D film) needs nothing inserted.  On CSR arrays,
+    when every row holds its diagonal entry the pattern stays, so the sum is
+    formed on the arrays: the diagonal becomes 1 + scale*a_ii and entries
+    that come out as exact zeros are dropped.  A row without one (a
+    Dirichlet row, a dry patch of the 2D film) needs a 1 inserted, which
+    scipy's merge does in one pass, faster than numpy can shift the
+    arrays."""
+    if a._band is not None:
+        offsets, band = a._band
+        shifted = band * float(scale)
+        shifted[offsets == 0] += 1.0
+        return SparseMatrix.from_diagonals(offsets, shifted)
     n = a.dimension
     # stored entries are nonzero, so a zero on the diagonal is a missing one
     if np.count_nonzero(a.csr.diagonal()) < n:
@@ -241,7 +320,9 @@ class Factorization:
     """Reusable LU of one SparseMatrix; each solve re-verifies its residual,
     against the factored matrix or a later one of the same dimension.
 
-    A banded matrix is factored as it is.  Any other is factored by SuperLU
+    A banded matrix is factored as it is, its LAPACK band storage filled
+    from its diagonals (SparseMatrix.diagonals), so one on its diagonals
+    never forms CSR.  Any other is factored by SuperLU
     as its transpose, A's CSR arrays read as CSC, and solved transposed, so
     every backsubstitution still returns the x of A x = b.  fill counts the
     stored entries of the LU: SuperLU's nnz of L and U, or the size of the
@@ -254,10 +335,15 @@ class Factorization:
         n = a.dimension
         if max(kl, ku) <= BANDED_BANDWIDTH_MAX:
             self._route = "banded-lu"
+            # LAPACK band storage: ab[kl + ku + i - j, j] = A[i, j]
             ab = np.zeros((2 * kl + ku + 1, n))
-            ab[kl + ku + a.entry_rows() - a.indices, a.indices] = a.data
-            gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-            lu, ipiv, info = gbtrf(ab, kl, ku)
+            offsets, band = a.diagonals()
+            for o, diagonal in zip(offsets, band):
+                if -kl <= o <= ku:
+                    ab[kl + ku - o, max(o, 0):n + min(o, 0)] = diagonal[max(-o, 0):n - max(o, 0)]
+            # a zero on the diagonals may be -0.0, which CSR never stores
+            ab += 0.0
+            lu, ipiv, info = _GBTRF(ab, kl, ku)
             if info > 0:
                 raise SolveError(
                     f"singular banded system (zero pivot at row {info - 1}); "
@@ -302,7 +388,7 @@ class Factorization:
 
     def _backsub(self, rhs: np.ndarray) -> np.ndarray:
         if self._route == "banded-lu":
-            x, info = self._gbtrs(self._lu, self._kl, self._ku, rhs, self._ipiv)
+            x, info = _GBTRS(self._lu, self._kl, self._ku, rhs, self._ipiv)
             if info != 0:
                 raise SolveError(f"banded back-substitution failed (lapack info {info})")
             return x

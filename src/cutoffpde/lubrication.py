@@ -32,11 +32,14 @@ updates divide flux differences by the node's control volume (half cells at
 boundaries), which makes the trapezoid-weighted column sums of the
 assembled operator vanish and mass exactly conserved up to solver residual.
 One stencil product serves 1D and 2D: the flux divergence's entries meet
-the Laplacian rows they touch, laid out once per grid and cached, and the
-operator goes straight into canonical CSR, entry for entry the sparse
-product of flux divergence and Laplacian.  The 1D film factors its
-pentadiagonal system every step; the 2D film's sparse LU is kept across
-steps while its solves still refine to tolerance (see stepping.DirkStepper).
+the Laplacian rows they touch, laid out once per grid and cached, and give
+the operator's diagonals, entry for entry the sparse product of flux
+divergence and Laplacian.  The 1D film keeps its operator on those five
+diagonals, shifts it there and factors its pentadiagonal system every step
+by banded LU filled straight from them, so no CSR matrix is built between
+assembly and backsubstitution.  The 2D film's 13 diagonals go into
+canonical CSR, and its sparse LU is kept across steps while its solves
+still refine to tolerance (see stepping.DirkStepper).
 """
 
 from __future__ import annotations
@@ -148,12 +151,12 @@ def _laplacian_2d(grid: Grid2D) -> SparseMatrix:
 
 @lru_cache(maxsize=LAPLACIAN_CACHE_SIZE)
 def _laplacian_rows(grid) -> tuple:
-    """(offsets, S) with S[m, i, c] = Lap[i + o_m, i + offsets[c]], zero
+    """(offsets, S) with S[m, c, i] = Lap[i + o_m, i + offsets[c]], zero
     outside the matrix, for the flux-divergence offsets o = (-1, 0, 1) in 1D
     and (-(nx+1), -1, 0, 1, nx+1) in 2D: the Laplacian rows that row i of D
     meets in D @ Lap, laid out on the sorted distinct sums of those offsets
-    (the five diagonals in 1D; 13 columns on 2D grids more than two cells
-    wide).  Built once per grid and shared by every caller, so read-only."""
+    (the five diagonals in 1D; 13 on 2D grids more than two cells wide).
+    Built once per grid and shared by every caller, so read-only."""
     if isinstance(grid, Grid1D):
         lap, o = _laplacian_1d(grid), np.array([-1, 0, 1])
     else:
@@ -162,39 +165,38 @@ def _laplacian_rows(grid) -> tuple:
     offsets = np.unique(o[:, None] + o[None, :]).astype(np.int32)
     n = lap.dimension
     rows, cols = lap.entry_rows(), lap.indices
-    s = np.zeros((o.size, n, offsets.size))
+    s = np.zeros((o.size, offsets.size, n))
     for m, om in enumerate(o):
         i = rows - om
         inside = (i >= 0) & (i < n)
-        s[m, i[inside], np.searchsorted(offsets, cols[inside] - i[inside])] = lap.data[inside]
+        s[m, np.searchsorted(offsets, cols[inside] - i[inside]), i[inside]] = lap.data[inside]
     offsets.flags.writeable = False
     s.flags.writeable = False
     return offsets, s
 
 
 def _stencil_product(d: np.ndarray, grid) -> SparseMatrix:
-    """-(D @ Lap) in canonical CSR from d[m, i] = D[i, i + o_m] (nodes in
-    storage order, o as in _laplacian_rows).
+    """-(D @ Lap) from d[m, i] = D[i, i + o_m] (nodes in storage order, o as
+    in _laplacian_rows): on its diagonals for a 1D grid, in canonical CSR
+    for a 2D one, whose 13 diagonals SuperLU factors.
 
     Each entry sums D[i, j] * Lap[j, k] over ascending j, the order of a
     sparse product, so the entries are the product's to the bit.  Slots off
     the matrix hold zeros, or NaN once a mobility overflows to inf, so they
-    are masked by position and not by value; exact zeros (at touched-down
-    faces) are not stored.  Row-major order keeps columns sorted."""
+    are zeroed by position and not by value; exact zeros (at touched-down
+    faces) are entries CSR does not store."""
     offsets, s = _laplacian_rows(grid)
-    d = d.reshape(len(s), -1, 1)
+    d = d.reshape(len(s), 1, -1)
     band = d[0] * s[0]
     for m in range(1, len(s)):
         band += d[m] * s[m]
     np.negative(band, out=band)
-    n = band.shape[0]
-    cols = np.arange(n, dtype=np.int32)[:, None] + offsets
-    keep = (band != 0.0) & (cols >= 0) & (cols < n)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    return SparseMatrix.from_canonical(
-        sp.csr_matrix((band[keep], cols[keep], indptr), shape=(n, n))
-    )
+    n = band.shape[1]
+    for o, diagonal in zip(offsets, band):
+        diagonal[:max(-o, 0)] = 0.0
+        diagonal[n - max(o, 0):] = 0.0
+    a = SparseMatrix.from_diagonals(offsets, band)
+    return a if isinstance(grid, Grid1D) else SparseMatrix.from_canonical(a.csr)
 
 
 def assemble_lubrication_1d(u_lagged: Field, spec: LubricationSpec) -> SparseMatrix:
@@ -205,7 +207,8 @@ def assemble_lubrication_1d(u_lagged: Field, spec: LubricationSpec) -> SparseMat
     The operator is -(D @ Lap), D the flux divergence
     w -> (1/vol_i) [c_i (w_{i+1} - w_i) - c_{i-1} (w_i - w_{i-1})] with
     c_i = f_{i+1/2}/h, zero flux through the domain ends and half-cell
-    volumes there, formed on its five diagonals by _stencil_product.
+    volumes there, formed and returned on its five diagonals by
+    _stencil_product.
     """
     grid = spec.grid
     if not isinstance(grid, Grid1D) or u_lagged.grid != grid:

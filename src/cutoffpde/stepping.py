@@ -18,9 +18,10 @@ supplies both the interior source and those values, as the paper's F^n
 does.  The stepper owns that system, its LU and the reuse
 policy: an operator handed over again is neither shifted nor factored again;
 a new one is shifted, and factored when the LU in hand is a banded one (it
-costs about two backsubstitutions), while a sparse LU is kept and its solves
-refine against the new system until they outgrow it
-(linalg.Factorization.solve).  Once it keeps a sparse LU for a new operator,
+costs about two backsubstitutions; the 1D film's operator is shifted and
+factored on its five diagonals, with no CSR matrix built), while a sparse
+LU is kept and its solves refine against the new system until they outgrow
+it (linalg.Factorization.solve).  Once it keeps a sparse LU for a new operator,
 the stepper also keeps each implicit stage's solutions at the last three
 steps, and a solve on the stale LU starts from their quadratic
 extrapolation, 3*(x[n-1] - x[n-2]) + x[n-3]: the state moves little per
@@ -381,8 +382,11 @@ class DirkStepper:
     From the first time a sparse LU is kept for a new operator, every
     implicit stage's solutions at the last three steps are kept too, and a
     solve on that LU while it is stale starts from their quadratic
-    extrapolation.  A banded LU is factored afresh for every operator and
-    an operator handed over once is never stale, so neither keeps any.
+    extrapolation.  A banded LU is factored afresh for every operator (the
+    1D film's on its diagonals: shift, LU fill and products never form CSR)
+    and an operator handed over once is never stale, so neither keeps any.
+    A dirichlet_mask without a source raises ValueError, as the held values
+    come from the source.
     """
 
     def __init__(self, tableau: ButcherTableau, l_matrix: SparseMatrix, dt: float,
@@ -395,6 +399,9 @@ class DirkStepper:
         self._source = source
         self._boundary = None
         if dirichlet_mask is not None and dirichlet_mask.any():
+            if source is None:
+                raise ValueError("a dirichlet_mask needs the source callback, "
+                                 "which gives the values held on those nodes")
             self._boundary = np.flatnonzero(dirichlet_mask)
         self.stats = SolverStats()
         self._l = self._system = self._fact = self._history = None

@@ -137,8 +137,9 @@ def assert_same_csr(got, want):
 
 
 class TestIdentityPlusMatchesScipy:
-    """identity_plus forms I + s*A on the CSR arrays; it must equal scipy's
-    sorted merge bit for bit, values and index dtypes."""
+    """identity_plus forms I + s*A on the CSR arrays, or on the diagonals of
+    a 1D film operator; it must equal scipy's sorted merge bit for bit,
+    values and index dtypes."""
 
     SCALES = (-0.5, -1e-6, 2.0, 0.0, 1e-320)
 
@@ -622,8 +623,8 @@ class TestSolvers:
 
     def test_banded_route_with_identity_rows_matches_splu(self):
         # identity rows (Dirichlet nodes) inside a pentadiagonal band: the
-        # band array is filled from indptr/indices, so empty off-diagonals
-        # in a row must leave the band untouched there
+        # band array is filled from the diagonals the stored entries span,
+        # so empty off-diagonals in a row must leave the band zero there
         n = 30
         rng = np.random.default_rng(5)
         dense = np.zeros((n, n))

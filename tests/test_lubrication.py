@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from cutoffpde.grids import (
     mass,
     trapezoid_weights,
 )
-from cutoffpde.linalg import SparseMatrix
+from cutoffpde.linalg import Factorization, SolveError, SparseMatrix, identity_plus
 from cutoffpde.lubrication import (
     SNAPSHOT_EVERY_DEFAULT,
     ZERO_PLATEAU_MIN_WIDTH,
@@ -33,7 +34,7 @@ from cutoffpde.lubrication import (
     track_singularity,
 )
 from cutoffpde.lubrication import _laplacian_1d, _laplacian_2d, _laplacian_rows
-from cutoffpde.stepping import DivergenceError, StepperConfig
+from cutoffpde.stepping import SDIRK3_GAMMA, DivergenceError, StepperConfig
 
 
 def reference_operator_1d(u_lagged, spec):
@@ -331,6 +332,158 @@ class TestAssembly2DMatchesProduct:
         vals[rng.random(vals.size) < zero_share] = 0.0
         u = Field(spec.grid, vals)
         assert_same_csr(assemble_lubrication_2d(u, spec), reference_operator_2d(u, spec))
+
+
+def same_bits(x, y):
+    """Equal dtypes and values, NaN where NaN, and the same sign on every
+    zero: for finite values, the same bits."""
+    x, y = np.asarray(x), np.asarray(y)
+    numbers = ~np.isnan(x)
+    return (x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x[numbers]), np.signbit(y[numbers])))
+
+
+def assert_same_csr_bits(a, b):
+    for part in ("indptr", "indices", "data"):
+        assert same_bits(getattr(a, part), getattr(b, part)), part
+
+
+def film_states_1d():
+    """(name, spec, lagged state): the 1D film cases the diagonal form must
+    carry through assembly, shift, product and LU as CSR would."""
+    spec = LubricationSpec.default_1d(1000)
+    dry = spec.initial_field().values.copy()
+    dry[400:601] = 0.0
+    overflow = np.ones(9)
+    overflow[0] = overflow[-1] = 1e100
+    steep = LubricationSpec(grid=Grid1D(-1.0, 1.0, 8), mobility=MobilitySpec(exponent=4.0))
+    rng = np.random.default_rng(16)
+    speckled = rng.uniform(0.0, 2.0, 41)
+    speckled[rng.random(41) < 0.3] = 0.0
+    small = LubricationSpec.default_1d(40)
+    cases = [
+        ("initial", spec, spec.initial_field()),
+        ("dry stretch", spec, Field(spec.grid, dry)),
+        ("overflowed mobility", steep, Field(steep.grid, overflow)),
+        ("speckled", small, Field(small.grid, speckled)),
+        ("all dry", small, Field(small.grid, np.zeros(41))),
+        ("mollified", LubricationSpec.default_1d(1000, epsilon=1e-14), spec.initial_field()),
+    ]
+    return [pytest.param(spec, u, id=name) for name, spec, u in cases]
+
+
+class TestDiagonalForm:
+    """The 1D film's operator lives on its five diagonals from assembly to
+    backsubstitution.  Each step on them must give the bits the same matrix
+    in CSR gives: the operator entry for entry, its product, its shift and
+    the solves of its LU."""
+
+    SCALES = (-SDIRK3_GAMMA * 1e-6, -0.5, 2.0, 0.0, 1e-320)
+
+    @pytest.fixture(autouse=True)
+    def quiet_overflow(self):
+        # inf and NaN entries of an overflowed mobility warn in numpy's
+        # arithmetic, as they did in the assembly before
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+
+    @staticmethod
+    def both_forms(u, spec):
+        banded = assemble_lubrication_1d(u, spec)
+        offsets, band = banded.diagonals()
+        assert np.array_equal(offsets, [-2, -1, 0, 1, 2])
+        assert band.shape == (5, spec.grid.node_count)
+        return banded, SparseMatrix.from_canonical(banded.csr.copy())
+
+    @pytest.mark.parametrize("spec,u", film_states_1d())
+    def test_operator_matches_the_sparse_product(self, spec, u):
+        banded, _ = self.both_forms(u, spec)
+        ref = reference_operator_1d(u, spec)
+        offsets, band = banded.diagonals()
+        n = spec.grid.node_count
+        # every slot off the matrix holds a zero, NaN mobilities or not
+        for o, diagonal in zip(offsets, band):
+            assert not np.any(np.delete(diagonal, np.arange(max(-o, 0), n - max(o, 0))))
+        assert banded.nnz == ref.nnz
+        if not np.all(np.isfinite(ref.data)):
+            # an inf mobility meets the Laplacian's zeros (inf * 0) where the
+            # sparse product skips them, so only the pattern is the product's
+            assert same_bits(banded.indptr, ref.indptr)
+            assert same_bits(banded.indices, ref.indices)
+            return
+        assert_same_csr_bits(banded, ref)
+        # every slot on the matrix holds its entry
+        dense = ref.to_dense()
+        for o, diagonal in zip(offsets, band):
+            on = np.arange(max(-o, 0), n - max(o, 0))
+            assert np.array_equal(diagonal[on], dense[on, on + o])
+
+    @pytest.mark.parametrize("spec,u", film_states_1d())
+    def test_matvec_norm_and_pattern(self, spec, u):
+        banded, csr_form = self.both_forms(u, spec)
+        rng = np.random.default_rng(3)
+        for x in (rng.normal(size=banded.dimension), np.ones(banded.dimension),
+                  np.zeros(banded.dimension)):
+            assert same_bits(banded.matvec(x), csr_form.matvec(x))
+        assert same_bits(banded.operator_norm_inf(), csr_form.operator_norm_inf())
+        assert banded.nnz == csr_form.nnz
+        assert banded.bandwidth() == csr_form.bandwidth()
+
+    @pytest.mark.parametrize("spec,u", film_states_1d())
+    def test_identity_plus(self, spec, u):
+        banded, csr_form = self.both_forms(u, spec)
+        for scale in self.SCALES:
+            shifted, ref = identity_plus(banded, scale), identity_plus(csr_form, scale)
+            assert shifted.diagonals()[0] is banded.diagonals()[0]
+            assert_same_csr_bits(shifted, ref)
+            assert shifted.nnz == ref.nnz
+            assert shifted.bandwidth() == ref.bandwidth()
+            assert same_bits(shifted.operator_norm_inf(), ref.operator_norm_inf())
+
+    @pytest.mark.parametrize("spec,u", film_states_1d())
+    def test_solves(self, spec, u):
+        banded, csr_form = self.both_forms(u, spec)
+        rhs = np.random.default_rng(5).uniform(0.0, 2.0, banded.dimension)
+
+        def outcome(a):
+            try:
+                fact = Factorization(a)
+                x, report = fact.solve(rhs)
+            except SolveError as err:
+                return str(err)
+            # the LU itself, signed zeros included: the diagonals may hold
+            # -0.0 where CSR stores nothing
+            return fact.route, fact.fill, report, x, fact._lu, fact._ipiv
+
+        for scale in self.SCALES[:3]:
+            got = outcome(identity_plus(banded, scale))
+            want = outcome(identity_plus(csr_form, scale))
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert got[:3] == want[:3] and got[0] == "banded-lu"
+            for part, wanted in zip(got[3:], want[3:]):
+                assert same_bits(part, wanted)
+
+    def test_a_step_builds_no_scipy_sparse_matrix(self, monkeypatch):
+        from scipy.sparse._base import _spbase
+
+        spec = LubricationSpec(grid=Grid1D(-1.0, 1.0, 64),
+                               initial=lambda x: np.maximum(default_initial_1d(x) - 0.2, 0.0))
+        cfg = StepperConfig(dt=1e-6, t_end=3e-6, cutoff=CutoffParams(0.0))
+        # the per-grid Laplacian rows are built once, before any step
+        a = assemble_lubrication_1d(spec.initial_field(), spec)
+        assert np.any(np.diff(a.indptr) == 0)  # dry rows store no diagonal
+
+        def refuse(matrix, *args, **kwargs):
+            raise AssertionError(f"built a scipy {type(matrix).__name__}")
+
+        monkeypatch.setattr(_spbase, "__init__", refuse)
+        with pytest.raises(AssertionError, match="built a scipy csr_matrix"):
+            sp.csr_matrix(np.eye(2))
+        _, trace, _ = run_lubrication(spec, cfg)
+        assert trace.solver.routes == ["banded-lu"]
+        assert trace.solver.factorizations == cfg.n_steps
 
 
 class TestLaplacianCache:

@@ -362,6 +362,18 @@ class TestDirkStepperValidation:
         with pytest.raises(ValueError, match=match):
             DirkStepper(tab, SparseMatrix(sp.identity(3)), 0.1)
 
+    def test_mask_without_source_is_refused(self):
+        # the values held on Dirichlet nodes come from the source callback
+        problem = assemble(AnisotropicSpec.pure_diffusion(Grid2D.square(0.0, 1.0, 4)))
+        with pytest.raises(ValueError, match="dirichlet_mask needs the source callback"):
+            DirkStepper(sdirk3_tableau(), problem.l_matrix, 0.1,
+                        dirichlet_mask=problem.dirichlet_mask)
+        # an empty mask holds nothing, so it needs no source
+        stepper = DirkStepper(sdirk3_tableau(), problem.l_matrix, 0.1,
+                              dirichlet_mask=np.zeros_like(problem.dirichlet_mask))
+        values, _ = stepper.step(problem.initial_values.copy(), 0.0)
+        assert np.all(np.isfinite(values))
+
 
 class TestStepHelpers:
     def test_step_linear_backward_euler(self):
