@@ -127,24 +127,20 @@ def assemble(spec: AnisotropicSpec) -> LinearProblem:
     corner = 2.0 * d[0, 1] / (4.0 * hx * hy)
     diag = -2.0 * d[0, 0] / hx**2 - 2.0 * d[1, 1] / hy**2
 
-    offsets_and_weights = [
+    offsets_and_weights = sorted([
         (0, diag),
         (1, east), (-1, west),
         (nx + 1, north), (-(nx + 1), south),
         (nx + 2, corner), (-(nx + 2), corner),          # (i+1,j+1), (i-1,j-1)
         (nx, -corner), (-nx, -corner),                  # (i-1,j+1), (i+1,j-1)
-    ]
-    rows, cols, vals = [], [], []
-    for off, w in offsets_and_weights:
-        if w == 0.0:
-            continue
-        rows.append(center)
-        cols.append(center + off)
-        vals.append(np.full(center.size, w))
-    l_matrix = SparseMatrix.from_coo(
-        grid.node_count,
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-    )
+    ])
+    offsets = np.array([off for off, w in offsets_and_weights if w != 0.0])
+    weights = np.array([w for _, w in offsets_and_weights if w != 0.0])
+    # band[c, k] = L[k, k + offsets[c]]: the stencil on interior rows, and
+    # the Dirichlet rows empty
+    band = np.zeros((offsets.size, grid.node_count))
+    band[:, center] = weights[:, None]
+    l_matrix = SparseMatrix.from_diagonals(offsets, band)
 
     x, y = grid.node_xy()
     mask = np.zeros(grid.node_count, dtype=bool)

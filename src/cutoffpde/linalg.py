@@ -1,17 +1,16 @@
 """Square sparse matrices and the direct solvers the steppers run on.
 
-SparseMatrix is a square matrix held in one of two forms, with no
+SparseMatrix holds a square matrix on its diagonals, band[c, i] = A[i, i +
+offsets[c]]: every operator in this package is a fixed stencil (the 1D
+film's five diagonals, the 2D film's 13, the anisotropic 9-point operator's
+nine), which is the DIA layout of stencil matrices.  It carries no
 arithmetic beyond what the solvers need (a product, a norm, the shift of
-identity_plus): canonical CSR (sorted column indices, duplicates summed, no
-explicit zeros), which callers compute on as scipy matrices (``.csr``) and
-wrap, or its diagonals (the 1D film's five, from assembly to
-backsubstitution).  A matrix on its diagonals forms
-its CSR arrays only when a caller asks for them; its product sums each row
-from 0.0 in ascending column order, as scipy's CSR product does, and its
-shift and norm are those of the CSR matrix, so either form gives the same
-bits.  Banded LU fills LAPACK's band storage from the diagonals, those of a
-CSR matrix laid out by position first (a duplicate entry would be
-overwritten there, not summed, hence the canonical format).
+identity_plus), all formed on the diagonals.  The product sums each row
+from 0.0 in ascending column order, as scipy's CSR product does, and the
+shift and norm are those of the CSR matrix, so they give CSR's bits.  CSR
+(sorted column indices, no explicit zeros) is built once per matrix, when a
+caller asks for it: SuperLU, the scheme diagnostics and tests read it.
+Banded LU fills LAPACK's band storage from the diagonals.
 
 Solves are direct: systems whose bandwidth is at most BANDED_BANDWIDTH_MAX
 on each side go through LAPACK banded LU (gbtrf/gbtrs), everything else
@@ -58,14 +57,16 @@ guess, as the solve right after a refactor does: its own answer is far
 finer than a guess that merely passes the check.
 
 The steppers factor shifted systems I - a_ii*dt*L (identity_plus) and solve
-every implicit stage against them.  The 1D film's pentadiagonal system is
-shifted on its diagonals and factored fresh every step (gbtrf and gbtrs are
-looked up once, at import): a step builds no scipy sparse matrix.
+every implicit stage against them, shifted on their diagonals.  The 1D
+film's pentadiagonal system is factored fresh every step (gbtrf and gbtrs
+are looked up once, at import), so its steps build no scipy sparse matrix;
+a 2D film step builds CSR only when it factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,192 +88,111 @@ class SolveError(RuntimeError):
 
 
 class SparseMatrix:
-    """Immutable-by-convention square matrix, held in canonical CSR or on
-    its diagonals.
+    """Immutable-by-convention square matrix on its diagonals.
 
-    A matrix built from_diagonals keeps them, band[c, i] = A[i, i +
-    offsets[c]], and forms its product, norm, shift and LAPACK band storage
-    on them; its CSR arrays are built only when asked for (csr, indptr,
-    indices, data, to_dense)."""
-
-    __slots__ = ("_csr", "_band", "_rows", "_norm")
+    band[c, i] = A[i, i + offsets[c]] with offsets ascending and 0 among
+    them; slots off the matrix hold zeros, and a zero on the matrix is an
+    entry that CSR does not store.  SparseMatrix(matrix) takes scipy or
+    dense input (duplicates summed, zeros dropped) to the diagonals its
+    entries span; from_diagonals adopts assembled ones as they are.  csr and
+    to_dense form the CSR matrix on first use."""
 
     def __init__(self, matrix):
         csr = sp.csr_matrix(matrix, dtype=float, copy=True)
-        if csr.shape[0] != csr.shape[1]:
+        n = csr.shape[0]
+        if csr.shape != (n, n):
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
         csr.sum_duplicates()
-        csr.sort_indices()
         csr.eliminate_zeros()
-        self._csr = csr
-        self._band = self._rows = self._norm = None
-
-    @classmethod
-    def from_canonical(cls, csr: sp.csr_matrix) -> "SparseMatrix":
-        """Adopt a square CSR matrix that is canonical by construction
-        (sorted indices, no duplicates, no explicit zeros) as it is: no copy
-        and no re-canonicalization.  The caller vouches for the format."""
-        m = cls.__new__(cls)
-        m._csr = csr
-        m._band = m._rows = m._norm = None
-        return m
+        rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+        spans = csr.indices - rows
+        self._offsets = np.union1d(spans, [0])
+        self._band = np.zeros((self._offsets.size, n))
+        self._band[np.searchsorted(self._offsets, spans), rows] = csr.data
 
     @classmethod
     def from_diagonals(cls, offsets: np.ndarray, band: np.ndarray) -> "SparseMatrix":
         """Adopt the (k, n) array band[c, i] = A[i, i + offsets[c]] as it is,
-        offsets ascending with 0 among them.  Slots off the matrix must hold
-        zeros; a zero on the matrix is an entry that CSR does not store."""
+        offsets ascending with 0 among them and zeros off the matrix."""
         m = cls.__new__(cls)
-        m._band = (offsets, band)
-        m._csr = m._rows = m._norm = None
+        m._offsets, m._band = offsets, band
         return m
 
-    @classmethod
-    def from_coo(cls, n: int, rows, cols, vals) -> "SparseMatrix":
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
-        if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
-            raise ValueError("coordinate index out of range")
-        return cls(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
-
-    @property
+    @cached_property
     def csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            offsets, band = self._band
-            n = band.shape[1]
-            # row-major order keeps the columns sorted
-            by_row = band.T
-            keep = by_row != 0.0
-            indptr = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-            cols = np.arange(n, dtype=np.int32)[:, None] + offsets.astype(np.int32)
-            self._csr = sp.csr_matrix((by_row[keep], cols[keep], indptr), shape=(n, n))
-        return self._csr
+        n = self.dimension
+        # row-major order keeps the columns sorted
+        by_row = self._band.T
+        keep = by_row != 0.0
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        cols = np.arange(n, dtype=np.int32)[:, None] + self._offsets.astype(np.int32)
+        return sp.csr_matrix((by_row[keep], cols[keep], indptr), shape=(n, n))
 
     @property
     def dimension(self) -> int:
-        return self._csr.shape[0] if self._band is None else self._band[1].shape[1]
+        return self._band.shape[1]
 
     @property
     def nnz(self) -> int:
-        return self._csr.nnz if self._band is None else int(np.count_nonzero(self._band[1]))
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self.csr.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.csr.indices
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.csr.data
+        return int(np.count_nonzero(self._band))
 
     def diagonals(self) -> tuple:
         """(offsets, band) with band[c, i] = A[i, i + offsets[c]], zero off
-        the matrix: the diagonals the matrix was built from, or those its
-        stored entries span."""
-        if self._band is not None:
-            return self._band
-        kl, ku = self.bandwidth()
-        rows, cols = self.entry_rows(), self._csr.indices
-        band = np.zeros((kl + ku + 1, self.dimension))
-        band[kl + cols - rows, rows] = self._csr.data
-        return np.arange(-kl, ku + 1), band
+        the matrix."""
+        return self._offsets, self._band
 
+    # quiet as scipy's CSR product is: a diverging state overflows in the
+    # product, and the run loop reports the non-finite state it leaves
+    @np.errstate(over="ignore", invalid="ignore")
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         n = self.dimension
         if x.shape != (n,):
             raise ValueError(f"matvec operand has shape {x.shape}, expected ({n},)")
-        if self._band is None:
-            return self._csr @ x
         # row i sums band[c, i] * x[i + offsets[c]] from 0.0 in ascending
         # column order, as scipy's CSR product does; the slots off the
         # matrix meet the zero padding of x and add zeros
-        offsets, band = self._band
+        offsets = self._offsets
         first = -offsets[0]
         padded = np.zeros(n + first + offsets[-1])
         padded[first:first + n] = x
         y = np.zeros(n)
-        for o, diagonal in zip(offsets, band):
+        for o, diagonal in zip(offsets, self._band):
             y += diagonal * padded[first + o:first + o + n]
         return y
 
     def operator_norm_inf(self) -> float:
         """Exact max absolute row sum, computed on first use and kept."""
-        if self._norm is None:
-            if self._band is None:
-                # each row summed in storage order, as a product with ones would
-                row_sums = np.bincount(self.entry_rows(), weights=np.abs(self.data),
-                                       minlength=self.dimension)
-            else:
-                row_sums = np.zeros(self.dimension)
-                for diagonal in np.abs(self._band[1]):
-                    row_sums += diagonal
-            self._norm = float(row_sums.max()) if self.nnz else 0.0
         return self._norm
 
-    def entry_rows(self) -> np.ndarray:
-        """Row index of every stored entry, in storage order.
-
-        Computed on first use and kept (read-only): the norm, the bandwidth
-        and the shift all read it from one matrix."""
-        if self._rows is None:
-            indptr = self.indptr
-            rows = np.repeat(np.arange(self.dimension, dtype=indptr.dtype), np.diff(indptr))
-            rows.flags.writeable = False
-            self._rows = rows
-        return self._rows
+    @cached_property
+    def _norm(self) -> float:
+        # each row summed in ascending column order, as a product with ones
+        row_sums = np.zeros(self.dimension)
+        for diagonal in np.abs(self._band):
+            row_sums += diagonal
+        return float(row_sums.max(initial=0.0))
 
     def bandwidth(self) -> tuple:
-        """(lower, upper) bandwidth from the stored pattern."""
-        if self.nnz == 0:
-            return (0, 0)
-        if self._band is None:
-            d = self.entry_rows() - self._csr.indices
-            return (int(max(d.max(), 0)), int(max(-d.min(), 0)))
-        offsets, band = self._band
-        used = offsets[band.any(axis=1)]
-        return (int(max(-used[0], 0)), int(max(used[-1], 0)))
+        """(lower, upper) bandwidth of the stored entries."""
+        used = self._offsets[self._band.any(axis=1)]
+        return (int(-used.min(initial=0)), int(used.max(initial=0)))
 
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
 
 
 def identity_plus(a: SparseMatrix, scale: float) -> SparseMatrix:
-    """I + scale * A, the shifted systems the implicit steppers factor.
-
-    Equal to scipy's sorted merge of I and scale*A bit for bit, and canonical
-    as it comes.  A matrix on its diagonals is shifted on them: scale*band
-    with 1 added to the main diagonal, so a row without a diagonal entry
-    (the dry stretch of a 1D film) needs nothing inserted.  On CSR arrays,
-    when every row holds its diagonal entry the pattern stays, so the sum is
-    formed on the arrays: the diagonal becomes 1 + scale*a_ii and entries
-    that come out as exact zeros are dropped.  A row without one (a
-    Dirichlet row, a dry patch of the 2D film) needs a 1 inserted, which
-    scipy's merge does in one pass, faster than numpy can shift the
-    arrays."""
-    if a._band is not None:
-        offsets, band = a._band
-        shifted = band * float(scale)
-        shifted[offsets == 0] += 1.0
-        return SparseMatrix.from_diagonals(offsets, shifted)
-    n = a.dimension
-    # stored entries are nonzero, so a zero on the diagonal is a missing one
-    if np.count_nonzero(a.csr.diagonal()) < n:
-        return SparseMatrix.from_canonical(sp.identity(n, format="csr") + float(scale) * a.csr)
-    diag = np.flatnonzero(a.indices == a.entry_rows())
-    data = a.data * float(scale)
-    data[diag] += 1.0
-    keep = data != 0.0
-    cols, indptr = a.indices.copy(), a.indptr.copy()
-    if not keep.all():
-        data, cols = data[keep], cols[keep]
-        indptr -= np.searchsorted(np.flatnonzero(~keep), indptr)
-    return SparseMatrix.from_canonical(sp.csr_matrix((data, cols, indptr), shape=(n, n)))
+    """I + scale * A, the shifted systems the implicit steppers factor:
+    scale*band with 1 added to the main diagonal.  Equal to scipy's sorted
+    merge of I and scale*A bit for bit; a row without a diagonal entry (a
+    Dirichlet row, a dry stretch of film) needs nothing inserted, as the
+    main diagonal is always among the stored ones."""
+    offsets, band = a.diagonals()
+    shifted = band * float(scale)
+    shifted[offsets == 0] += 1.0
+    return SparseMatrix.from_diagonals(offsets, shifted)
 
 
 @dataclass(frozen=True)
@@ -321,12 +241,11 @@ class Factorization:
     against the factored matrix or a later one of the same dimension.
 
     A banded matrix is factored as it is, its LAPACK band storage filled
-    from its diagonals (SparseMatrix.diagonals), so one on its diagonals
-    never forms CSR.  Any other is factored by SuperLU
-    as its transpose, A's CSR arrays read as CSC, and solved transposed, so
-    every backsubstitution still returns the x of A x = b.  fill counts the
-    stored entries of the LU: SuperLU's nnz of L and U, or the size of the
-    LAPACK band array."""
+    from its diagonals, with no CSR formed.  Any other is factored by
+    SuperLU as its transpose, A's CSR arrays read as CSC, and solved
+    transposed, so every backsubstitution still returns the x of A x = b.
+    fill counts the stored entries of the LU: SuperLU's nnz of L and U, or
+    the size of the LAPACK band array."""
 
     def __init__(self, a: SparseMatrix):
         self._a = a
@@ -355,7 +274,8 @@ class Factorization:
             self.fill = lu.size
         else:
             # A's CSR arrays read as CSC are A^T, with no copy
-            at = sp.csc_matrix((a.data, a.indices, a.indptr), shape=(n, n))
+            csr = a.csr
+            at = sp.csc_matrix((csr.data, csr.indices, csr.indptr), shape=(n, n))
             if _diagonal_leads_columns(at):
                 self._route = "sparse-lu/symmetric"
                 ordering = dict(permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))

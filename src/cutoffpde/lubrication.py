@@ -34,12 +34,12 @@ assembled operator vanish and mass exactly conserved up to solver residual.
 One stencil product serves 1D and 2D: the flux divergence's entries meet
 the Laplacian rows they touch, laid out once per grid and cached, and give
 the operator's diagonals, entry for entry the sparse product of flux
-divergence and Laplacian.  The 1D film keeps its operator on those five
-diagonals, shifts it there and factors its pentadiagonal system every step
-by banded LU filled straight from them, so no CSR matrix is built between
-assembly and backsubstitution.  The 2D film's 13 diagonals go into
-canonical CSR, and its sparse LU is kept across steps while its solves
-still refine to tolerance (see stepping.DirkStepper).
+divergence and Laplacian.  Both films keep their operators on those
+diagonals and shift them there.  The 1D film factors its pentadiagonal
+system every step by banded LU filled straight from them, so no CSR matrix
+is built between assembly and backsubstitution.  The 2D film keeps its
+sparse LU across steps while its solves still refine to tolerance (see
+stepping.DirkStepper), and forms CSR for SuperLU only when it factors.
 """
 
 from __future__ import annotations
@@ -155,8 +155,9 @@ def _laplacian_rows(grid) -> tuple:
     outside the matrix, for the flux-divergence offsets o = (-1, 0, 1) in 1D
     and (-(nx+1), -1, 0, 1, nx+1) in 2D: the Laplacian rows that row i of D
     meets in D @ Lap, laid out on the sorted distinct sums of those offsets
-    (the five diagonals in 1D; 13 on 2D grids more than two cells wide).
-    Built once per grid and shared by every caller, so read-only."""
+    (the five diagonals in 1D; 13 on 2D grids more than two cells wide),
+    read off the Laplacian's own diagonals.  Built once per grid and shared
+    by every caller, so read-only."""
     if isinstance(grid, Grid1D):
         lap, o = _laplacian_1d(grid), np.array([-1, 0, 1])
     else:
@@ -164,21 +165,20 @@ def _laplacian_rows(grid) -> tuple:
         lap, o = _laplacian_2d(grid), np.array([-w, -1, 0, 1, w])
     offsets = np.unique(o[:, None] + o[None, :]).astype(np.int32)
     n = lap.dimension
-    rows, cols = lap.entry_rows(), lap.indices
     s = np.zeros((o.size, offsets.size, n))
     for m, om in enumerate(o):
-        i = rows - om
-        inside = (i >= 0) & (i < n)
-        s[m, np.searchsorted(offsets, cols[inside] - i[inside]), i[inside]] = lap.data[inside]
+        for p, diagonal in zip(*lap.diagonals()):
+            # S[m, c, i] = Lap[i + om, i + om + p] for the rows i + om inside
+            c = np.searchsorted(offsets, om + p)
+            s[m, c, max(-om, 0):n - max(om, 0)] = diagonal[max(om, 0):n + min(om, 0)]
     offsets.flags.writeable = False
     s.flags.writeable = False
     return offsets, s
 
 
 def _stencil_product(d: np.ndarray, grid) -> SparseMatrix:
-    """-(D @ Lap) from d[m, i] = D[i, i + o_m] (nodes in storage order, o as
-    in _laplacian_rows): on its diagonals for a 1D grid, in canonical CSR
-    for a 2D one, whose 13 diagonals SuperLU factors.
+    """-(D @ Lap) on its diagonals, from d[m, i] = D[i, i + o_m] (nodes in
+    storage order, o as in _laplacian_rows).
 
     Each entry sums D[i, j] * Lap[j, k] over ascending j, the order of a
     sparse product, so the entries are the product's to the bit.  Slots off
@@ -195,8 +195,7 @@ def _stencil_product(d: np.ndarray, grid) -> SparseMatrix:
     for o, diagonal in zip(offsets, band):
         diagonal[:max(-o, 0)] = 0.0
         diagonal[n - max(o, 0):] = 0.0
-    a = SparseMatrix.from_diagonals(offsets, band)
-    return a if isinstance(grid, Grid1D) else SparseMatrix.from_canonical(a.csr)
+    return SparseMatrix.from_diagonals(offsets, band)
 
 
 def assemble_lubrication_1d(u_lagged: Field, spec: LubricationSpec) -> SparseMatrix:

@@ -15,15 +15,16 @@ diagonal value, so one shifted system I - a_ii*dt*L serves all implicit
 stages of a step.  Dirichlet nodes keep identity rows in it, and the stages
 solve it whole with the boundary values on those rows; one source callback
 supplies both the interior source and those values, as the paper's F^n
-does.  The stepper owns that system, its LU and the reuse
-policy: an operator handed over again is neither shifted nor factored again;
-a new one is shifted, and factored when the LU in hand is a banded one (it
-costs about two backsubstitutions; the 1D film's operator is shifted and
-factored on its five diagonals, with no CSR matrix built), while a sparse
+does.  The stepper owns that system, its LU and the reuse policy: an
+operator handed over again is neither shifted nor factored again; a new one
+is shifted on its diagonals, and factored when the LU in hand is a banded
+one (it costs about two backsubstitutions; the 1D film's operator is
+factored from its five diagonals, with no CSR matrix built), while a sparse
 LU is kept and its solves refine against the new system until they outgrow
-it (linalg.Factorization.solve).  Once it keeps a sparse LU for a new operator,
-the stepper also keeps each implicit stage's solutions at the last three
-steps, and a solve on the stale LU starts from their quadratic
+it (linalg.Factorization.solve), so a 2D film step builds CSR only when it
+factors.  Once it keeps a sparse LU for a new operator, the stepper also
+keeps each implicit stage's solutions at the last three steps, and a solve
+on the stale LU starts from their quadratic
 extrapolation, 3*(x[n-1] - x[n-2]) + x[n-3]: the state moves little per
 step, so the guess lands far closer than the stale LU's own answer.  The
 counts of what it did go into the run's trace as SolverStats.  Two tableaux
@@ -304,7 +305,7 @@ class LinearProblem:
         init = np.asarray(self.initial_values, dtype=float)
         if init.shape != (n,):
             raise ValueError("initial values length does not match the grid")
-        if np.diff(self.l_matrix.indptr)[mask].any():
+        if self.l_matrix.diagonals()[1][:, mask].any():
             raise ValueError("operator stores entries in Dirichlet rows")
         object.__setattr__(self, "dirichlet_mask", mask)
         object.__setattr__(self, "initial_values", init)
@@ -383,8 +384,8 @@ class DirkStepper:
     implicit stage's solutions at the last three steps are kept too, and a
     solve on that LU while it is stale starts from their quadratic
     extrapolation.  A banded LU is factored afresh for every operator (the
-    1D film's on its diagonals: shift, LU fill and products never form CSR)
-    and an operator handed over once is never stale, so neither keeps any.
+    1D film's from its diagonals: shift, LU fill and products never form
+    CSR) and an operator handed over once is never stale, so neither keeps any.
     A dirichlet_mask without a source raises ValueError, as the held values
     come from the source.
     """

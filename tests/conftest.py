@@ -8,9 +8,16 @@ import scipy.sparse as sp
 from cutoffpde.cutoff import CutoffParams
 from cutoffpde.grids import Field, Grid1D, l2_norm
 from cutoffpde.harness import ExperimentConfig, convergence_study, regularization_comparison
-from cutoffpde.linalg import SparseMatrix
+from cutoffpde.linalg import SparseMatrix, identity_plus
 from cutoffpde.lubrication import LubricationSpec, run_lubrication
-from cutoffpde.stepping import LinearProblem, StepperConfig, run, sdirk3_tableau, theta_tableau
+from cutoffpde.stepping import (
+    SDIRK3_GAMMA,
+    LinearProblem,
+    StepperConfig,
+    run,
+    sdirk3_tableau,
+    theta_tableau,
+)
 
 ANISO_RESOLUTIONS = (10, 20, 40, 80)
 ANISO_DT = 1e-2
@@ -18,6 +25,65 @@ ANISO_T_END = 1.0
 
 LUB_DT = 1e-6
 LUB_T_END = 2.5e-3
+
+
+#: shifts the one-form checks apply: a film step's, large ones of both
+#: signs, and two that zero or underflow the scaled entries
+SCALES = (-SDIRK3_GAMMA * 1e-6, -0.5, 2.0, 0.0, 1e-320)
+
+
+def canonical(matrix) -> sp.csr_matrix:
+    """matrix as scipy's canonical CSR: sorted columns, duplicates summed, no
+    explicit zeros."""
+    csr = sp.csr_matrix(matrix, copy=True)
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    return csr
+
+
+def reference_identity_plus(csr, scale):
+    """I + scale*A by scipy's checked sum, the oracle for identity_plus."""
+    return sp.identity(csr.shape[0], format="csr") + float(scale) * csr
+
+
+def same_bits(x, y):
+    """Equal dtypes and values, NaN where NaN, and the same sign on every
+    zero: for finite values, the same bits."""
+    x, y = np.asarray(x), np.asarray(y)
+    numbers = ~np.isnan(x)
+    return (x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x[numbers]), np.signbit(y[numbers])))
+
+
+def assert_same_csr_bits(got, want):
+    """Equal CSR arrays, index dtypes and signed zeros included."""
+    for part in ("indptr", "indices", "data"):
+        assert same_bits(getattr(got, part), getattr(want, part)), part
+
+
+def assert_acts_as_csr(a, ref):
+    """The product, norm, entry count and bandwidth of the SparseMatrix a
+    are those scipy computes on the CSR matrix ref, bit for bit."""
+    rng = np.random.default_rng(3)
+    n = a.dimension
+    for x in (rng.normal(size=n), np.ones(n), np.zeros(n)):
+        assert same_bits(a.matvec(x), ref @ x)
+    # each row summed in storage order: scipy's product with a ones vector
+    assert same_bits(a.operator_norm_inf(), float((abs(ref) @ np.ones(n)).max()))
+    assert a.nnz == ref.nnz
+    coo = ref.tocoo()
+    d = coo.row.astype(np.int64) - coo.col
+    assert a.bandwidth() == (int(d.max(initial=0)), int(-d.min(initial=0)))
+
+
+def assert_shifts_as_csr(a, ref):
+    """identity_plus(a, s) at every s in SCALES equals scipy's I + s*ref:
+    its CSR arrays bit for bit, and what it computes on them."""
+    for scale in SCALES:
+        shifted, want = identity_plus(a, scale), reference_identity_plus(ref, scale)
+        assert shifted.diagonals()[0] is a.diagonals()[0]
+        assert_same_csr_bits(shifted.csr, want)
+        assert_acts_as_csr(shifted, want)
 
 
 def make_heat_problem(n_cells: int = 200) -> tuple:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,10 +20,36 @@ from cutoffpde.anisotropic import (
 from cutoffpde.grids import Field, Grid2D, l2_norm
 from cutoffpde.linalg import identity_plus
 
+from conftest import assert_acts_as_csr, assert_same_csr_bits, assert_shifts_as_csr
+
 
 def spec_on(n, convection=False):
     grid = Grid2D.square(0.0, 1.0, n)
     return AnisotropicSpec.with_convection(grid) if convection else AnisotropicSpec.pure_diffusion(grid)
+
+
+def reference_operator(spec):
+    """The 9-point operator as scipy's CSR of its coordinate entries, one
+    per interior node and stencil offset: the oracle of the diagonals."""
+    grid = spec.grid
+    nx, ny = grid.nx_cells, grid.ny_cells
+    d, b = spec.diffusion, spec.convection
+    gx, gy = np.meshgrid(np.arange(1, nx), np.arange(1, ny))
+    center = (gy * (nx + 1) + gx).ravel()
+    corner = 2.0 * d[0, 1] / (4.0 * grid.hx * grid.hy)
+    stencil = {
+        0: -2.0 * d[0, 0] / grid.hx**2 - 2.0 * d[1, 1] / grid.hy**2,
+        1: d[0, 0] / grid.hx**2 - b[0] / (2.0 * grid.hx),
+        -1: d[0, 0] / grid.hx**2 + b[0] / (2.0 * grid.hx),
+        nx + 1: d[1, 1] / grid.hy**2 - b[1] / (2.0 * grid.hy),
+        -(nx + 1): d[1, 1] / grid.hy**2 + b[1] / (2.0 * grid.hy),
+        nx + 2: corner, -(nx + 2): corner, nx: -corner, -nx: -corner,
+    }
+    rows = np.concatenate([center for _ in stencil])
+    cols = np.concatenate([center + off for off in stencil])
+    vals = np.concatenate([np.full(center.size, w) for w in stencil.values()])
+    n = grid.node_count
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 class TestExactSolution:
@@ -170,6 +197,18 @@ class TestAssembly:
         mask = problem.dirichlet_mask
         assert mask.sum() == 16  # 25 nodes, 9 interior
         assert np.all(problem.l_matrix.to_dense()[mask] == 0.0)
+
+    @pytest.mark.parametrize("n,convection", [(3, False), (8, False), (8, True), (17, True)])
+    def test_diagonals_act_as_csr(self, n, convection):
+        # Dirichlet rows stay empty; product, norm, pattern and every shift
+        # give the bits scipy gives on the coordinate-built operator
+        spec = spec_on(n, convection)
+        l_matrix = assemble(spec).l_matrix
+        ref = reference_operator(spec)
+        assert l_matrix.diagonals()[1].shape == (9, spec.grid.node_count)
+        assert_same_csr_bits(l_matrix.csr, ref)
+        assert_acts_as_csr(l_matrix, ref)
+        assert_shifts_as_csr(l_matrix, ref)
 
     def test_monotonicity_violation_witness(self):
         # the anti-diagonal corner entries are negative in L, so the shifted

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -390,10 +391,12 @@ class TestCli:
         assert not (out / "final.csv").exists()
 
     def test_stopped_study_writes_its_partial_trace(self, tmp_path, capsys):
-        # forward Euler far beyond its step limit overflows
+        # forward Euler far beyond its step limit overflows, without a warning
         out = tmp_path / "ladder"
-        assert cli_main(["aniso-convergence", "--grids", "8", "--integrator", "theta",
-                         "--theta", "0", "--cutoff", "off", "--out", str(out)]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli_main(["aniso-convergence", "--grids", "8", "--integrator", "theta",
+                             "--theta", "0", "--cutoff", "off", "--out", str(out)]) == 1
         capsys.readouterr()
         meta = read_metadata(out / "metadata.txt")
         assert meta["error"].startswith("state went non-finite at t = ")

@@ -29,6 +29,16 @@ from cutoffpde.lubrication import (
 )
 from cutoffpde.stepping import SDIRK3_GAMMA, StepperConfig, run
 
+from conftest import (
+    SCALES,
+    assert_acts_as_csr,
+    assert_same_csr_bits,
+    assert_shifts_as_csr,
+    canonical,
+    reference_identity_plus,
+    same_bits,
+)
+
 
 def tridiag(n, lo, di, up):
     rows, cols, vals = [], [], []
@@ -44,27 +54,28 @@ def tridiag(n, lo, di, up):
             rows.append(i)
             cols.append(i + 1)
             vals.append(up)
-    return SparseMatrix.from_coo(n, rows, cols, vals)
+    return SparseMatrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
 
 
 class TestSparseMatrix:
-    def test_from_coo_sums_duplicates(self):
-        a = SparseMatrix.from_coo(2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, -1.0])
+    def test_constructor_sums_duplicates(self):
+        a = SparseMatrix(sp.coo_matrix(([2.0, 3.0, -1.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2)))
         assert np.array_equal(a.to_dense(), [[0.0, 5.0], [-1.0, 0.0]])
         assert a.nnz == 2
 
-    def test_from_coo_range_check(self):
-        with pytest.raises(ValueError, match="out of range"):
-            SparseMatrix.from_coo(2, [0], [2], [1.0])
-        with pytest.raises(ValueError, match="out of range"):
-            SparseMatrix.from_coo(2, [-1], [0], [1.0])
+    def test_constructor_range_check(self):
+        # scipy's own coordinate check
+        with pytest.raises(ValueError):
+            SparseMatrix(sp.coo_matrix(([1.0], ([0], [2])), shape=(2, 2)))
+        with pytest.raises(ValueError):
+            SparseMatrix(sp.coo_matrix(([1.0], ([-1], [0])), shape=(2, 2)))
 
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError, match="square"):
             SparseMatrix(np.zeros((2, 3)))
 
     def test_explicit_zeros_dropped(self):
-        a = SparseMatrix.from_coo(2, [0, 1], [0, 1], [1.0, 0.0])
+        a = SparseMatrix(sp.coo_matrix(([1.0, 0.0], ([0, 1], [0, 1])), shape=(2, 2)))
         assert a.nnz == 1
 
     def test_matvec(self):
@@ -79,26 +90,50 @@ class TestSparseMatrix:
     def test_operator_norm_inf(self):
         a = SparseMatrix(np.array([[1.0, -2.0], [3.0, 4.0]]))
         assert a.operator_norm_inf() == 7.0
-        assert SparseMatrix.from_coo(4, [], [], []).operator_norm_inf() == 0.0
+        assert SparseMatrix(sp.csr_matrix((4, 4))).operator_norm_inf() == 0.0
 
     def test_bandwidth(self):
         assert tridiag(6, 1.0, 4.0, 1.0).bandwidth() == (1, 1)
-        lower = SparseMatrix.from_coo(5, [3, 0], [0, 0], [1.0, 1.0])
+        lower = SparseMatrix(sp.coo_matrix(([1.0, 1.0], ([3, 0], [0, 0])), shape=(5, 5)))
         assert lower.bandwidth() == (3, 0)
-        assert SparseMatrix.from_coo(4, [], [], []).bandwidth() == (0, 0)
+        assert SparseMatrix(sp.csr_matrix((4, 4))).bandwidth() == (0, 0)
 
     def test_norm_and_bandwidth_read_the_stored_pattern(self):
-        # both come straight from indptr/indices; the row sums keep the
-        # order of a product with a ones vector, so the norm is the same float
+        # a random pattern with an empty row: the diagonals its entries span,
+        # and norm, product and bandwidth as scipy gives them on its CSR
         rng = np.random.default_rng(11)
         dense = rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)
         dense[4] = 0.0
+        ref = sp.csr_matrix(dense)
         a = SparseMatrix(dense)
-        assert a.operator_norm_inf() == float(np.max(np.abs(a.csr).sum(axis=1)))
-        coo = a.csr.tocoo()
-        d = coo.row - coo.col
-        assert a.bandwidth() == (int(max(d.max(), 0)), int(max(-d.min(), 0)))
-        assert np.array_equal(a.entry_rows(), coo.row)
+        offsets, band = a.diagonals()
+        coo = ref.tocoo()
+        assert np.array_equal(offsets, np.union1d(coo.col - coo.row, [0]))
+        assert np.array_equal(band[np.searchsorted(offsets, coo.col - coo.row), coo.row], coo.data)
+        assert_same_csr_bits(a.csr, ref)
+        assert_acts_as_csr(a, ref)
+
+    def test_csr_formed_once(self):
+        a = SparseMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        assert a.csr is a.csr
+        assert np.array_equal(a.csr.indptr, [0, 2, 3])
+
+    @pytest.mark.parametrize("matrix", [
+        sp.csr_matrix((4, 4)),
+        np.zeros((4, 4)),
+        sp.coo_matrix(([0.0, 0.0], ([0, 3], [3, 0])), shape=(4, 4)),
+        assemble_lubrication_1d(Field(LubricationSpec.default_1d(3).grid, np.zeros(4)),
+                                LubricationSpec.default_1d(3)).csr,
+    ], ids=["empty csr", "dense zeros", "explicit zeros", "all-dry film"])
+    def test_no_stored_entry(self, matrix):
+        a = SparseMatrix(matrix)
+        assert a.dimension == 4 and a.nnz == 0
+        assert same_bits(a.matvec(np.arange(1.0, 5.0)), np.zeros(4))
+        assert a.operator_norm_inf() == 0.0
+        assert a.bandwidth() == (0, 0)
+        assert np.array_equal(a.to_dense(), np.zeros((4, 4)))
+        for scale in SCALES:
+            assert_same_csr_bits(identity_plus(a, scale).csr, sp.identity(4, format="csr"))
 
     def test_identity_plus(self):
         a = SparseMatrix(np.array([[0.0, 2.0], [1.0, 0.0]]))
@@ -117,35 +152,18 @@ class TestSparseMatrix:
         ])
         shifted = identity_plus(SparseMatrix(dense), -0.5)
         assert shifted.csr.has_canonical_format
-        again = SparseMatrix(shifted.csr)
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(shifted, part), getattr(again, part))
+        assert_same_csr_bits(shifted.csr, canonical(shifted.csr))
         assert np.array_equal(shifted.to_dense(), np.eye(4) - 0.5 * dense)
         assert shifted.nnz == 7  # the zero at (0, 0) is not stored
 
 
-def reference_identity_plus(a, scale):
-    """I + scale*A by scipy's checked sum, the oracle for identity_plus."""
-    return sp.identity(a.dimension, format="csr") + float(scale) * a.csr
-
-
-def assert_same_csr(got, want):
-    for part in ("indptr", "indices", "data"):
-        g, w = getattr(got, part), getattr(want, part)
-        assert g.dtype == w.dtype, part
-        assert np.array_equal(g, w), part
-
-
 class TestIdentityPlusMatchesScipy:
-    """identity_plus forms I + s*A on the CSR arrays, or on the diagonals of
-    a 1D film operator; it must equal scipy's sorted merge bit for bit,
-    values and index dtypes."""
+    """identity_plus forms I + s*A on the diagonals; it must equal scipy's
+    sorted merge bit for bit, values and index dtypes."""
 
-    SCALES = (-0.5, -1e-6, 2.0, 0.0, 1e-320)
-
-    def check(self, a):
-        for scale in self.SCALES:
-            assert_same_csr(identity_plus(a, scale).csr, reference_identity_plus(a, scale))
+    @staticmethod
+    def check(a, ref=None):
+        assert_shifts_as_csr(a, a.csr if ref is None else ref)
 
     def test_film_operators_with_dry_rows(self):
         rng = np.random.default_rng(8)
@@ -160,12 +178,12 @@ class TestIdentityPlusMatchesScipy:
                 u.reshape(shape)[tuple(slice(3, 8) for _ in shape)] = 0.0
                 a = assemble_film(Field(spec.grid, u), spec)
                 # nodes inside a dry stretch have empty rows, so no diagonal
-                assert a.nnz > 0 and np.any(np.diff(a.indptr) == 0)
+                assert a.nnz > 0 and np.any(np.diff(a.csr.indptr) == 0)
                 self.check(a)
 
     def test_dirichlet_rows(self):
         l_matrix = assemble(AnisotropicSpec.pure_diffusion(Grid2D.square(0.0, 1.0, 8))).l_matrix
-        assert np.any(np.diff(l_matrix.indptr) == 0)
+        assert np.any(np.diff(l_matrix.csr.indptr) == 0)
         self.check(l_matrix)
 
     def test_exact_zeros_are_not_stored(self):
@@ -178,23 +196,22 @@ class TestIdentityPlusMatchesScipy:
             a = SparseMatrix(dense)
             for scale, nnz in ((-0.5, 5), (1e-30, 4)):
                 got = identity_plus(a, scale)
-                assert_same_csr(got.csr, reference_identity_plus(a, scale))
-                assert got.nnz == nnz and np.all(got.data != 0.0)
+                assert_same_csr_bits(got.csr, reference_identity_plus(sp.csr_matrix(dense), scale))
+                assert got.nnz == nnz and np.all(got.csr.data != 0.0)
 
     def test_int64_indices(self):
+        # CSR input with 64-bit indices comes to the same diagonals; the CSR
+        # formed from them, and its shifts, carry scipy's 32-bit indices
         for dense in ([[1.0, 2.0, 0.0], [1.0, 3.0, 0.0], [0.0, 5.0, 3.0]],
                       [[0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 5.0, 3.0]]):
-            wide = sp.csr_matrix(SparseMatrix(np.array(dense)).csr, copy=True)
+            narrow = sp.csr_matrix(np.array(dense))
+            wide = narrow.copy()
             wide.indices = wide.indices.astype(np.int64)
             wide.indptr = wide.indptr.astype(np.int64)
-            self.check(SparseMatrix.from_canonical(wide))
-
-    def test_entry_rows_computed_once(self):
-        a = SparseMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
-        rows = a.entry_rows()
-        assert a.entry_rows() is rows
-        assert not rows.flags.writeable
-        assert np.array_equal(rows, [0, 0, 1])
+            a = SparseMatrix(wide)
+            for got, want in zip(a.diagonals(), SparseMatrix(narrow).diagonals()):
+                assert np.array_equal(got, want)
+            self.check(a, narrow)
 
 
 def shifted_film_2d(u=None):
@@ -207,7 +224,8 @@ def shifted_film_2d(u=None):
 
 def factored_transpose(a):
     """A^T as SuperLU factors it: a's CSR arrays read as CSC."""
-    return sp.csc_matrix((a.data, a.indices, a.indptr), shape=a.csr.shape)
+    csr = a.csr
+    return sp.csc_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)
 
 
 class TestSparseOrderingChoice:
@@ -257,7 +275,7 @@ class TestSparseOrderingChoice:
         a = shifted_film_2d(self.dry_patch_state())
         # dry nodes give identity rows, but their columns still hold the
         # couplings of their wet neighbours
-        assert np.sum(np.diff(a.indptr) == 1) > 0
+        assert np.sum(np.diff(a.csr.indptr) == 1) > 0
         self.check_sparse(a, True)
 
     def test_anisotropic_dirichlet_rows_take_default_route(self):
@@ -613,13 +631,30 @@ class TestSolvers:
         rows = list(range(n)) + [0, 7]
         cols = list(range(n)) + [7, 0]
         vals = [10.0] * n + [1.0, 1.0]
-        a = SparseMatrix.from_coo(n, rows, cols, vals)
+        a = SparseMatrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
         assert max(a.bandwidth()) > BANDED_BANDWIDTH_MAX
         rhs = np.arange(1.0, n + 1.0)
         f = Factorization(a)
         x, _ = f.solve(rhs)
         assert f.method == "sparse-lu"
         assert np.allclose(x, np.linalg.solve(a.to_dense(), rhs), rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [17, 18])
+    def test_full_bandwidth_takes_sparse_route(self, seed):
+        # a dense matrix spans all 23 diagonals: SuperLU, whose L and U
+        # store all n(n+1) = 156 entries on either ordering
+        n = 12
+        rng = np.random.default_rng(seed)
+        dense = rng.normal(size=(n, n))
+        if seed == 17:
+            np.fill_diagonal(dense, 1.0 + np.abs(dense).sum(axis=1))
+        a = SparseMatrix(dense)
+        assert a.bandwidth() == (n - 1, n - 1) and a.diagonals()[1].shape == (2 * n - 1, n)
+        f = Factorization(a)
+        assert f.route == ("sparse-lu/symmetric" if seed == 17 else "sparse-lu/colamd")
+        assert f.fill == n * (n + 1)
+        x, report = f.solve(np.ones(n))
+        assert np.allclose(x, np.linalg.solve(dense, np.ones(n)), rtol=1e-9, atol=1e-12)
 
     def test_banded_route_with_identity_rows_matches_splu(self):
         # identity rows (Dirichlet nodes) inside a pentadiagonal band: the

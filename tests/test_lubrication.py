@@ -1,5 +1,7 @@
 """Thin-film mobility, assembly, touching-set tracking, and the 1D/2D drivers."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -36,6 +38,16 @@ from cutoffpde.lubrication import (
 from cutoffpde.lubrication import _laplacian_1d, _laplacian_2d, _laplacian_rows
 from cutoffpde.stepping import SDIRK3_GAMMA, DivergenceError, StepperConfig
 
+from conftest import (
+    SCALES,
+    assert_acts_as_csr,
+    assert_same_csr_bits,
+    assert_shifts_as_csr,
+    canonical,
+    reference_identity_plus,
+    same_bits,
+)
+
 
 def reference_operator_1d(u_lagged, spec):
     """The 1D film operator as the sparse product -(D @ Lap) of the flux
@@ -53,8 +65,9 @@ def reference_operator_1d(u_lagged, spec):
     rows = np.concatenate([left, left, right, right])
     cols = np.concatenate([right, left, right, left])
     vals = np.concatenate([c / vol[left], -c / vol[left], -c / vol[right], c / vol[right]])
-    div = SparseMatrix.from_coo(n, rows, cols, vals)
-    return SparseMatrix(-(div.csr @ _laplacian_1d(grid).csr))
+    div = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    div.eliminate_zeros()
+    return canonical(-(div @ _laplacian_1d(grid).csr))
 
 
 def reference_operator_2d(u_lagged, spec):
@@ -88,18 +101,11 @@ def reference_operator_2d(u_lagged, spec):
     rows += [low, low, high, high]
     cols += [high, low, high, low]
     vals += [c / vlow, -c / vlow, -c / vhigh, c / vhigh]
-    div = SparseMatrix.from_coo(
-        grid.node_count, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
-    return SparseMatrix(-(div.csr @ _laplacian_2d(grid).csr))
-
-
-def assert_same_csr(a, b):
-    """Equal indptr, indices and data, values and dtypes alike."""
-    for part in ("indptr", "indices", "data"):
-        x, y = getattr(a, part), getattr(b, part)
-        assert x.dtype == y.dtype, part
-        assert np.array_equal(x, y), part
+    n = grid.node_count
+    div = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n, n)).tocsr()
+    div.eliminate_zeros()
+    return canonical(-(div @ _laplacian_2d(grid).csr))
 
 
 class TestMobility:
@@ -249,7 +255,7 @@ class TestAssembly1DMatchesProduct:
     def test_initial_film(self):
         spec = LubricationSpec.default_1d(1000)
         u0 = spec.initial_field()
-        assert_same_csr(assemble_lubrication_1d(u0, spec), reference_operator_1d(u0, spec))
+        assert_same_csr_bits(assemble_lubrication_1d(u0, spec).csr, reference_operator_1d(u0, spec))
 
     def test_zeroed_interval(self):
         # zero-mobility faces inside the interval leave zero rows there
@@ -258,13 +264,13 @@ class TestAssembly1DMatchesProduct:
         vals[400:601] = 0.0
         u = Field(spec.grid, vals)
         a = assemble_lubrication_1d(u, spec)
-        assert_same_csr(a, reference_operator_1d(u, spec))
-        assert np.all(np.diff(a.indptr)[402:599] == 0)
+        assert_same_csr_bits(a.csr, reference_operator_1d(u, spec))
+        assert np.all(np.diff(a.csr.indptr)[402:599] == 0)
 
     def test_mollified_mobility(self):
         spec = LubricationSpec.default_1d(1000, epsilon=1e-14)
         u0 = spec.initial_field()
-        assert_same_csr(assemble_lubrication_1d(u0, spec), reference_operator_1d(u0, spec))
+        assert_same_csr_bits(assemble_lubrication_1d(u0, spec).csr, reference_operator_1d(u0, spec))
 
     def test_overflowed_mobility_stays_on_the_matrix(self):
         # u^4 overflows at a boundary node: the slots off the matrix then hold
@@ -275,9 +281,9 @@ class TestAssembly1DMatchesProduct:
         with np.errstate(over="ignore", invalid="ignore"):
             a = assemble_lubrication_1d(Field(spec.grid, vals), spec)
             ref = reference_operator_1d(Field(spec.grid, vals), spec)
-        assert 0 <= a.indices.min() and a.indices.max() <= 8
-        assert np.array_equal(a.indptr, ref.indptr)
-        assert not np.all(np.isfinite(a.data))
+        assert 0 <= a.csr.indices.min() and a.csr.indices.max() <= 8
+        assert np.array_equal(a.csr.indptr, ref.indptr)
+        assert not np.all(np.isfinite(a.csr.data))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -291,7 +297,7 @@ class TestAssembly1DMatchesProduct:
         vals = rng.uniform(0.0, 2.0, n + 1)
         vals[rng.random(n + 1) < zero_share] = 0.0
         u = Field(spec.grid, vals)
-        assert_same_csr(assemble_lubrication_1d(u, spec), reference_operator_1d(u, spec))
+        assert_same_csr_bits(assemble_lubrication_1d(u, spec).csr, reference_operator_1d(u, spec))
 
 
 class TestAssembly2DMatchesProduct:
@@ -301,7 +307,7 @@ class TestAssembly2DMatchesProduct:
     def test_initial_film(self):
         spec = LubricationSpec.default_2d(40)
         u0 = spec.initial_field()
-        assert_same_csr(assemble_lubrication_2d(u0, spec), reference_operator_2d(u0, spec))
+        assert_same_csr_bits(assemble_lubrication_2d(u0, spec).csr, reference_operator_2d(u0, spec))
 
     def test_dry_patch(self):
         # nodes whose four faces all carry zero mobility leave empty rows
@@ -310,13 +316,13 @@ class TestAssembly2DMatchesProduct:
         vals.reshape(25, 25)[8:17, 9:15] = 0.0
         u = Field(spec.grid, vals)
         a = assemble_lubrication_2d(u, spec)
-        assert_same_csr(a, reference_operator_2d(u, spec))
-        assert np.sum(np.diff(a.indptr) == 0) > 0
+        assert_same_csr_bits(a.csr, reference_operator_2d(u, spec))
+        assert np.sum(np.diff(a.csr.indptr) == 0) > 0
 
     def test_mollified_mobility(self):
         spec = LubricationSpec.default_2d(20, epsilon=1e-3)
         u0 = spec.initial_field()
-        assert_same_csr(assemble_lubrication_2d(u0, spec), reference_operator_2d(u0, spec))
+        assert_same_csr_bits(assemble_lubrication_2d(u0, spec).csr, reference_operator_2d(u0, spec))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -331,21 +337,7 @@ class TestAssembly2DMatchesProduct:
         vals = rng.uniform(0.0, 2.0, spec.grid.node_count)
         vals[rng.random(vals.size) < zero_share] = 0.0
         u = Field(spec.grid, vals)
-        assert_same_csr(assemble_lubrication_2d(u, spec), reference_operator_2d(u, spec))
-
-
-def same_bits(x, y):
-    """Equal dtypes and values, NaN where NaN, and the same sign on every
-    zero: for finite values, the same bits."""
-    x, y = np.asarray(x), np.asarray(y)
-    numbers = ~np.isnan(x)
-    return (x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
-            and np.array_equal(np.signbit(x[numbers]), np.signbit(y[numbers])))
-
-
-def assert_same_csr_bits(a, b):
-    for part in ("indptr", "indices", "data"):
-        assert same_bits(getattr(a, part), getattr(b, part)), part
+        assert_same_csr_bits(assemble_lubrication_2d(u, spec).csr, reference_operator_2d(u, spec))
 
 
 def film_states_1d():
@@ -374,11 +366,9 @@ def film_states_1d():
 
 class TestDiagonalForm:
     """The 1D film's operator lives on its five diagonals from assembly to
-    backsubstitution.  Each step on them must give the bits the same matrix
-    in CSR gives: the operator entry for entry, its product, its shift and
-    the solves of its LU."""
-
-    SCALES = (-SDIRK3_GAMMA * 1e-6, -0.5, 2.0, 0.0, 1e-320)
+    backsubstitution.  Each step on them must give the bits scipy gives on
+    the sparse product -(D @ Lap): the operator entry for entry, its
+    product, its shift and the solves of its LU."""
 
     @pytest.fixture(autouse=True)
     def quiet_overflow(self):
@@ -388,16 +378,22 @@ class TestDiagonalForm:
             yield
 
     @staticmethod
-    def both_forms(u, spec):
+    def with_oracle(u, spec):
+        """(the assembled operator, the scipy CSR matrix it must act as)."""
         banded = assemble_lubrication_1d(u, spec)
         offsets, band = banded.diagonals()
         assert np.array_equal(offsets, [-2, -1, 0, 1, 2])
         assert band.shape == (5, spec.grid.node_count)
-        return banded, SparseMatrix.from_canonical(banded.csr.copy())
+        ref = reference_operator_1d(u, spec)
+        if not np.all(np.isfinite(ref.data)):
+            # an inf mobility meets the Laplacian's zeros (inf * 0) where the
+            # sparse product skips them: scipy computes on the band's entries
+            ref = sp.csr_matrix(banded.csr, copy=True)
+        return banded, ref
 
     @pytest.mark.parametrize("spec,u", film_states_1d())
     def test_operator_matches_the_sparse_product(self, spec, u):
-        banded, _ = self.both_forms(u, spec)
+        banded = assemble_lubrication_1d(u, spec)
         ref = reference_operator_1d(u, spec)
         offsets, band = banded.diagonals()
         n = spec.grid.node_count
@@ -406,43 +402,28 @@ class TestDiagonalForm:
             assert not np.any(np.delete(diagonal, np.arange(max(-o, 0), n - max(o, 0))))
         assert banded.nnz == ref.nnz
         if not np.all(np.isfinite(ref.data)):
-            # an inf mobility meets the Laplacian's zeros (inf * 0) where the
-            # sparse product skips them, so only the pattern is the product's
-            assert same_bits(banded.indptr, ref.indptr)
-            assert same_bits(banded.indices, ref.indices)
+            # only the pattern is the product's (see with_oracle)
+            assert same_bits(banded.csr.indptr, ref.indptr)
+            assert same_bits(banded.csr.indices, ref.indices)
             return
-        assert_same_csr_bits(banded, ref)
+        assert_same_csr_bits(banded.csr, ref)
         # every slot on the matrix holds its entry
-        dense = ref.to_dense()
+        dense = ref.toarray()
         for o, diagonal in zip(offsets, band):
             on = np.arange(max(-o, 0), n - max(o, 0))
             assert np.array_equal(diagonal[on], dense[on, on + o])
 
     @pytest.mark.parametrize("spec,u", film_states_1d())
     def test_matvec_norm_and_pattern(self, spec, u):
-        banded, csr_form = self.both_forms(u, spec)
-        rng = np.random.default_rng(3)
-        for x in (rng.normal(size=banded.dimension), np.ones(banded.dimension),
-                  np.zeros(banded.dimension)):
-            assert same_bits(banded.matvec(x), csr_form.matvec(x))
-        assert same_bits(banded.operator_norm_inf(), csr_form.operator_norm_inf())
-        assert banded.nnz == csr_form.nnz
-        assert banded.bandwidth() == csr_form.bandwidth()
+        assert_acts_as_csr(*self.with_oracle(u, spec))
 
     @pytest.mark.parametrize("spec,u", film_states_1d())
     def test_identity_plus(self, spec, u):
-        banded, csr_form = self.both_forms(u, spec)
-        for scale in self.SCALES:
-            shifted, ref = identity_plus(banded, scale), identity_plus(csr_form, scale)
-            assert shifted.diagonals()[0] is banded.diagonals()[0]
-            assert_same_csr_bits(shifted, ref)
-            assert shifted.nnz == ref.nnz
-            assert shifted.bandwidth() == ref.bandwidth()
-            assert same_bits(shifted.operator_norm_inf(), ref.operator_norm_inf())
+        assert_shifts_as_csr(*self.with_oracle(u, spec))
 
     @pytest.mark.parametrize("spec,u", film_states_1d())
     def test_solves(self, spec, u):
-        banded, csr_form = self.both_forms(u, spec)
+        banded, ref = self.with_oracle(u, spec)
         rhs = np.random.default_rng(5).uniform(0.0, 2.0, banded.dimension)
 
         def outcome(a):
@@ -455,9 +436,9 @@ class TestDiagonalForm:
             # -0.0 where CSR stores nothing
             return fact.route, fact.fill, report, x, fact._lu, fact._ipiv
 
-        for scale in self.SCALES[:3]:
+        for scale in SCALES[:3]:
             got = outcome(identity_plus(banded, scale))
-            want = outcome(identity_plus(csr_form, scale))
+            want = outcome(SparseMatrix(reference_identity_plus(ref, scale)))
             if isinstance(want, str):
                 assert got == want
                 continue
@@ -473,7 +454,7 @@ class TestDiagonalForm:
         cfg = StepperConfig(dt=1e-6, t_end=3e-6, cutoff=CutoffParams(0.0))
         # the per-grid Laplacian rows are built once, before any step
         a = assemble_lubrication_1d(spec.initial_field(), spec)
-        assert np.any(np.diff(a.indptr) == 0)  # dry rows store no diagonal
+        assert np.any(np.diff(a.csr.indptr) == 0)  # dry rows store no diagonal
 
         def refuse(matrix, *args, **kwargs):
             raise AssertionError(f"built a scipy {type(matrix).__name__}")
@@ -484,6 +465,76 @@ class TestDiagonalForm:
         _, trace, _ = run_lubrication(spec, cfg)
         assert trace.solver.routes == ["banded-lu"]
         assert trace.solver.factorizations == cfg.n_steps
+
+
+def film_states_2d():
+    """(name, spec, lagged state): 2D films whose 13 diagonals must act as
+    the sparse product's CSR, dry patches included."""
+    spec = LubricationSpec.default_2d(24)
+    patch = spec.initial_field().values.copy()
+    patch.reshape(25, 25)[8:17, 9:15] = 0.0
+    wide = LubricationSpec(grid=Grid2D(-1.0, 1.0, 11, -0.5, 1.0, 7))
+    rng = np.random.default_rng(17)
+    speckled = rng.uniform(0.0, 2.0, wide.grid.node_count)
+    speckled[rng.random(speckled.size) < 0.3] = 0.0
+    cases = [
+        ("initial", spec, spec.initial_field()),
+        ("dry patch", spec, Field(spec.grid, patch)),
+        ("speckled", wide, Field(wide.grid, speckled)),
+        ("all dry", wide, Field(wide.grid, np.zeros(wide.grid.node_count))),
+    ]
+    return [pytest.param(spec, u, id=name) for name, spec, u in cases]
+
+
+class TestDiagonalForm2D:
+    """The 2D film's operator lives on its 13 diagonals too: product, norm,
+    pattern and shift give the bits scipy gives on the sparse product, and
+    CSR is formed only for the LU."""
+
+    @staticmethod
+    def with_oracle(u, spec):
+        a = assemble_lubrication_2d(u, spec)
+        assert a.diagonals()[1].shape == (13, spec.grid.node_count)
+        ref = reference_operator_2d(u, spec)
+        assert_same_csr_bits(a.csr, ref)
+        return a, ref
+
+    @pytest.mark.parametrize("spec,u", film_states_2d())
+    def test_matvec_norm_and_pattern(self, spec, u):
+        assert_acts_as_csr(*self.with_oracle(u, spec))
+
+    @pytest.mark.parametrize("spec,u", film_states_2d())
+    def test_identity_plus(self, spec, u):
+        assert_shifts_as_csr(*self.with_oracle(u, spec))
+
+    def test_scipy_matrices_only_on_factoring_steps(self, monkeypatch):
+        from scipy.sparse._base import _spbase
+
+        from cutoffpde import lubrication
+
+        spec = LubricationSpec.default_2d(40)
+        cfg = StepperConfig(dt=1e-6, t_end=4e-4, cutoff=CutoffParams(0.0))
+        _laplacian_rows(spec.grid)  # built once per grid, before any step
+        step = [0]
+        built, factored = Counter(), Counter()
+
+        def counting(original, counter):
+            def wrapper(*args, **kwargs):
+                counter[step[0]] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        def assemble(*args):
+            step[0] += 1  # each step assembles its operator first
+            return assemble_lubrication_2d(*args)
+
+        monkeypatch.setattr(lubrication, "assemble_lubrication_2d", assemble)
+        monkeypatch.setattr(_spbase, "__init__", counting(_spbase.__init__, built))
+        monkeypatch.setattr(Factorization, "__init__", counting(Factorization.__init__, factored))
+        _, trace, _ = run_lubrication(spec, cfg)
+        assert step[0] == cfg.n_steps == 400
+        assert trace.solver.factorizations == sum(factored.values()) == 2
+        assert sorted(built) == sorted(factored)
 
 
 class TestLaplacianCache:

@@ -64,7 +64,7 @@ def draining_problem(initial) -> LinearProblem:
     n = grid.node_count
     return LinearProblem(
         grid=grid,
-        l_matrix=SparseMatrix.from_coo(n, [], [], []),
+        l_matrix=SparseMatrix(sp.csr_matrix((n, n))),
         dirichlet_mask=np.zeros(n, dtype=bool),
         source=lambda t: -np.ones(n),
         initial_values=np.asarray(initial, dtype=float),
@@ -187,7 +187,7 @@ class TestThetaOperator:
         mask[0] = mask[-1] = True
         return LinearProblem(
             grid=grid,
-            l_matrix=SparseMatrix.from_coo(n, rows, cols, vals),
+            l_matrix=SparseMatrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n))),
             dirichlet_mask=mask,
             source=lambda t: np.where(mask, 2.0 * t, t),
             initial_values=np.zeros(n),
@@ -403,7 +403,7 @@ class TestStepHelpers:
         # with L = 0 a step reduces to the quadrature dt*sum b_i s(c_i dt),
         # exact for polynomial sources up to degree two
         dt = 0.3
-        zero = SparseMatrix.from_coo(3, [], [], [])
+        zero = SparseMatrix(sp.csr_matrix((3, 3)))
         stepper = DirkStepper(sdirk3_tableau(), zero, dt, source=lambda t: np.full(3, t * t))
         u1, _ = stepper.step(np.zeros(3), 0.0)
         assert np.allclose(u1, dt**3 / 3.0, rtol=1e-12)
