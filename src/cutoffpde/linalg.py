@@ -48,13 +48,16 @@ a solve is one backsubstitution.  An LU may also serve a later, nearby matrix
 solve then refines against that matrix until its residual meets the
 matrix's own default_tolerance, and factors the matrix afresh once
 1 + STALE_SWEEPS_MAX sweeps have not got there.  Such a solve may start from
-a guess (the stepper extrapolates one from the stage's last solutions): its
-first backsubstitution then corrects the guess instead of solving the
-right-hand side from zero.  On the 40x40 film the stale LU's own answer
-misses by a median 1e6 tolerances and the corrected guess by about 1, so
-fewer sweeps follow and the LU is outgrown less often.  A fresh LU ignores a
-guess, as the solve right after a refactor does: its own answer is far
-finer than a guess that merely passes the check.
+a guess (the stepper's: the step's floored starting state plus the stage's
+extrapolated increments): its first backsubstitution then corrects the
+guess instead of solving the right-hand side from zero.  On the 40x40 film
+to t = 4e-4 the stale LU's own answer misses by a median 2.2e6 tolerances,
+the guess by 15 and the corrected guess by 0.09, so fewer sweeps follow and
+the LU is outgrown less often.  A fresh LU ignores a guess, as the solve
+right after a refactor does: its own answer is far finer than a guess that
+merely passes the check.  Every solve reports the product a x that its
+check took of the returned x (SolveReport.product), which the stepper turns
+into the stage's slope instead of taking a product of its own.
 
 The steppers factor shifted systems I - a_ii*dt*L (identity_plus) and solve
 every implicit stage against them, shifted on their diagonals.  The 1D
@@ -65,7 +68,7 @@ a 2D film step builds CSR only when it factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -200,11 +203,14 @@ class SolveReport:
     """How one verified solve went.  iterations counts the
     backsubstitutions beyond the first, those on a stale LU included when
     the solve outgrew it; refactored says it did, and factored its matrix
-    afresh."""
+    afresh.  product is a x, the product the check took of the returned x
+    with the system it was verified against (the new matrix after a
+    refactor), so a caller can reuse it."""
 
     residual_norm: float
     iterations: int
     tolerance: float
+    product: np.ndarray = field(repr=False, compare=False)
     refactored: bool = False
 
 
@@ -317,20 +323,22 @@ class Factorization:
 
     def _refine(self, a: SparseMatrix, rhs: np.ndarray, scale: float, tol: float,
                 sweeps_max: int, guess: np.ndarray = None) -> tuple:
-        """(x, residual, sweeps): the LU's answer, or the guess corrected by
-        one backsubstitution, checked against a and refined sweep by sweep
-        only while its max-norm residual relative to scale misses tol (a NaN
-        residual always does), for at most sweeps_max sweeps."""
+        """(x, a x, residual, sweeps): the LU's answer, or the guess
+        corrected by one backsubstitution, checked against a and refined
+        sweep by sweep only while its max-norm residual relative to scale
+        misses tol (a NaN residual always does), for at most sweeps_max
+        sweeps."""
         if guess is None:
             x = self._backsub(rhs)
         else:
             x = guess - self._backsub(a.matvec(guess) - rhs)
         sweeps = 0
         while True:
-            r = a.matvec(x) - rhs
+            ax = a.matvec(x)
+            r = ax - rhs
             residual = float(np.max(np.abs(r))) / scale
             if residual <= tol or sweeps == sweeps_max:
-                return x, residual, sweeps
+                return x, ax, residual, sweeps
             x = x - self._backsub(r)
             sweeps += 1
 
@@ -351,7 +359,8 @@ class Factorization:
         from rhs.  A fresh LU ignores the guess; its answer still missing
         the tolerance after one sweep raises SolveError.  Every solve takes
         at least one backsubstitution, and SolveReport.iterations counts
-        those beyond the first."""
+        those beyond the first; SolveReport.product is a x of the returned
+        x, taken by the check that passed it."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self._a.dimension,):
             raise ValueError(
@@ -364,17 +373,18 @@ class Factorization:
             if a.dimension != self._a.dimension:
                 raise ValueError("a stale LU serves matrices of its own dimension only")
             tol = default_tolerance(a)
-            x, residual, sweeps = self._refine(a, rhs, scale, tol, 1 + STALE_SWEEPS_MAX, guess)
+            x, ax, residual, sweeps = self._refine(a, rhs, scale, tol, 1 + STALE_SWEEPS_MAX,
+                                                   guess)
             if residual <= tol:
-                return x, SolveReport(residual, sweeps, tol)
+                return x, SolveReport(residual, sweeps, tol, ax)
             # the same construction as every other factorization, in place
             self.__init__(a)
             stale, refactored = 1 + sweeps, True
-        x, residual, sweeps = self._refine(self._a, rhs, scale, self._tol, 1)
+        x, ax, residual, sweeps = self._refine(self._a, rhs, scale, self._tol, 1)
         if not residual <= self._tol:
             raise SolveError(
                 f"solution failed verification: residual {residual:.3e} > tol "
                 f"{self._tol:.3e} ({self.method}, |A|_inf = {self._a.operator_norm_inf():.3e})"
             )
-        return x, SolveReport(residual, stale + sweeps, self._tol, refactored)
+        return x, SolveReport(residual, stale + sweeps, self._tol, ax, refactored)
 

@@ -23,12 +23,17 @@ factored from its five diagonals, with no CSR matrix built), while a sparse
 LU is kept and its solves refine against the new system until they outgrow
 it (linalg.Factorization.solve), so a 2D film step builds CSR only when it
 factors.  Once it keeps a sparse LU for a new operator, the stepper also
-keeps each implicit stage's solutions at the last three steps, and a solve
-on the stale LU starts from their quadratic
-extrapolation, 3*(x[n-1] - x[n-2]) + x[n-3]: the state moves little per
-step, so the guess lands far closer than the stale LU's own answer.  The
-counts of what it did go into the run's trace as SolverStats.  Two tableaux
-are provided:
+keeps each implicit stage's increment z = x - u over the floored state u
+its step started from, at the last three steps, and a solve on the stale
+LU starts from u + (3*(z[n-1] - z[n-2]) + z[n-3]).  The guess takes the
+floored state exactly, cutoff included, and extrapolates only the small
+increment (Hairer & Wanner, Solving ODEs II, Sec. IV.8, iterate on the
+same increments), so it lands far closer than the stale LU's own answer.
+An implicit stage's slope L x + f is (x - A x)/(a_ii*dt) + f, with A x the
+product the solve's check took of its answer (linalg.SolveReport.product):
+a verified SDIRK3 step takes three products, one per check, and only an
+explicit stage takes a product of L.  The counts of what the stepper did go
+into the run's trace as SolverStats.  Two tableaux are provided:
 
 * the theta-method as a 2-stage EDIRK whose first stage is explicit
   (theta = 1 backward Euler, theta = 1/2 Crank-Nicolson),
@@ -377,12 +382,15 @@ class DirkStepper:
     carries g(t_i) on them.  The whole system is solved and verified (linalg
     Factorization.solve), and the stage value is set to g(t_i) on the
     Dirichlet nodes after the solve.  Stage slopes are zero on the Dirichlet
-    nodes.  Stages use the state exactly as handed in -- flooring happens
-    only at step boundaries, in the run loop.
+    nodes; an implicit stage's interior slope comes from the product its
+    solve's check took, (x - A x)/(a_ii*dt) + f, and an explicit stage's
+    from L x + f.  Stages use the state exactly as handed in -- flooring
+    happens only at step boundaries, in the run loop.
 
     From the first time a sparse LU is kept for a new operator, every
-    implicit stage's solutions at the last three steps are kept too, and a
-    solve on that LU while it is stale starts from their quadratic
+    implicit stage's increments over its steps' starting states at the last
+    three steps are kept too, and a solve on that LU while it is stale
+    starts from the step's starting state plus their quadratic
     extrapolation.  A banded LU is factored afresh for every operator (the
     1D film's from its diagonals: shift, LU fill and products never form
     CSR) and an operator handed over once is never stale, so neither keeps any.
@@ -405,7 +413,7 @@ class DirkStepper:
                                  "which gives the values held on those nodes")
             self._boundary = np.flatnonzero(dirichlet_mask)
         self.stats = SolverStats()
-        self._l = self._system = self._fact = self._history = None
+        self._l = self._system = self._fact = self._history = self._start = None
         self.use(l_matrix)
 
     def use(self, l_matrix: SparseMatrix):
@@ -423,20 +431,22 @@ class DirkStepper:
             self._fact = Factorization(self._system)
             self.stats.factored(self._fact)
         elif self._history is None:
-            # stage -> its solutions at the last three steps, oldest first
+            # stage -> its increments over the step's starting state at the
+            # last three steps, oldest first
             self._history = defaultdict(lambda: deque(maxlen=3))
 
     def _solve(self, rhs: np.ndarray, stage: int) -> tuple:
-        """(x, report) of implicit stage `stage`; a solve on a stale LU
-        starts from the stage's extrapolated solutions once three are kept."""
+        """(x, report) of implicit stage `stage` in the step from the state
+        self._start; a solve on a stale LU starts from that state plus the
+        stage's extrapolated increments once three are kept."""
         past = None if self._history is None else self._history[stage]
         guess = None
         if past is not None and len(past) == 3 and self._fact.matrix is not self._system:
-            guess = 3.0 * (past[2] - past[1]) + past[0]
+            guess = self._start + (3.0 * (past[2] - past[1]) + past[0])
             self.stats.guessed += 1
         x, report = self._fact.solve(rhs, self._system, guess)
         if past is not None:
-            past.append(x.copy())
+            past.append(x - self._start)
         if report.refactored:
             self.stats.factored(self._fact)
         self.stats.solves += 1
@@ -445,11 +455,29 @@ class DirkStepper:
                                       report.residual_norm / report.tolerance)
         return x, report
 
+    def _slope(self, stage: int, x: np.ndarray, product: np.ndarray,
+               f: np.ndarray) -> np.ndarray:
+        """Slope L x + f of stage `stage` at its value x, zero on the
+        Dirichlet nodes.  An implicit stage passes the product (I -
+        a_ii*dt*L) x its solve's check took, whence L x = (x - product) /
+        (a_ii*dt) with no product of L; an explicit one passes None."""
+        if product is None:
+            k = self._l.matvec(x)
+        else:
+            k = x - product
+            k /= self._tab.a[stage, stage] * self._dt
+        if f is not None:
+            k += f
+            if self._boundary is not None:
+                k[self._boundary] = 0.0
+        return k
+
     def step(self, values: np.ndarray, t: float) -> tuple:
         """(new state, worst stage residual) of one step from t."""
         a, c = self._tab.a, self._tab.c
         dt = self._dt
         last = self._live[-1]
+        self._start = values
         ks = {}
         worst = 0.0
         for i in self._live:
@@ -475,12 +503,7 @@ class DirkStepper:
             if held is not None:
                 x[self._boundary] = held
             if i != last:
-                k = self._l.matvec(x)
-                if f is not None:
-                    k += f
-                    if self._boundary is not None:
-                        k[self._boundary] = 0.0
-                ks[i] = k
+                ks[i] = self._slope(i, x, report.product if a[i, i] != 0.0 else None, f)
         # stiffly accurate: the last stage value is the new state
         return x, worst
 

@@ -538,10 +538,28 @@ class TestStaleFactorization:
         _, fresh = f.solve(rhs, a1)
         assert fresh.iterations == 0 and not fresh.refactored
 
+    def test_report_carries_the_verified_product(self):
+        """The product a solve reports is the check's a x of the returned x,
+        against the matrix it was verified on: the factored one, a nearby
+        stale one, or, after a refactor, the new one."""
+        a0 = shifted_film_2d()
+        near = shifted_film_2d(self.film_state(1e-3))
+        spec = LubricationSpec.default_2d(16)
+        far = identity_plus(assemble_lubrication_2d(Field(spec.grid, self.film_state(5.0)), spec),
+                            -SDIRK3_GAMMA * 1e-4)
+        rhs = np.random.default_rng(13).normal(size=a0.dimension)
+        f = Factorization(a0)
+        for a, refactored in ((None, False), (near, False), (far, True)):
+            x, report = f.solve(rhs, a)
+            assert report.refactored == refactored
+            assert np.array_equal(report.product, (a or a0).matvec(x))
+        assert f.matrix is far
+
     def extrapolated(self, rhs):
-        """(a3, guess): the film system four small moves from the 16x16
+        """(a4, guess): the film system four small moves from the 16x16
         initial film's, and the quadratic extrapolation of the solutions of
-        the three before it, as the stepper forms its guesses."""
+        the three before it (with one right-hand side, the stepper's
+        extrapolated increments over a fixed state give the same guess)."""
         a1, a2, a3 = (shifted_film_2d(self.film_state(k * 1e-3)) for k in (1, 2, 3))
         x1, x2, x3 = (Factorization(a).solve(rhs)[0] for a in (a1, a2, a3))
         return shifted_film_2d(self.film_state(4e-3)), 3.0 * (x3 - x2) + x1

@@ -481,7 +481,7 @@ class TestOneStepperPerRun:
         def spy(fact, rhs, a=None, guess=None):
             stale = fact.matrix is not a
             x, report = solve(fact, rhs, a, guess)
-            solves.append((stale, guess, x))
+            solves.append((stale, guess, x.copy()))
             return x, report
 
         monkeypatch.setattr(Factorization, "solve", spy)
@@ -489,6 +489,10 @@ class TestOneStepperPerRun:
         cfg = StepperConfig(dt=1e-6, t_end=3e-5, cutoff=CutoffParams(0.0))
         _, trace, _ = run_lubrication(spec, cfg)
         assert len(solves) == 3 * cfg.n_steps
+        # the floored state each step starts from: the film has no Dirichlet
+        # nodes, so a step's last stage solution is its new state
+        starts = [apply_floor(spec.initial_field().values, 0.0)]
+        starts += [apply_floor(solves[3 * n + 2][2], 0.0) for n in range(cfg.n_steps)]
         # the stages' history starts when the LU is first kept, at step 1,
         # so the first guesses come at step 4
         assert all(guess is None for _, guess, _ in solves[:12])
@@ -499,11 +503,23 @@ class TestOneStepperPerRun:
                 if not stale:
                     assert guess is None
                     continue
-                # the stage's solutions at the three steps before
-                x1, x2, x3 = (solves[3 * m + i][2] for m in (n - 1, n - 2, n - 3))
-                assert np.array_equal(guess, 3.0 * (x1 - x2) + x3)
+                # the stage's increments over their steps' starting states
+                # at the three steps before, extrapolated over this step's
+                z1, z2, z3 = (solves[3 * m + i][2] - starts[m] for m in (n - 1, n - 2, n - 3))
+                assert np.array_equal(guess, starts[n] + (3.0 * (z1 - z2) + z3))
                 guessed += 1
         assert guessed == trace.solver.guessed > 0
+
+    def test_film2d_workload_counts(self):
+        # the 40x40 film to t = 4e-4, across touchdown (onset 3.78e-4): the
+        # increment guesses keep the extra sweeps near 369 (1030 when the
+        # stage values were extrapolated)
+        cfg = StepperConfig(dt=1e-6, t_end=4e-4, cutoff=CutoffParams(0.0))
+        _, trace, record = run_lubrication(LubricationSpec.default_2d(40), cfg)
+        assert record.onset_precutoff_time is not None
+        assert trace.solver.factorizations == 2
+        assert trace.solver.solves == 3 * cfg.n_steps == 1200
+        assert trace.solver.extra_sweeps <= 450
 
     def test_solve_failure_carries_the_trace(self):
         # backward Euler with dt = 1/2 shifts L = 2I to the zero matrix
@@ -669,6 +685,91 @@ class TestBoundarySlopes:
         for n in range(cfg.n_steps):
             u = self.reference_step(problem, u, n * cfg.dt, cfg.dt, self.TABLEAU)
         assert np.allclose(final.values, u, rtol=1e-12, atol=0.0)
+
+
+class TestStageSlopesReuseTheCheck:
+    """An implicit stage's slope L x + f comes from the product (I -
+    a_ii*dt*L) x that its solve's check took, so a verified SDIRK3 step
+    takes one product per stage; an explicit stage still takes its one
+    product of L."""
+
+    @staticmethod
+    def film_1d():
+        spec = LubricationSpec.default_1d(200)
+        u = spec.initial_field().values
+        return assemble_lubrication_1d(Field(spec.grid, u), spec), u, 1e-6, {}
+
+    @staticmethod
+    def dry_film_2d():
+        spec = LubricationSpec.default_2d(16)
+        u = apply_floor(spec.initial_field().values - 0.1, 0.0)
+        assert np.count_nonzero(u == 0.0) > 50
+        return assemble_lubrication_2d(Field(spec.grid, u), spec), u, 1e-6, {}
+
+    @staticmethod
+    def anisotropic():
+        problem = assemble(AnisotropicSpec.with_convection(Grid2D.square(0.0, 1.0, 12)))
+        terms = dict(source=problem.source, dirichlet_mask=problem.dirichlet_mask)
+        return problem.l_matrix, problem.initial_values, 1e-2, terms
+
+    @staticmethod
+    def products_of_one_step(monkeypatch, tableau, case):
+        l_matrix, u, dt, terms = case
+        stepper = DirkStepper(tableau, l_matrix, dt, **terms)
+        operands = []
+        matvec = SparseMatrix.matvec
+
+        def spy(matrix, x):
+            operands.append(matrix)
+            return matvec(matrix, x)
+
+        monkeypatch.setattr(SparseMatrix, "matvec", spy)
+        stepper.step(u, 0.0)
+        assert stepper.stats.extra_sweeps == 0
+        return operands, l_matrix
+
+    @pytest.mark.parametrize("case", ["film_1d", "anisotropic"])
+    def test_sdirk3_step_takes_three_products(self, monkeypatch, case):
+        operands, l_matrix = self.products_of_one_step(
+            monkeypatch, sdirk3_tableau(), getattr(self, case)())
+        # one check per stage, none of L itself
+        assert len(operands) == 3
+        assert all(m is not l_matrix for m in operands)
+
+    def test_theta_explicit_stage_keeps_its_product_of_l(self, monkeypatch):
+        operands, l_matrix = self.products_of_one_step(
+            monkeypatch, theta_tableau(0.5), self.anisotropic())
+        # the explicit stage's slope, then the implicit stage's check
+        assert len(operands) == 2
+        assert operands[0] is l_matrix and operands[1] is not l_matrix
+
+    @pytest.mark.parametrize("case", ["film_1d", "dry_film_2d", "anisotropic"])
+    def test_slope_is_l_x_plus_f(self, case):
+        l_matrix, u, dt, terms = getattr(self, case)()
+        stepper = DirkStepper(sdirk3_tableau(), l_matrix, dt, **terms)
+        slopes = []
+        slope = stepper._slope
+
+        def spy(stage, x, product, f):
+            k = slope(stage, x, product, f)
+            slopes.append((x.copy(), f, k.copy()))
+            return k
+
+        stepper._slope = spy
+        stepper.step(u, 0.0)
+        # stages 0 and 1; the last stage's value is the new state
+        assert len(slopes) == 2
+        for x, f, k in slopes:
+            want = l_matrix.matvec(x)
+            if f is not None:
+                want += f
+                want[terms["dirichlet_mask"]] = 0.0
+            # any product of L rounds on the scale |L|_inf |x|_inf, 1e9
+            # times |L x|_inf on the 1D film, which is where both slopes
+            # are defined to
+            scale = (l_matrix.operator_norm_inf() * np.max(np.abs(x))
+                     + (0.0 if f is None else np.max(np.abs(f))))
+            assert np.max(np.abs(k - want)) <= 1e-12 * scale
 
 
 class TestLinearProblemValidation:
