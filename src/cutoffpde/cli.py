@@ -192,7 +192,7 @@ def _run_lubrication_cmd(args, name, spec, h) -> int:
         write_field_csv(final, os.path.join(args.out, "final.csv"))
         record.write_csv(os.path.join(args.out, "singularity.csv"))
         for t, snap in trace.snapshots:
-            if any(abs(t - ts) <= 0.5 * args.dt for ts in cfg.snapshot_times):
+            if cfg.is_snapshot_time(t):
                 write_field_csv(snap, os.path.join(args.out, f"snapshot_t{t:.6g}.csv"))
         write_metadata(os.path.join(args.out, "metadata.txt"), exp, trace.solver)
     return 0

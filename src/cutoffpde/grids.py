@@ -134,11 +134,6 @@ class Field:
         x, y = grid.node_xy()
         return cls(grid, np.asarray(fn(x, y), dtype=float))
 
-    def reshape2d(self) -> np.ndarray:
-        if not isinstance(self.grid, Grid2D):
-            raise ValueError("reshape2d requires a 2D grid")
-        return self.values.reshape(self.grid.shape)
-
     def _check_same_grid(self, other: "Field"):
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")

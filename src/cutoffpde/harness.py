@@ -118,19 +118,6 @@ class ConvergenceReport:
             fh.write(f"# slope_l2={self.slope_l2():.17g}\n")
             fh.write(f"# slope_undershoot={self.slope_undershoot():.17g}\n")
 
-    @classmethod
-    def read_csv(cls, path) -> "ConvergenceReport":
-        report = cls()
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or line.startswith("resolution"):
-                    continue
-                res, h, dt, err, under = line.split(",")
-                report.rows.append(ConvergenceRow(
-                    int(res), float(h), float(dt), float(err), float(under)))
-        return report
-
 
 def loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
     """Least-squares slope of log y against log x."""

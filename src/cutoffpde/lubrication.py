@@ -295,10 +295,11 @@ class SingularityRecord:
                 fh.write(f"{t:.17g},{length:.17g}\n")
 
 
-def touching_length(f: Field, threshold: float = 0.0) -> float:
+def touching_length(f: Field) -> float:
     """Fencepost span of the touching set (1D) or the trapezoid-weighted
-    area of all touching nodes (2D)."""
-    touched = f.values <= threshold
+    area of all touching nodes (2D); a node touches where its value is at
+    most zero."""
+    touched = f.values <= 0.0
     if isinstance(f.grid, Grid2D):
         if not touched.any():
             return 0.0
@@ -336,13 +337,13 @@ def has_zero_plateau(snapshots: Sequence) -> bool:
     return False
 
 
-def track_singularity(snapshots: Sequence, threshold: float = 0.0) -> SingularityRecord:
+def track_singularity(snapshots: Sequence) -> SingularityRecord:
     """Scan a post-cutoff snapshot series [(t, Field), ...] (strictly
     increasing t) for touchdown and persistent liftoff of the zero set."""
     times = [t for t, _ in snapshots]
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("snapshot times must be strictly increasing")
-    series = [(t, touching_length(f, threshold)) for t, f in snapshots]
+    series = [(t, touching_length(f)) for t, f in snapshots]
     onset = next((t for t, length in series if length > 0.0), None)
     liftoff = None
     if onset is not None:

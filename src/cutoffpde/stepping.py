@@ -42,8 +42,9 @@ into the run's trace as SolverStats.  Two tableaux are provided:
 
 Stages never apply the cutoff; only the step boundary does.  The paper's
 matrix pair B1 u^{n+1} = B0 (u^n)^+ + F^n of the theta-method survives in
-``theta_operator``, for the max-norm diagnostics and as the one-step
-reference ``step_linear`` that the theta runs are tested against.
+``theta_operator``, for the max-norm diagnostics; the one-step reference
+that steps this pair, and that the theta runs are tested against, lives
+with those tests (tests/test_stepping.py).
 """
 
 from __future__ import annotations
@@ -54,11 +55,10 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cutoff import CutoffParams, apply_floor
-from .grids import Field, Grid, trapezoid_weights
+from .grids import Field, Grid, _require_finite, trapezoid_weights
 from .linalg import Factorization, SolveError, SparseMatrix, identity_plus
 
 #: diagonal of the 3-stage SDIRK scheme; real root of
@@ -78,12 +78,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ButcherTableau:
-    """Runge-Kutta coefficients (a, b, c) with classical order attached."""
+    """Runge-Kutta coefficients (a, b, c)."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    order: int
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -103,11 +102,6 @@ class ButcherTableau:
     @property
     def stages(self) -> int:
         return self.b.size
-
-    @property
-    def is_sdirk(self) -> bool:
-        d = np.diag(self.a)
-        return bool(np.all(d > 0) and np.max(np.abs(d - d[0])) == 0.0)
 
     @property
     def stiffly_accurate(self) -> bool:
@@ -133,17 +127,6 @@ class ButcherTableau:
         live = [i for i in range(s) if i == s - 1 or np.any(a[i + 1:, i] != 0.0)]
         return (float(implicit[0]) if implicit.size else 0.0), live
 
-    def stability(self, z: complex) -> complex:
-        """R(z) = 1 + z b^T (I - z A)^{-1} 1."""
-        s = self.stages
-        return complex(
-            1.0 + z * (self.b @ np.linalg.solve(np.eye(s) - z * self.a, np.ones(s)))
-        )
-
-    def stability_at_infinity(self) -> float:
-        """lim_{z->-inf} R(z) = 1 - b^T A^{-1} 1 (requires invertible A)."""
-        return float(1.0 - self.b @ np.linalg.solve(self.a, np.ones(self.stages)))
-
 
 def sdirk3_tableau() -> ButcherTableau:
     g = SDIRK3_GAMMA
@@ -154,15 +137,14 @@ def sdirk3_tableau() -> ButcherTableau:
         [(1.0 - g) / 2.0, g, 0.0],
         [b1, b2, g],
     ])
-    return ButcherTableau(a=a, b=np.array([b1, b2, g]), c=np.array([g, (1.0 + g) / 2.0, 1.0]), order=3)
+    return ButcherTableau(a=a, b=np.array([b1, b2, g]), c=np.array([g, (1.0 + g) / 2.0, 1.0]))
 
 
 def theta_tableau(theta: float) -> ButcherTableau:
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     a = np.array([[0.0, 0.0], [1.0 - theta, theta]])
-    order = 2 if theta == 0.5 else 1
-    return ButcherTableau(a=a, b=np.array([1.0 - theta, theta]), c=np.array([0.0, 1.0]), order=order)
+    return ButcherTableau(a=a, b=np.array([1.0 - theta, theta]), c=np.array([0.0, 1.0]))
 
 
 @dataclass(frozen=True)
@@ -175,7 +157,8 @@ class StepperConfig:
     cutoff.  Every factorization checks its solves against its own
     scale-aware tolerance (linalg.default_tolerance).  snapshot_every stores
     the post-cutoff state every k-th step (in addition to any explicit
-    snapshot_times).
+    snapshot_times).  A t_end or a snapshot time that is not finite, and a
+    step count t_end / dt that overflows, raise ValueError.
     """
 
     dt: float
@@ -190,6 +173,11 @@ class StepperConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.t_end > 0.0:
             raise ValueError("t_end must be positive")
+        # an infinite t_end, or one whose step count overflows
+        if not np.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end = {self.t_end} and dt = {self.dt} give no finite step count")
+        if not np.all(np.isfinite(self.snapshot_times)):
+            raise ValueError(f"snapshot_times must be finite, got {self.snapshot_times}")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be a positive step count")
         if any(t2 <= t1 for t1, t2 in zip(self.snapshot_times, self.snapshot_times[1:])):
@@ -204,6 +192,10 @@ class StepperConfig:
                 f"t_end = {self.t_end} is not an integer multiple of dt = {self.dt}"
             )
         return k
+
+    def is_snapshot_time(self, t: float) -> bool:
+        """Whether t is within half a step of one of snapshot_times."""
+        return any(abs(t - ts) <= 0.5 * self.dt for ts in self.snapshot_times)
 
 
 @dataclass(frozen=True)
@@ -330,8 +322,9 @@ def theta_operator(problem: LinearProblem, dt: float, theta: float) -> tuple:
         raise ValueError("theta must lie in [0, 1]")
     mask = problem.dirichlet_mask
     b1 = identity_plus(problem.l_matrix, -theta * dt)
-    interior = sp.diags((~mask).astype(float), format="csr")
-    b0 = SparseMatrix(interior + (1.0 - theta) * dt * problem.l_matrix.csr)
+    b0 = identity_plus(problem.l_matrix, (1.0 - theta) * dt)
+    offsets, band = b0.diagonals()
+    band[offsets == 0, mask] = 0.0
 
     def source(t: float) -> np.ndarray:
         new = _checked(problem.source(t + dt), mask.size)
@@ -352,19 +345,6 @@ def _floor_values(values: np.ndarray, cutoff: Optional[CutoffParams]) -> np.ndar
     if cutoff is None:
         return values
     return apply_floor(values, cutoff.delta)
-
-
-def step_linear(b1: SparseMatrix, b0: SparseMatrix, source: Callable[[float], np.ndarray],
-                u: Field, cfg: StepperConfig, t: float = 0.0) -> Field:
-    """One step of B1 u^{n+1} = B0 (u^n)^+ + F^n from t, with F^n = source(t)
-    (theta_operator's pair).
-
-    The cutoff (if enabled in cfg) is applied to the incoming state before
-    the right-hand side is formed; the returned state is not cut.
-    """
-    rhs = b0.matvec(_floor_values(u.values, cfg.cutoff)) + source(t)
-    x, _ = Factorization(b1).solve(rhs)
-    return Field(u.grid, x)
 
 
 class DirkStepper:
@@ -508,12 +488,6 @@ class DirkStepper:
         return x, worst
 
 
-def _wants_snapshot(step: int, t: float, cfg: StepperConfig) -> bool:
-    if cfg.snapshot_every is not None and step % cfg.snapshot_every == 0:
-        return True
-    return any(abs(t - ts) <= 0.5 * cfg.dt for ts in cfg.snapshot_times)
-
-
 def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig,
           operator_for: Callable[[np.ndarray], SparseMatrix], **stage_terms) -> tuple:
     """Advance from t = 0 to t_end with fixed dt; the one loop every run uses.
@@ -523,7 +497,8 @@ def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig,
     step with cfg.tableau and stage_terms: source, dirichlet_mask), take the
     step, record pre- and post-cutoff statistics of the new state.  Returns
     (final_field, trace) where the final field is post-cutoff and
-    trace.solver holds the stepper's counts.  A ValueError from operator_for
+    trace.solver holds the stepper's counts.  A non-finite initial state
+    raises ValueError before the first step.  A ValueError from operator_for
     (an operator that cannot be built from the state), a SolveError from the
     step, or a non-finite state raises DivergenceError carrying the partial
     trace.
@@ -543,9 +518,11 @@ def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig,
             mass_pre=mass_of(vals), mass_post=mass_of(floored),
             residual=residual,
         ))
-        if _wants_snapshot(step, t, cfg):
+        every = cfg.snapshot_every
+        if (every is not None and step % every == 0) or cfg.is_snapshot_time(t):
             trace.snapshots.append((t, Field(grid, floored.copy())))
 
+    _require_finite(initial, "initial state")
     floored = _floor_values(initial, cfg.cutoff)
     record(0, 0.0, initial, floored, 0.0)
     stepper = None

@@ -74,7 +74,7 @@ class TestField:
     def test_from_function_2d_and_reshape(self):
         g = Grid2D.square(0.0, 1.0, 2)
         f = Field.from_function(g, lambda x, y: x + 10.0 * y)
-        assert f.reshape2d()[1, 2] == 1.0 + 5.0  # (x=1, y=0.5)
+        assert f.values.reshape(g.shape)[1, 2] == 1.0 + 5.0  # (x=1, y=0.5)
 
     def test_cross_grid_arithmetic_rejected(self):
         a = Field(Grid1D(0.0, 1.0, 4), np.zeros(5))

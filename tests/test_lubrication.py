@@ -598,12 +598,6 @@ class TestTouchingLength:
         g = self.field_with_zeros(10, [3, 4, 5, 6, 7])
         assert touching_length(g) == touching_length(f)
 
-    def test_threshold(self):
-        grid = Grid1D(0.0, 1.0, 4)
-        f = Field(grid, np.array([1.0, 0.05, 1.0, 0.02, 1.0]))
-        assert touching_length(f) == 0.0
-        assert touching_length(f, threshold=0.05) == pytest.approx(2 * grid.h, rel=1e-15)
-
     def test_2d_weighted_area(self):
         grid = Grid2D.square(-1.0, 1.0, 4)
         vals = np.ones(grid.node_count)

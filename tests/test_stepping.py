@@ -35,7 +35,6 @@ from cutoffpde.stepping import (
     run,
     scheme_diagnostics,
     sdirk3_tableau,
-    step_linear,
     theta_operator,
     theta_tableau,
 )
@@ -43,6 +42,44 @@ from cutoffpde.stepping import (
 from cutoffpde.cli import cli_main
 
 from conftest import make_heat_problem
+
+
+def stability(tab: ButcherTableau, z: complex) -> complex:
+    """R(z) = 1 + z b^T (I - z A)^{-1} 1."""
+    s = tab.stages
+    return complex(
+        1.0 + z * (tab.b @ np.linalg.solve(np.eye(s) - z * tab.a, np.ones(s)))
+    )
+
+
+def stability_at_infinity(tab: ButcherTableau) -> float:
+    """lim_{z->-inf} R(z) = 1 - b^T A^{-1} 1 (requires invertible A)."""
+    return float(1.0 - tab.b @ np.linalg.solve(tab.a, np.ones(tab.stages)))
+
+
+def classical_order(tab: ButcherTableau) -> int:
+    """The highest order up to three whose Runge-Kutta order conditions the
+    tableau meets."""
+    b, c, a = tab.b, tab.c, tab.a
+    met = [abs(b.sum() - 1.0) < 1e-13, abs(b @ c - 0.5) < 1e-13,
+           abs(b @ c**2 - 1.0 / 3.0) < 1e-13 and abs(b @ (a @ c) - 1.0 / 6.0) < 1e-13]
+    order = 0
+    while order < 3 and met[order]:
+        order += 1
+    return order
+
+
+def step_linear(b1: SparseMatrix, b0: SparseMatrix, source, u: Field,
+                cfg: StepperConfig, t: float = 0.0) -> Field:
+    """One step of B1 u^{n+1} = B0 (u^n)^+ + F^n from t, with F^n = source(t)
+    (theta_operator's pair): the one-step reference of the theta runs.
+
+    The cutoff (if enabled in cfg) is applied to the incoming state before
+    the right-hand side is formed; the returned state is not cut.
+    """
+    floored = u.values if cfg.cutoff is None else apply_floor(u.values, cfg.cutoff.delta)
+    x, _ = Factorization(b1).solve(b0.matvec(floored) + source(t))
+    return Field(u.grid, x)
 
 
 def scalar_problem(lam: float, initial) -> LinearProblem:
@@ -85,28 +122,29 @@ class TestSdirk3Tableau:
         assert abs(b @ c - 0.5) < 1e-13
         assert abs(b @ c**2 - 1.0 / 3.0) < 1e-13
         assert abs(b @ (a @ c) - 1.0 / 6.0) < 1e-13
-        assert tab.order == 3
 
     def test_structure_flags(self):
         tab = sdirk3_tableau()
         assert tab.stages == 3
-        assert tab.is_sdirk
+        # one implicit diagonal value, on every stage
+        assert tab.dirk_plan == (SDIRK3_GAMMA, [0, 1, 2])
+        assert np.all(np.diag(tab.a) == SDIRK3_GAMMA)
         assert tab.stiffly_accurate
         assert np.all(np.triu(tab.a, k=1) == 0.0)
 
     def test_l_stability(self):
         tab = sdirk3_tableau()
-        assert tab.stability(0.0) == pytest.approx(1.0, abs=1e-14)
-        assert abs(tab.stability_at_infinity()) < 1e-13
+        assert stability(tab, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert abs(stability_at_infinity(tab)) < 1e-13
         for z in (-0.1, -1.0, -10.0, -1e3, -1e6):
-            assert abs(tab.stability(z)) < 1.0
+            assert abs(stability(tab, z)) < 1.0
         for y in (0.5, 2.0, 50.0):
-            assert abs(tab.stability(1j * y)) <= 1.0 + 1e-13
+            assert abs(stability(tab, 1j * y)) <= 1.0 + 1e-13
 
     def test_stability_matches_exponential_to_fourth_order(self):
         tab = sdirk3_tableau()
-        e1 = abs(tab.stability(-0.1) - math.exp(-0.1))
-        e2 = abs(tab.stability(-0.05) - math.exp(-0.05))
+        e1 = abs(stability(tab, -0.1) - math.exp(-0.1))
+        e2 = abs(stability(tab, -0.05) - math.exp(-0.05))
         assert e1 < 1e-4
         assert e1 / e2 > 10.0  # fourth-order local error halves by ~16
 
@@ -114,16 +152,16 @@ class TestSdirk3Tableau:
 class TestThetaTableau:
     def test_backward_euler(self):
         tab = theta_tableau(1.0)
-        assert tab.order == 1
+        assert classical_order(tab) == 1
         assert tab.stiffly_accurate
-        assert tab.stability(-1.0) == pytest.approx(0.5, abs=1e-15)
-        assert tab.stability(-9.0) == pytest.approx(0.1, abs=1e-15)
+        assert stability(tab, -1.0) == pytest.approx(0.5, abs=1e-15)
+        assert stability(tab, -9.0) == pytest.approx(0.1, abs=1e-15)
 
     def test_crank_nicolson(self):
         tab = theta_tableau(0.5)
-        assert tab.order == 2
-        assert tab.stability(-2.0) == pytest.approx(0.0, abs=1e-15)
-        assert tab.stability(-1.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert classical_order(tab) == 2
+        assert stability(tab, -2.0) == pytest.approx(0.0, abs=1e-15)
+        assert stability(tab, -1.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_range_checked(self):
         with pytest.raises(ValueError, match="theta"):
@@ -131,26 +169,23 @@ class TestThetaTableau:
 
     def test_explicit_euler_limit(self):
         tab = theta_tableau(0.0)
-        assert not tab.is_sdirk
-        assert tab.stability(-0.5) == pytest.approx(0.5, abs=1e-15)
+        # no implicit diagonal value
+        assert tab.dirk_plan[0] == 0.0
+        assert stability(tab, -0.5) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestButcherValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes"):
-            ButcherTableau(a=np.zeros((2, 2)), b=np.array([1.0]), c=np.zeros(2), order=1)
+            ButcherTableau(a=np.zeros((2, 2)), b=np.array([1.0]), c=np.zeros(2))
 
     def test_row_sums_must_match_c(self):
         with pytest.raises(ValueError, match="row sums"):
-            ButcherTableau(
-                a=np.array([[0.5]]), b=np.array([1.0]), c=np.array([0.0]), order=1
-            )
+            ButcherTableau(a=np.array([[0.5]]), b=np.array([1.0]), c=np.array([0.0]))
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            ButcherTableau(
-                a=np.array([[0.5]]), b=np.array([0.5]), c=np.array([0.5]), order=1
-            )
+            ButcherTableau(a=np.array([[0.5]]), b=np.array([0.5]), c=np.array([0.5]))
 
 
 class TestStepperConfig:
@@ -170,6 +205,23 @@ class TestStepperConfig:
             StepperConfig(dt=0.1, t_end=1.0, snapshot_every=0)
         with pytest.raises(ValueError, match="strictly increasing"):
             StepperConfig(dt=0.1, t_end=1.0, snapshot_times=(0.5, 0.2))
+
+    def test_non_finite_horizons_rejected(self):
+        with pytest.raises(ValueError, match="t_end must be positive"):
+            StepperConfig(dt=0.1, t_end=math.nan)
+        with pytest.raises(ValueError, match="t_end = inf and dt = 0.05 give no finite step count"):
+            StepperConfig(dt=0.05, t_end=math.inf)
+        # t_end / dt overflows to inf
+        with pytest.raises(ValueError, match="give no finite step count"):
+            StepperConfig(dt=1e-300, t_end=1e10)
+        for times in ((1e-6, math.nan), (math.inf,), (-math.inf, 0.5)):
+            with pytest.raises(ValueError, match="snapshot_times must be finite"):
+                StepperConfig(dt=0.1, t_end=1.0, snapshot_times=times)
+
+    def test_snapshot_time_is_within_half_a_step(self):
+        cfg = StepperConfig(dt=0.1, t_end=1.0, snapshot_times=(0.3, 0.7))
+        assert [cfg.is_snapshot_time(t) for t in (0.26, 0.34, 0.7)] == [True] * 3
+        assert [cfg.is_snapshot_time(t) for t in (0.24, 0.36, 0.5)] == [False] * 3
 
 
 class TestThetaOperator:
@@ -234,7 +286,7 @@ class TestRunMatchesStabilityFunction:
         problem = scalar_problem(lam, [1.0, 0.5, 2.0])
         cfg = StepperConfig(dt=dt, t_end=n * dt, tableau=theta_tableau(0.6))
         final, trace = run(problem, cfg)
-        r = theta_tableau(0.6).stability(lam * dt).real
+        r = stability(theta_tableau(0.6), lam * dt).real
         assert np.allclose(final.values, r**n * problem.initial_values, rtol=1e-12)
         assert len(trace.records) == n + 1
 
@@ -243,7 +295,7 @@ class TestRunMatchesStabilityFunction:
         problem = scalar_problem(lam, [1.0, 0.5, 2.0])
         cfg = StepperConfig(dt=dt, t_end=n * dt)
         final, trace = run(problem, cfg)
-        r = sdirk3_tableau().stability(lam * dt).real
+        r = stability(sdirk3_tableau(), lam * dt).real
         assert np.allclose(final.values, r**n * problem.initial_values, rtol=1e-12)
 
     def test_trace_bookkeeping(self):
@@ -349,6 +401,41 @@ class TestThetaRunMatchesMatrixPair:
             assert np.allclose(final.values, expected, rtol=rtol, atol=0.0)
 
 
+class TestNonFiniteInitialState:
+    """A non-finite initial state stops every run with one ValueError,
+    before the first step, whatever the cutoff and the tableau."""
+
+    @staticmethod
+    def count_steps(monkeypatch) -> list:
+        steps = []
+        monkeypatch.setattr(DirkStepper, "step", lambda stepper, values, t: steps.append(t))
+        return steps
+
+    @pytest.mark.parametrize("cutoff,tableau", [
+        (CutoffParams(0.0), sdirk3_tableau()),
+        (None, sdirk3_tableau()),
+        (None, theta_tableau(0.0)),
+    ], ids=["cutoff", "no-cutoff", "explicit"])
+    def test_anisotropic_run(self, monkeypatch, cutoff, tableau):
+        problem = assemble(AnisotropicSpec.pure_diffusion(Grid2D.square(0.0, 1.0, 4)))
+        initial = problem.initial_values.copy()
+        initial[7] = np.nan
+        steps = self.count_steps(monkeypatch)
+        cfg = StepperConfig(dt=0.1, t_end=0.2, cutoff=cutoff, tableau=tableau)
+        with pytest.raises(ValueError, match="initial state has non-finite value nan at node 7"):
+            run(replace(problem, initial_values=initial), cfg)
+        assert steps == []
+
+    def test_film(self, monkeypatch):
+        spec = replace(LubricationSpec.default_1d(16),
+                       initial=lambda x: np.where(np.arange(x.size) == 7, np.nan, 1.0))
+        steps = self.count_steps(monkeypatch)
+        cfg = StepperConfig(dt=1e-6, t_end=1e-5, cutoff=CutoffParams(0.0))
+        with pytest.raises(ValueError, match="initial state has non-finite value nan at node 7"):
+            run_lubrication(spec, cfg)
+        assert steps == []
+
+
 class TestDirkStepperValidation:
     @pytest.mark.parametrize("a,b,c,match", [
         # implicit midpoint: a = [[1/2]], b = [1]
@@ -358,7 +445,7 @@ class TestDirkStepperValidation:
         ([[5 / 12, -1 / 12], [0.75, 0.25]], [0.75, 0.25], [1 / 3, 1.0], "diagonally implicit"),
     ])
     def test_rejects_unsupported_tableaux(self, a, b, c, match):
-        tab = ButcherTableau(a=np.array(a), b=np.array(b), c=np.array(c), order=1)
+        tab = ButcherTableau(a=np.array(a), b=np.array(b), c=np.array(c))
         with pytest.raises(ValueError, match=match):
             DirkStepper(tab, SparseMatrix(sp.identity(3)), 0.1)
 
@@ -396,7 +483,7 @@ class TestStepHelpers:
         u0 = np.array([1.0, -1.0, 0.5])
         stepper = DirkStepper(sdirk3_tableau(), SparseMatrix(sp.diags([lam, lam, lam])), dt)
         u1, _ = stepper.step(u0, 0.0)
-        r = sdirk3_tableau().stability(lam * dt).real
+        r = stability(sdirk3_tableau(), lam * dt).real
         assert np.allclose(u1, r * u0, rtol=1e-13)
 
     def test_sdirk3_step_quadrature_is_third_order(self):
@@ -649,8 +736,7 @@ class TestBoundarySlopes:
     # stiffly accurate, one implicit value 1/2; stage 2 is explicit and its
     # boundary values feed the interior of the last stage through L
     TABLEAU = ButcherTableau(a=np.array([[0.5, 0.0, 0.0], [0.5, 0.0, 0.0], [0.25, 0.25, 0.5]]),
-                             b=np.array([0.25, 0.25, 0.5]), c=np.array([0.5, 0.5, 1.0]),
-                             order=1)
+                             b=np.array([0.25, 0.25, 0.5]), c=np.array([0.5, 0.5, 1.0]))
 
     @staticmethod
     def reference_step(problem, u, t, dt, tab):
