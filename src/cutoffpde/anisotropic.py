@@ -16,10 +16,12 @@ machinery is exercised against.
 Spatial operator: u_xx, u_yy by 3-point central differences, the mixed term
 2 Dxy u_xy by the 4-corner stencil
 (u_{i+1,j+1} - u_{i+1,j-1} - u_{i-1,j+1} + u_{i-1,j-1}) / (4 hx hy),
-drift by central first differences.  Boundary nodes keep empty operator
-rows, which the stepper's shifted system turns into identity rows that
-return the Dirichlet values.  One source callback gives the forcing inside
-and the Dirichlet data on the boundary.  Every term of the forcing carries
+drift by central first differences, scattered onto the operator's nine
+diagonals in scipy's DIA layout (linalg.SparseMatrix), each interior row's
+weight at its column.  Boundary nodes keep empty operator rows, which the
+stepper's shifted system turns into identity rows that return the
+Dirichlet values.  One source callback gives the forcing inside and the
+Dirichlet data on the boundary.  Every term of the forcing carries
 the e^{-t} of the solution, so inside it is the forcing at t = 0 scaled by
 e^{-t}; on the boundary it is the closed form.
 """
@@ -136,11 +138,13 @@ def assemble(spec: AnisotropicSpec) -> LinearProblem:
     ])
     offsets = np.array([off for off, w in offsets_and_weights if w != 0.0])
     weights = np.array([w for _, w in offsets_and_weights if w != 0.0])
-    # band[c, k] = L[k, k + offsets[c]]: the stencil on interior rows, and
-    # the Dirichlet rows empty
-    band = np.zeros((offsets.size, grid.node_count))
-    band[:, center] = weights[:, None]
-    l_matrix = SparseMatrix.from_diagonals(offsets, band)
+    # data[c, j] = L[j - offsets[c], j]: row k's stencil weights sit at
+    # k + offsets[c] for the interior rows k, and the Dirichlet rows stay
+    # empty
+    data = np.zeros((offsets.size, grid.node_count))
+    for c, off in enumerate(offsets):
+        data[c, center + off] = weights[c]
+    l_matrix = SparseMatrix(offsets, data)
 
     x, y = grid.node_xy()
     mask = np.zeros(grid.node_count, dtype=bool)

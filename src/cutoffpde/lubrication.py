@@ -34,12 +34,14 @@ assembled operator vanish and mass exactly conserved up to solver residual.
 One stencil product serves 1D and 2D: the flux divergence's entries meet
 the Laplacian rows they touch, laid out once per grid and cached, and give
 the operator's diagonals, entry for entry the sparse product of flux
-divergence and Laplacian.  Both films keep their operators on those
-diagonals and shift them there.  The 1D film factors its pentadiagonal
-system every step by banded LU filled straight from them, so no CSR matrix
-is built between assembly and backsubstitution.  The 2D film keeps its
-sparse LU across steps while its solves still refine to tolerance (see
-stepping.DirkStepper), and forms CSR for SuperLU only when it factors.
+divergence and Laplacian, written into scipy's DIA layout
+(linalg.SparseMatrix).  The Laplacians are built on their diagonals too.
+Both films keep their operators on those diagonals and shift them there.
+The 1D film factors its pentadiagonal system every step by banded LU
+filled straight from them, so no CSR matrix is built between assembly and
+backsubstitution.  The 2D film keeps its sparse LU across steps while its
+solves still refine to tolerance (see stepping.DirkStepper), and forms CSR
+for SuperLU only when it factors.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cutoff import CutoffParams
 from .grids import Field, Grid1D, Grid2D, trapezoid_weights
@@ -132,21 +133,28 @@ def _laplacian_1d(grid: Grid1D) -> SparseMatrix:
     """3-point Laplacian with even ghost reflection (u_x = 0 at both ends)."""
     n = grid.node_count
     h2 = grid.h ** 2
-    main = np.full(n, -2.0 / h2)
-    off = np.full(n - 1, 1.0 / h2)
-    lap = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    lap[0, 1] = 2.0 / h2
-    lap[n - 1, n - 2] = 2.0 / h2
-    return SparseMatrix(lap)
+    # data[c, j] = Lap[j - offsets[c], j]; the reflected ghosts double
+    # Lap[0, 1] and Lap[n-1, n-2]
+    data = np.zeros((3, n))
+    data[0, :-1] = data[2, 1:] = 1.0 / h2
+    data[0, -2] = data[2, 1] = 2.0 / h2
+    data[1] = -2.0 / h2
+    return SparseMatrix(np.array([-1, 0, 1]), data)
 
 
 def _laplacian_2d(grid: Grid2D) -> SparseMatrix:
-    """5-point Laplacian with even reflection on all four sides."""
-    lx = _laplacian_1d(Grid1D(grid.ax, grid.bx, grid.nx_cells)).csr
-    ly = _laplacian_1d(Grid1D(grid.ay, grid.by, grid.ny_cells)).csr
-    ix = sp.identity(grid.nx_cells + 1, format="csr")
-    iy = sp.identity(grid.ny_cells + 1, format="csr")
-    return SparseMatrix(sp.kron(iy, lx) + sp.kron(ly, ix))
+    """5-point Laplacian with even reflection on all four sides: the sum of
+    the 1D Laplacians along x and along y, on the diagonals -(nx+1), -1, 0,
+    1 and nx+1."""
+    _, lx = _laplacian_1d(Grid1D(grid.ax, grid.bx, grid.nx_cells)).diagonals()
+    _, ly = _laplacian_1d(Grid1D(grid.ay, grid.by, grid.ny_cells)).diagonals()
+    w, rows = grid.nx_cells + 1, grid.ny_cells + 1
+    # the x couplings repeat along every grid row, the y couplings along
+    # every grid column; both keep their zeros off the matrix
+    data = np.stack([np.repeat(ly[0], w), np.tile(lx[0], rows),
+                     (lx[1] + ly[1][:, None]).ravel(),
+                     np.tile(lx[2], rows), np.repeat(ly[2], w)])
+    return SparseMatrix(np.array([-w, -1, 0, 1, w]), data)
 
 
 @lru_cache(maxsize=LAPLACIAN_CACHE_SIZE)
@@ -168,9 +176,11 @@ def _laplacian_rows(grid) -> tuple:
     s = np.zeros((o.size, offsets.size, n))
     for m, om in enumerate(o):
         for p, diagonal in zip(*lap.diagonals()):
-            # S[m, c, i] = Lap[i + om, i + om + p] for the rows i + om inside
+            # S[m, c, i] = Lap[i + om, i + om + p] = diagonal[i + om + p]
+            # for the i whose row and column both lie inside
             c = np.searchsorted(offsets, om + p)
-            s[m, c, max(-om, 0):n - max(om, 0)] = diagonal[max(om, 0):n + min(om, 0)]
+            lo, hi = max(0, -om, -om - p), min(n, n - om, n - om - p)
+            s[m, c, lo:hi] = diagonal[lo + om + p:hi + om + p]
     offsets.flags.writeable = False
     s.flags.writeable = False
     return offsets, s
@@ -181,21 +191,22 @@ def _stencil_product(d: np.ndarray, grid) -> SparseMatrix:
     storage order, o as in _laplacian_rows).
 
     Each entry sums D[i, j] * Lap[j, k] over ascending j, the order of a
-    sparse product, so the entries are the product's to the bit.  Slots off
-    the matrix hold zeros, or NaN once a mobility overflows to inf, so they
-    are zeroed by position and not by value; exact zeros (at touched-down
-    faces) are entries CSR does not store."""
+    sparse product, so the entries are the product's to the bit.  The
+    entries of row i come out at i; each is negated into its column, the
+    DIA slot data[c, i + offsets[c]].  Only the slots inside the matrix are
+    copied, so the slots off it stay zero even where the rows held NaN (a
+    mobility overflowed to inf); exact zeros (at touched-down faces) are
+    entries CSR does not store."""
     offsets, s = _laplacian_rows(grid)
     d = d.reshape(len(s), 1, -1)
-    band = d[0] * s[0]
+    by_row = d[0] * s[0]
     for m in range(1, len(s)):
-        band += d[m] * s[m]
-    np.negative(band, out=band)
-    n = band.shape[1]
-    for o, diagonal in zip(offsets, band):
-        diagonal[:max(-o, 0)] = 0.0
-        diagonal[n - max(o, 0):] = 0.0
-    return SparseMatrix.from_diagonals(offsets, band)
+        by_row += d[m] * s[m]
+    n = by_row.shape[1]
+    data = np.zeros_like(by_row)
+    for o, row, column in zip(offsets, by_row, data):
+        np.negative(row[max(-o, 0):n - max(o, 0)], out=column[max(o, 0):n + min(o, 0)])
+    return SparseMatrix(offsets, data)
 
 
 def assemble_lubrication_1d(u_lagged: Field, spec: LubricationSpec) -> SparseMatrix:

@@ -65,6 +65,10 @@ from .linalg import Factorization, SolveError, SparseMatrix, identity_plus
 #: g^3 - 3 g^2 + (3/2) g - 1/6 in (1/6, 1/2)
 SDIRK3_GAMMA = 0.43586652150845906
 
+#: the most steps a run may ask for: 4000 times the longest default run
+#: (2500 steps), so a dt far below t_end stops before the first step
+STEPS_MAX = 10**7
+
 
 class DivergenceError(RuntimeError):
     """Raised when a run cannot go on (a non-finite state, no operator can
@@ -158,7 +162,8 @@ class StepperConfig:
     scale-aware tolerance (linalg.default_tolerance).  snapshot_every stores
     the post-cutoff state every k-th step (in addition to any explicit
     snapshot_times).  A t_end or a snapshot time that is not finite, and a
-    step count t_end / dt that overflows, raise ValueError.
+    step count t_end / dt that overflows or exceeds STEPS_MAX, raise
+    ValueError.
     """
 
     dt: float
@@ -187,6 +192,9 @@ class StepperConfig:
     @property
     def n_steps(self) -> int:
         k = int(round(self.t_end / self.dt))
+        if k > STEPS_MAX:
+            raise ValueError(f"t_end = {self.t_end} and dt = {self.dt} ask for more than "
+                             f"STEPS_MAX = {STEPS_MAX} steps")
         if k < 1 or abs(k * self.dt - self.t_end) > 1e-6 * self.dt:
             raise ValueError(
                 f"t_end = {self.t_end} is not an integer multiple of dt = {self.dt}"
@@ -302,7 +310,7 @@ class LinearProblem:
         init = np.asarray(self.initial_values, dtype=float)
         if init.shape != (n,):
             raise ValueError("initial values length does not match the grid")
-        if self.l_matrix.diagonals()[1][:, mask].any():
+        if self.l_matrix.abs_row_sums()[mask].any():
             raise ValueError("operator stores entries in Dirichlet rows")
         object.__setattr__(self, "dirichlet_mask", mask)
         object.__setattr__(self, "initial_values", init)
@@ -323,8 +331,8 @@ def theta_operator(problem: LinearProblem, dt: float, theta: float) -> tuple:
     mask = problem.dirichlet_mask
     b1 = identity_plus(problem.l_matrix, -theta * dt)
     b0 = identity_plus(problem.l_matrix, (1.0 - theta) * dt)
-    offsets, band = b0.diagonals()
-    band[offsets == 0, mask] = 0.0
+    offsets, data = b0.diagonals()
+    data[offsets == 0, mask] = 0.0
 
     def source(t: float) -> np.ndarray:
         new = _checked(problem.source(t + dt), mask.size)

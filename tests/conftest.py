@@ -41,6 +41,20 @@ def canonical(matrix) -> sp.csr_matrix:
     return csr
 
 
+def sparse_matrix(matrix) -> SparseMatrix:
+    """The SparseMatrix of scipy or dense input: duplicates summed, zeros
+    dropped, laid out on the diagonals its entries span and the main one."""
+    coo = canonical(sp.csr_matrix(matrix, dtype=float)).tocoo()
+    n = coo.shape[0]
+    if coo.shape != (n, n):
+        raise ValueError(f"matrix must be square, got shape {coo.shape}")
+    spans = coo.col - coo.row
+    offsets = np.union1d(spans, [0])
+    data = np.zeros((offsets.size, n))
+    data[np.searchsorted(offsets, spans), coo.col] = coo.data
+    return SparseMatrix(offsets, data)
+
+
 def reference_identity_plus(csr, scale):
     """I + scale*A by scipy's checked sum, the oracle for identity_plus."""
     return sp.identity(csr.shape[0], format="csr") + float(scale) * csr
@@ -103,7 +117,7 @@ def make_heat_problem(n_cells: int = 200) -> tuple:
     lo[-1] = 0.0
     hi = np.full(n - 1, 1.0 / h**2)
     hi[0] = 0.0
-    l_matrix = SparseMatrix(sp.diags([lo, main, hi], [-1, 0, 1]))
+    l_matrix = sparse_matrix(sp.diags([lo, main, hi], [-1, 0, 1]))
     mask = np.zeros(n, dtype=bool)
     mask[0] = mask[-1] = True
     x = grid.nodes()

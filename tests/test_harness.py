@@ -352,8 +352,9 @@ class TestCli:
         ["lub1d", "-J", "16", "--snapshots", "1e-6,nan"],
         ["aniso-convergence", "--grids", "4", "--t-end", "inf"],
         ["reg-compare", "-J", "16", "--dt", "1e-300", "--t-end", "1e10"],
+        ["aniso-run", "-J", "4", "--dt", "1e-300", "--t-end", "1e-10"],
     ], ids=["inf-horizon", "overflowing-steps", "film-inf-horizon", "nan-snapshot",
-            "ladder-inf-horizon", "compare-overflowing-steps"])
+            "ladder-inf-horizon", "compare-overflowing-steps", "steps-past-cap"])
     def test_non_finite_horizons_exit_one(self, capsys, argv):
         assert cli_main(argv) == 1
         captured = capsys.readouterr()

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cutoffpde import linalg
 from cutoffpde.anisotropic import AnisotropicSpec, assemble
@@ -37,6 +40,7 @@ from conftest import (
     canonical,
     reference_identity_plus,
     same_bits,
+    sparse_matrix,
 )
 
 
@@ -54,49 +58,49 @@ def tridiag(n, lo, di, up):
             rows.append(i)
             cols.append(i + 1)
             vals.append(up)
-    return SparseMatrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+    return sparse_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
 
 
 class TestSparseMatrix:
     def test_constructor_sums_duplicates(self):
-        a = SparseMatrix(sp.coo_matrix(([2.0, 3.0, -1.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2)))
+        a = sparse_matrix(sp.coo_matrix(([2.0, 3.0, -1.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2)))
         assert np.array_equal(a.to_dense(), [[0.0, 5.0], [-1.0, 0.0]])
         assert a.nnz == 2
 
     def test_constructor_range_check(self):
         # scipy's own coordinate check
         with pytest.raises(ValueError):
-            SparseMatrix(sp.coo_matrix(([1.0], ([0], [2])), shape=(2, 2)))
+            sparse_matrix(sp.coo_matrix(([1.0], ([0], [2])), shape=(2, 2)))
         with pytest.raises(ValueError):
-            SparseMatrix(sp.coo_matrix(([1.0], ([-1], [0])), shape=(2, 2)))
+            sparse_matrix(sp.coo_matrix(([1.0], ([-1], [0])), shape=(2, 2)))
 
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError, match="square"):
-            SparseMatrix(np.zeros((2, 3)))
+            sparse_matrix(np.zeros((2, 3)))
 
     def test_explicit_zeros_dropped(self):
-        a = SparseMatrix(sp.coo_matrix(([1.0, 0.0], ([0, 1], [0, 1])), shape=(2, 2)))
+        a = sparse_matrix(sp.coo_matrix(([1.0, 0.0], ([0, 1], [0, 1])), shape=(2, 2)))
         assert a.nnz == 1
 
     def test_matvec(self):
-        a = SparseMatrix(np.array([[1.0, -2.0], [3.0, 4.0]]))
+        a = sparse_matrix(np.array([[1.0, -2.0], [3.0, 4.0]]))
         assert np.array_equal(a.matvec(np.array([1.0, 1.0])), [-1.0, 7.0])
 
     def test_matvec_shape_checked(self):
-        a = SparseMatrix(sp.identity(3))
+        a = sparse_matrix(sp.identity(3))
         with pytest.raises(ValueError, match="matvec operand"):
             a.matvec(np.zeros(4))
 
     def test_operator_norm_inf(self):
-        a = SparseMatrix(np.array([[1.0, -2.0], [3.0, 4.0]]))
+        a = sparse_matrix(np.array([[1.0, -2.0], [3.0, 4.0]]))
         assert a.operator_norm_inf() == 7.0
-        assert SparseMatrix(sp.csr_matrix((4, 4))).operator_norm_inf() == 0.0
+        assert sparse_matrix(sp.csr_matrix((4, 4))).operator_norm_inf() == 0.0
 
     def test_bandwidth(self):
         assert tridiag(6, 1.0, 4.0, 1.0).bandwidth() == (1, 1)
-        lower = SparseMatrix(sp.coo_matrix(([1.0, 1.0], ([3, 0], [0, 0])), shape=(5, 5)))
+        lower = sparse_matrix(sp.coo_matrix(([1.0, 1.0], ([3, 0], [0, 0])), shape=(5, 5)))
         assert lower.bandwidth() == (3, 0)
-        assert SparseMatrix(sp.csr_matrix((4, 4))).bandwidth() == (0, 0)
+        assert sparse_matrix(sp.csr_matrix((4, 4))).bandwidth() == (0, 0)
 
     def test_norm_and_bandwidth_read_the_stored_pattern(self):
         # a random pattern with an empty row: the diagonals its entries span,
@@ -105,16 +109,16 @@ class TestSparseMatrix:
         dense = rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)
         dense[4] = 0.0
         ref = sp.csr_matrix(dense)
-        a = SparseMatrix(dense)
-        offsets, band = a.diagonals()
+        a = sparse_matrix(dense)
+        offsets, data = a.diagonals()
         coo = ref.tocoo()
         assert np.array_equal(offsets, np.union1d(coo.col - coo.row, [0]))
-        assert np.array_equal(band[np.searchsorted(offsets, coo.col - coo.row), coo.row], coo.data)
+        assert np.array_equal(data[np.searchsorted(offsets, coo.col - coo.row), coo.col], coo.data)
         assert_same_csr_bits(a.csr, ref)
         assert_acts_as_csr(a, ref)
 
     def test_csr_formed_once(self):
-        a = SparseMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        a = sparse_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
         assert a.csr is a.csr
         assert np.array_equal(a.csr.indptr, [0, 2, 3])
 
@@ -126,7 +130,7 @@ class TestSparseMatrix:
                                 LubricationSpec.default_1d(3)).csr,
     ], ids=["empty csr", "dense zeros", "explicit zeros", "all-dry film"])
     def test_no_stored_entry(self, matrix):
-        a = SparseMatrix(matrix)
+        a = sparse_matrix(matrix)
         assert a.dimension == 4 and a.nnz == 0
         assert same_bits(a.matvec(np.arange(1.0, 5.0)), np.zeros(4))
         assert a.operator_norm_inf() == 0.0
@@ -136,7 +140,7 @@ class TestSparseMatrix:
             assert_same_csr_bits(identity_plus(a, scale).csr, sp.identity(4, format="csr"))
 
     def test_identity_plus(self):
-        a = SparseMatrix(np.array([[0.0, 2.0], [1.0, 0.0]]))
+        a = sparse_matrix(np.array([[0.0, 2.0], [1.0, 0.0]]))
         got = identity_plus(a, -0.5).to_dense()
         assert np.array_equal(got, [[1.0, -1.0], [-0.5, 1.0]])
 
@@ -150,7 +154,7 @@ class TestSparseMatrix:
             [3.0, 0.0, 0.0, -1.0],
             [0.0, 0.0, 5.0, 4.0],
         ])
-        shifted = identity_plus(SparseMatrix(dense), -0.5)
+        shifted = identity_plus(sparse_matrix(dense), -0.5)
         assert shifted.csr.has_canonical_format
         assert_same_csr_bits(shifted.csr, canonical(shifted.csr))
         assert np.array_equal(shifted.to_dense(), np.eye(4) - 0.5 * dense)
@@ -193,7 +197,7 @@ class TestIdentityPlusMatchesScipy:
         bare = full.copy()
         bare[1, 1] = 0.0
         for dense in (full, bare):
-            a = SparseMatrix(dense)
+            a = sparse_matrix(dense)
             for scale, nnz in ((-0.5, 5), (1e-30, 4)):
                 got = identity_plus(a, scale)
                 assert_same_csr_bits(got.csr, reference_identity_plus(sp.csr_matrix(dense), scale))
@@ -208,10 +212,51 @@ class TestIdentityPlusMatchesScipy:
             wide = narrow.copy()
             wide.indices = wide.indices.astype(np.int64)
             wide.indptr = wide.indptr.astype(np.int64)
-            a = SparseMatrix(wide)
-            for got, want in zip(a.diagonals(), SparseMatrix(narrow).diagonals()):
+            a = sparse_matrix(wide)
+            for got, want in zip(a.diagonals(), sparse_matrix(narrow).diagonals()):
                 assert np.array_equal(got, want)
             self.check(a, narrow)
+
+
+@st.composite
+def dia_matrices(draw):
+    """(SparseMatrix, the scipy CSR matrix of its entries, an operand): n
+    in [2, 24], sorted distinct offsets in (-n, n) with 0 among them, and
+    exact zeros and -0.0 on random slots."""
+    n = draw(st.integers(2, 24))
+    others = draw(st.sets(st.integers(1 - n, n - 1), max_size=8))
+    offsets = np.array(sorted(others | {0}))
+    data = draw(arrays(float, (offsets.size, n), elements=st.floats(-1e3, 1e3)))
+    # 0 keeps the drawn value, 1 puts 0.0 and 2 puts -0.0 in the slot
+    zeros = draw(arrays(np.int8, data.shape, elements=st.integers(0, 2)))
+    data[zeros == 1], data[zeros == 2] = 0.0, -0.0
+    dense = np.zeros((n, n))
+    for o, diagonal in zip(offsets, data):
+        on = np.arange(max(o, 0), n + min(o, 0))
+        diagonal[np.setdiff1d(np.arange(n), on)] = 0.0
+        dense[on - o, on] = diagonal[on]
+    x = draw(arrays(float, n, elements=st.floats(-1e3, 1e3)))
+    return SparseMatrix(offsets, data), canonical(dense), x
+
+
+class TestDiaLayoutMatchesScipy:
+    """Any matrix in the DIA layout, and its shifts, compute what scipy
+    computes on the CSR matrix of the same entries, bit for bit: product,
+    CSR arrays, norm, entry count, bandwidth.  This pins scipy's private
+    DIA loop that the product and the norm run."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(dia_matrices())
+    def test_acts_as_csr(self, drawn):
+        a, ref, x = drawn
+        assert same_bits(a.matvec(x), ref @ x)
+        assert_same_csr_bits(a.csr, ref)
+        assert_acts_as_csr(a, ref)
+        assert_shifts_as_csr(a, ref)
+        # a shift the diagonal dominates factors, and its solve verifies
+        shifted = identity_plus(a, 0.5 / max(1.0, a.operator_norm_inf()))
+        _, report = Factorization(shifted).solve(x)
+        assert report.residual_norm <= report.tolerance
 
 
 def shifted_film_2d(u=None):
@@ -286,17 +331,17 @@ class TestSparseOrderingChoice:
         self.check_sparse(a, True)
         # its own transpose puts the 1s under larger column entries of the
         # factored matrix, which keeps the default route
-        self.check_sparse(SparseMatrix(a.csr.T), False)
+        self.check_sparse(sparse_matrix(a.csr.T), False)
 
     def test_off_diagonal_column_maximum(self):
-        a = SparseMatrix(np.array([[1.0, 0.0, 0.5], [2.0, 4.0, 0.0], [0.0, 1.0, 3.0]]))
+        a = sparse_matrix(np.array([[1.0, 0.0, 0.5], [2.0, 4.0, 0.0], [0.0, 1.0, 3.0]]))
         assert _diagonal_leads_columns(a.csr.tocsc()) is False
         self.solves_verified(a)
 
     def test_empty_column_takes_default_route(self):
         dense = np.eye(4)
         dense[:, 2] = 0.0
-        assert _diagonal_leads_columns(SparseMatrix(dense).csr.tocsc()) is False
+        assert _diagonal_leads_columns(sparse_matrix(dense).csr.tocsc()) is False
 
     def test_method_names(self):
         # perfbench counts factorizations by these exact strings
@@ -334,7 +379,7 @@ class TestWholeSystemSolve:
         row_sums = np.abs(dense[~mask]).sum(axis=1)
         assert default_tolerance(whole) == pytest.approx(1e-12 * row_sums.max(), rel=1e-15)
         # the interior block alone is never measured more loosely
-        block = SparseMatrix(dense[np.ix_(~mask, ~mask)])
+        block = sparse_matrix(dense[np.ix_(~mask, ~mask)])
         assert default_tolerance(block) <= default_tolerance(whole)
 
     @pytest.mark.parametrize("convection", [False, True])
@@ -365,7 +410,7 @@ def nonsymmetric_colamd_matrix():
     dense = np.diag(np.full(n, 10.0)) + np.diag(np.arange(1.0, n), 1) - np.diag(np.full(n - 1, 2.0), -1)
     dense[0, 7] = 25.0
     dense[9, 2] = -3.0
-    return SparseMatrix(dense)
+    return sparse_matrix(dense)
 
 
 class TestTransposedSolve:
@@ -621,13 +666,13 @@ class TestStaleFactorization:
         assert Factorization(shifted_film_2d()).route == "sparse-lu/symmetric"
         aniso = TestSparseOrderingChoice.shifted_aniso()
         assert Factorization(aniso).route == "sparse-lu/symmetric"
-        assert Factorization(SparseMatrix(aniso.csr.T)).route == "sparse-lu/colamd"
+        assert Factorization(sparse_matrix(aniso.csr.T)).route == "sparse-lu/colamd"
 
 
 class TestSolvers:
     def test_default_tolerance_scales_with_operator(self):
-        small = SparseMatrix(sp.diags([0.5, 0.25]))
-        big = SparseMatrix(sp.diags([100.0, 1.0]))
+        small = sparse_matrix(sp.diags([0.5, 0.25]))
+        big = sparse_matrix(sp.diags([100.0, 1.0]))
         assert default_tolerance(small) == 1e-12
         assert default_tolerance(big) == 1e-10
 
@@ -649,7 +694,7 @@ class TestSolvers:
         rows = list(range(n)) + [0, 7]
         cols = list(range(n)) + [7, 0]
         vals = [10.0] * n + [1.0, 1.0]
-        a = SparseMatrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+        a = sparse_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
         assert max(a.bandwidth()) > BANDED_BANDWIDTH_MAX
         rhs = np.arange(1.0, n + 1.0)
         f = Factorization(a)
@@ -666,7 +711,7 @@ class TestSolvers:
         dense = rng.normal(size=(n, n))
         if seed == 17:
             np.fill_diagonal(dense, 1.0 + np.abs(dense).sum(axis=1))
-        a = SparseMatrix(dense)
+        a = sparse_matrix(dense)
         assert a.bandwidth() == (n - 1, n - 1) and a.diagonals()[1].shape == (2 * n - 1, n)
         f = Factorization(a)
         assert f.route == ("sparse-lu/symmetric" if seed == 17 else "sparse-lu/colamd")
@@ -687,7 +732,7 @@ class TestSolvers:
         for i in (0, 7, 8, 19, n - 1):
             dense[i] = 0.0
             dense[i, i] = 1.0
-        a = SparseMatrix(dense)
+        a = sparse_matrix(dense)
         assert a.bandwidth() == (2, 2)
         rhs = rng.normal(size=n)
         f = Factorization(a)
@@ -706,17 +751,17 @@ class TestSolvers:
             assert np.allclose(a.matvec(x), rhs, atol=1e-11)
 
     def test_singular_banded_raises(self):
-        a = SparseMatrix(sp.diags([1.0, 0.0]))
+        a = sparse_matrix(sp.diags([1.0, 0.0]))
         with pytest.raises(SolveError, match="singular banded system"):
             Factorization(a)
 
     def test_rhs_shape_checked(self):
-        f = Factorization(SparseMatrix(sp.identity(3)))
+        f = Factorization(sparse_matrix(sp.identity(3)))
         with pytest.raises(ValueError, match="rhs has shape"):
             f.solve(np.zeros(2))
 
     def test_rhs_must_be_finite(self):
-        f = Factorization(SparseMatrix(sp.identity(2)))
+        f = Factorization(sparse_matrix(sp.identity(2)))
         with pytest.raises(ValueError, match="non-finite"):
             f.solve(np.array([1.0, float("nan")]))
 
@@ -738,7 +783,7 @@ class TestSolvers:
                 dense += np.diag(rng.normal(size=n - k), k=k)
                 dense += np.diag(rng.normal(size=n - k), k=-k)
             np.fill_diagonal(dense, 1.0 + np.abs(dense).sum(axis=1))
-            a = SparseMatrix(dense)
+            a = sparse_matrix(dense)
             rhs = rng.normal(size=n)
             x, report = Factorization(a).solve(rhs)
             assert report.residual_norm <= report.tolerance

@@ -46,6 +46,7 @@ from conftest import (
     canonical,
     reference_identity_plus,
     same_bits,
+    sparse_matrix,
 )
 
 
@@ -243,7 +244,7 @@ class TestAssembly1D:
         u0 = bare.initial_field()
         a0 = assemble_lubrication_1d(u0, bare)
         ae = assemble_lubrication_1d(u0, soft)
-        rel = SparseMatrix(ae.csr - a0.csr).operator_norm_inf() / a0.operator_norm_inf()
+        rel = sparse_matrix(ae.csr - a0.csr).operator_norm_inf() / a0.operator_norm_inf()
         assert rel <= 1e-10
         assert rel == pytest.approx(5.5898e-11, rel=1e-3)
 
@@ -381,13 +382,13 @@ class TestDiagonalForm:
     def with_oracle(u, spec):
         """(the assembled operator, the scipy CSR matrix it must act as)."""
         banded = assemble_lubrication_1d(u, spec)
-        offsets, band = banded.diagonals()
+        offsets, data = banded.diagonals()
         assert np.array_equal(offsets, [-2, -1, 0, 1, 2])
-        assert band.shape == (5, spec.grid.node_count)
+        assert data.shape == (5, spec.grid.node_count)
         ref = reference_operator_1d(u, spec)
         if not np.all(np.isfinite(ref.data)):
             # an inf mobility meets the Laplacian's zeros (inf * 0) where the
-            # sparse product skips them: scipy computes on the band's entries
+            # sparse product skips them: scipy computes on the diagonals' entries
             ref = sp.csr_matrix(banded.csr, copy=True)
         return banded, ref
 
@@ -395,11 +396,11 @@ class TestDiagonalForm:
     def test_operator_matches_the_sparse_product(self, spec, u):
         banded = assemble_lubrication_1d(u, spec)
         ref = reference_operator_1d(u, spec)
-        offsets, band = banded.diagonals()
+        offsets, data = banded.diagonals()
         n = spec.grid.node_count
         # every slot off the matrix holds a zero, NaN mobilities or not
-        for o, diagonal in zip(offsets, band):
-            assert not np.any(np.delete(diagonal, np.arange(max(-o, 0), n - max(o, 0))))
+        for o, diagonal in zip(offsets, data):
+            assert not np.any(np.delete(diagonal, np.arange(max(o, 0), n + min(o, 0))))
         assert banded.nnz == ref.nnz
         if not np.all(np.isfinite(ref.data)):
             # only the pattern is the product's (see with_oracle)
@@ -409,9 +410,9 @@ class TestDiagonalForm:
         assert_same_csr_bits(banded.csr, ref)
         # every slot on the matrix holds its entry
         dense = ref.toarray()
-        for o, diagonal in zip(offsets, band):
-            on = np.arange(max(-o, 0), n - max(o, 0))
-            assert np.array_equal(diagonal[on], dense[on, on + o])
+        for o, diagonal in zip(offsets, data):
+            on = np.arange(max(o, 0), n + min(o, 0))
+            assert np.array_equal(diagonal[on], dense[on - o, on])
 
     @pytest.mark.parametrize("spec,u", film_states_1d())
     def test_matvec_norm_and_pattern(self, spec, u):
@@ -438,7 +439,7 @@ class TestDiagonalForm:
 
         for scale in SCALES[:3]:
             got = outcome(identity_plus(banded, scale))
-            want = outcome(SparseMatrix(reference_identity_plus(ref, scale)))
+            want = outcome(sparse_matrix(reference_identity_plus(ref, scale)))
             if isinstance(want, str):
                 assert got == want
                 continue

@@ -25,6 +25,7 @@ from cutoffpde.lubrication import (
 from cutoffpde.stepping import (
     DIAGNOSTICS_SIZE_CAP,
     SDIRK3_GAMMA,
+    STEPS_MAX,
     ButcherTableau,
     DirkStepper,
     DivergenceError,
@@ -41,7 +42,7 @@ from cutoffpde.stepping import (
 
 from cutoffpde.cli import cli_main
 
-from conftest import make_heat_problem
+from conftest import make_heat_problem, sparse_matrix
 
 
 def stability(tab: ButcherTableau, z: complex) -> complex:
@@ -88,7 +89,7 @@ def scalar_problem(lam: float, initial) -> LinearProblem:
     n = grid.node_count
     return LinearProblem(
         grid=grid,
-        l_matrix=SparseMatrix(sp.diags(np.full(n, lam))),
+        l_matrix=sparse_matrix(sp.diags(np.full(n, lam))),
         dirichlet_mask=np.zeros(n, dtype=bool),
         source=lambda t: np.zeros(n),
         initial_values=np.asarray(initial, dtype=float),
@@ -101,7 +102,7 @@ def draining_problem(initial) -> LinearProblem:
     n = grid.node_count
     return LinearProblem(
         grid=grid,
-        l_matrix=SparseMatrix(sp.csr_matrix((n, n))),
+        l_matrix=sparse_matrix(sp.csr_matrix((n, n))),
         dirichlet_mask=np.zeros(n, dtype=bool),
         source=lambda t: -np.ones(n),
         initial_values=np.asarray(initial, dtype=float),
@@ -218,6 +219,14 @@ class TestStepperConfig:
             with pytest.raises(ValueError, match="snapshot_times must be finite"):
                 StepperConfig(dt=0.1, t_end=1.0, snapshot_times=times)
 
+    def test_step_count_capped(self):
+        assert StepperConfig(dt=1.0, t_end=float(STEPS_MAX)).n_steps == STEPS_MAX
+        with pytest.raises(ValueError, match="ask for more than STEPS_MAX = 10000000 steps"):
+            StepperConfig(dt=1.0, t_end=float(STEPS_MAX + 1))
+        # finite, but about 1e290 steps
+        with pytest.raises(ValueError, match="t_end = 1e-10 and dt = 1e-300 ask for more"):
+            StepperConfig(dt=1e-300, t_end=1e-10)
+
     def test_snapshot_time_is_within_half_a_step(self):
         cfg = StepperConfig(dt=0.1, t_end=1.0, snapshot_times=(0.3, 0.7))
         assert [cfg.is_snapshot_time(t) for t in (0.26, 0.34, 0.7)] == [True] * 3
@@ -239,7 +248,7 @@ class TestThetaOperator:
         mask[0] = mask[-1] = True
         return LinearProblem(
             grid=grid,
-            l_matrix=SparseMatrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n))),
+            l_matrix=sparse_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n))),
             dirichlet_mask=mask,
             source=lambda t: np.where(mask, 2.0 * t, t),
             initial_values=np.zeros(n),
@@ -447,7 +456,7 @@ class TestDirkStepperValidation:
     def test_rejects_unsupported_tableaux(self, a, b, c, match):
         tab = ButcherTableau(a=np.array(a), b=np.array(b), c=np.array(c))
         with pytest.raises(ValueError, match=match):
-            DirkStepper(tab, SparseMatrix(sp.identity(3)), 0.1)
+            DirkStepper(tab, sparse_matrix(sp.identity(3)), 0.1)
 
     def test_mask_without_source_is_refused(self):
         # the values held on Dirichlet nodes come from the source callback
@@ -481,7 +490,7 @@ class TestStepHelpers:
     def test_sdirk3_step_matches_stability(self):
         lam, dt = -2.0, 0.2
         u0 = np.array([1.0, -1.0, 0.5])
-        stepper = DirkStepper(sdirk3_tableau(), SparseMatrix(sp.diags([lam, lam, lam])), dt)
+        stepper = DirkStepper(sdirk3_tableau(), sparse_matrix(sp.diags([lam, lam, lam])), dt)
         u1, _ = stepper.step(u0, 0.0)
         r = stability(sdirk3_tableau(), lam * dt).real
         assert np.allclose(u1, r * u0, rtol=1e-13)
@@ -490,7 +499,7 @@ class TestStepHelpers:
         # with L = 0 a step reduces to the quadrature dt*sum b_i s(c_i dt),
         # exact for polynomial sources up to degree two
         dt = 0.3
-        zero = SparseMatrix(sp.csr_matrix((3, 3)))
+        zero = sparse_matrix(sp.csr_matrix((3, 3)))
         stepper = DirkStepper(sdirk3_tableau(), zero, dt, source=lambda t: np.full(3, t * t))
         u1, _ = stepper.step(np.zeros(3), 0.0)
         assert np.allclose(u1, dt**3 / 3.0, rtol=1e-12)
@@ -612,7 +621,7 @@ class TestOneStepperPerRun:
         # backward Euler with dt = 1/2 shifts L = 2I to the zero matrix
         grid = Grid1D(0.0, 1.0, 4)
         n = grid.node_count
-        regular, singular = SparseMatrix(sp.identity(n)), SparseMatrix(2.0 * sp.identity(n))
+        regular, singular = sparse_matrix(sp.identity(n)), sparse_matrix(2.0 * sp.identity(n))
         calls = []
 
         def operator_for(floored):
@@ -863,14 +872,14 @@ class TestLinearProblemValidation:
         grid = Grid1D(0.0, 1.0, 2)
         good = dict(
             grid=grid,
-            l_matrix=SparseMatrix(sp.identity(3)),
+            l_matrix=sparse_matrix(sp.identity(3)),
             dirichlet_mask=np.zeros(3, dtype=bool),
             source=lambda t: np.zeros(3),
             initial_values=np.zeros(3),
         )
         LinearProblem(**good)
         with pytest.raises(ValueError, match="operator dimension"):
-            LinearProblem(**{**good, "l_matrix": SparseMatrix(sp.identity(4))})
+            LinearProblem(**{**good, "l_matrix": sparse_matrix(sp.identity(4))})
         with pytest.raises(ValueError, match="mask length"):
             LinearProblem(**{**good, "dirichlet_mask": np.zeros(4, dtype=bool)})
         with pytest.raises(ValueError, match="initial values length"):
@@ -880,13 +889,13 @@ class TestLinearProblemValidation:
         # a whole-system solve would couple an entry there into the interior
         base = TestThetaOperator.masked_problem()
         with pytest.raises(ValueError, match="entries in Dirichlet rows"):
-            replace(base, l_matrix=SparseMatrix(sp.identity(base.grid.node_count)))
+            replace(base, l_matrix=sparse_matrix(sp.identity(base.grid.node_count)))
 
 
 class TestSchemeDiagnostics:
     def test_synthetic_pair(self):
         n, dt = 4, 0.25
-        d = scheme_diagnostics(SparseMatrix(sp.identity(n)), SparseMatrix(1.5 * sp.identity(n)), dt)
+        d = scheme_diagnostics(sparse_matrix(sp.identity(n)), sparse_matrix(1.5 * sp.identity(n)), dt)
         assert d.norm_b1_inv == pytest.approx(1.0, rel=1e-14)
         assert d.norm_b1inv_b0 == pytest.approx(1.5, rel=1e-14)
         assert d.k_implied == pytest.approx(2.0, rel=1e-13)
@@ -894,7 +903,7 @@ class TestSchemeDiagnostics:
 
     def test_contraction_floors_to_zero(self):
         n = 3
-        d = scheme_diagnostics(SparseMatrix(sp.identity(n)), SparseMatrix(0.5 * sp.identity(n)), 0.1)
+        d = scheme_diagnostics(sparse_matrix(sp.identity(n)), sparse_matrix(0.5 * sp.identity(n)), 0.1)
         assert d.k_implied == 0.0
 
     def test_backward_euler_heat_is_contractive(self):
@@ -920,16 +929,16 @@ class TestSchemeDiagnostics:
 
     def test_size_cap(self):
         n = DIAGNOSTICS_SIZE_CAP + 1
-        eye = SparseMatrix(sp.identity(n))
+        eye = sparse_matrix(sp.identity(n))
         with pytest.raises(ValueError, match="capped at dimension"):
             scheme_diagnostics(eye, eye, 0.1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions differ"):
-            scheme_diagnostics(SparseMatrix(sp.identity(2)), SparseMatrix(sp.identity(3)), 0.1)
+            scheme_diagnostics(sparse_matrix(sp.identity(2)), sparse_matrix(sp.identity(3)), 0.1)
 
     def test_write_text(self, tmp_path):
-        eye = SparseMatrix(sp.identity(2))
+        eye = sparse_matrix(sp.identity(2))
         d = scheme_diagnostics(eye, eye, 0.5)
         p = tmp_path / "diag.txt"
         d.write_text(p)
