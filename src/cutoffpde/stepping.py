@@ -25,10 +25,15 @@ it (linalg.Factorization.solve), so a 2D film step builds CSR only when it
 factors.  Once it keeps a sparse LU for a new operator, the stepper also
 keeps each implicit stage's increment z = x - u over the floored state u
 its step started from, at the last three steps, and a solve on the stale
-LU starts from u + (3*(z[n-1] - z[n-2]) + z[n-3]).  The guess takes the
-floored state exactly, cutoff included, and extrapolates only the small
-increment (Hairer & Wanner, Solving ODEs II, Sec. IV.8, iterate on the
-same increments), so it lands far closer than the stale LU's own answer.
+LU starts from u + x^, x^ = 3*(z[n-1] - z[n-2]) + z[n-3].  Every later
+guessed stage i of a step adds the miss of the step's latest guessed stage
+k, scaled by c_i/c_k: it starts from u + x^_i + (c_i/c_k)*(z_k - x^_k).
+The guess takes the floored state exactly, cutoff included, and
+extrapolates only the small increment (Hairer & Wanner, Solving ODEs II,
+Sec. IV.8, starting values for the stage iterations), so it lands far
+closer than the stale LU's own answer; all stages of a step start from the
+same u, so the cutoff's kink in time, which the extrapolation misses, is
+largely shared across them, and the first miss predicts the next.
 An implicit stage's slope L x + f is (x - A x)/(a_ii*dt) + f, with A x the
 product the solve's check took of its answer (linalg.SolveReport.product):
 a verified SDIRK3 step takes three products, one per check, and only an
@@ -379,7 +384,10 @@ class DirkStepper:
     implicit stage's increments over its steps' starting states at the last
     three steps are kept too, and a solve on that LU while it is stale
     starts from the step's starting state plus their quadratic
-    extrapolation.  A banded LU is factored afresh for every operator (the
+    extrapolation.  A later stale solve of the same step adds the miss of
+    the step's latest guessed stage k (its increment less its
+    extrapolation), scaled by c_i/c_k; each step starts with no miss, and a
+    stage solved on a fresh LU takes no guess.  A banded LU is factored afresh for every operator (the
     1D film's from its diagonals: shift, LU fill and products never form
     CSR) and an operator handed over once is never stale, so neither keeps any.
     A dirichlet_mask without a source raises ValueError, as the held values
@@ -401,7 +409,7 @@ class DirkStepper:
                                  "which gives the values held on those nodes")
             self._boundary = np.flatnonzero(dirichlet_mask)
         self.stats = SolverStats()
-        self._l = self._system = self._fact = self._history = self._start = None
+        self._l = self._system = self._fact = self._history = self._start = self._miss = None
         self.use(l_matrix)
 
     def use(self, l_matrix: SparseMatrix):
@@ -426,15 +434,24 @@ class DirkStepper:
     def _solve(self, rhs: np.ndarray, stage: int) -> tuple:
         """(x, report) of implicit stage `stage` in the step from the state
         self._start; a solve on a stale LU starts from that state plus the
-        stage's extrapolated increments once three are kept."""
+        stage's extrapolated increments once three are kept, corrected by
+        the miss of the step's latest guessed stage."""
         past = None if self._history is None else self._history[stage]
         guess = None
         if past is not None and len(past) == 3 and self._fact.matrix is not self._system:
-            guess = self._start + (3.0 * (past[2] - past[1]) + past[0])
+            extrapolated = 3.0 * (past[2] - past[1]) + past[0]
+            guess = self._start + extrapolated
+            if self._miss is not None:
+                # the miss of the step's latest guessed stage k, (z_k -
+                # extrapolated_k) scaled by c_i/c_k
+                c_k, miss = self._miss
+                guess += (self._tab.c[stage] / c_k) * miss
             self.stats.guessed += 1
         x, report = self._fact.solve(rhs, self._system, guess)
         if past is not None:
             past.append(x - self._start)
+            if guess is not None:
+                self._miss = self._tab.c[stage], past[-1] - extrapolated
         if report.refactored:
             self.stats.factored(self._fact)
         self.stats.solves += 1
@@ -465,7 +482,7 @@ class DirkStepper:
         a, c = self._tab.a, self._tab.c
         dt = self._dt
         last = self._live[-1]
-        self._start = values
+        self._start, self._miss = values, None
         ks = {}
         worst = 0.0
         for i in self._live:

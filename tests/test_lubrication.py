@@ -35,7 +35,7 @@ from cutoffpde.lubrication import (
     touching_length,
     track_singularity,
 )
-from cutoffpde.lubrication import _laplacian_1d, _laplacian_2d, _laplacian_rows
+from cutoffpde.lubrication import _laplacian_1d, _laplacian_2d, _stencil_map
 from cutoffpde.stepping import SDIRK3_GAMMA, DivergenceError, StepperConfig
 
 from conftest import (
@@ -274,8 +274,8 @@ class TestAssembly1DMatchesProduct:
         assert_same_csr_bits(assemble_lubrication_1d(u0, spec).csr, reference_operator_1d(u0, spec))
 
     def test_overflowed_mobility_stays_on_the_matrix(self):
-        # u^4 overflows at a boundary node: the slots off the matrix then hold
-        # NaN, and must still not be stored as columns -2, -1, n or n+1
+        # u^4 overflows at a boundary node: the entries that its faces meet
+        # turn inf or NaN, and none may be stored as columns -2, -1, n or n+1
         spec = LubricationSpec(grid=Grid1D(-1.0, 1.0, 8), mobility=MobilitySpec(exponent=4.0))
         vals = np.ones(9)
         vals[0] = vals[-1] = 1e100
@@ -341,6 +341,53 @@ class TestAssembly2DMatchesProduct:
         assert_same_csr_bits(assemble_lubrication_2d(u, spec).csr, reference_operator_2d(u, spec))
 
 
+def off_matrix_slots(a):
+    """The values a's DIA layout holds in the slots off the matrix."""
+    offsets, data = a.diagonals()
+    rows = np.arange(a.dimension) - offsets[:, None]
+    return data[(rows < 0) | (rows >= a.dimension)]
+
+
+class TestStencilMapMatchesProduct:
+    """On any 1D or rectangular 2D grid and any state, zeros included, the
+    operator that the stencil map gives is the sparse product's CSR bit for
+    bit, and its slots off the matrix hold 0.0, also where a node at 1e300
+    overflows the mobility u^4."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        cells=st.one_of(st.tuples(st.integers(min_value=2, max_value=40)),
+                        st.tuples(st.integers(min_value=2, max_value=12),
+                                  st.integers(min_value=2, max_value=12))),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+        overflow=st.booleans(),
+    )
+    def test_operator_is_the_sparse_product(self, cells, seed, zero_share, overflow):
+        if len(cells) == 1:
+            grid = Grid1D(-1.0, 1.0, cells[0])
+            assemble, oracle = assemble_lubrication_1d, reference_operator_1d
+        else:
+            grid = Grid2D(-1.0, 1.0, cells[0], -0.5, 1.0, cells[1])
+            assemble, oracle = assemble_lubrication_2d, reference_operator_2d
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(0.0, 2.0, grid.node_count)
+        vals[rng.random(vals.size) < zero_share] = 0.0
+        if overflow:
+            vals[rng.integers(vals.size)] = 1e300
+        spec = LubricationSpec(grid=grid, mobility=MobilitySpec(exponent=4.0 if overflow else 0.5))
+        u = Field(grid, vals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, ref = assemble(u, spec), oracle(u, spec)
+        off = off_matrix_slots(a)
+        assert same_bits(off, np.zeros_like(off))
+        if overflow:
+            assert not np.all(np.isfinite(a.csr.data))
+        # the map skips the Laplacian's zeros as the sparse product does, so
+        # even an overflowed mobility gives the product's inf and NaN
+        assert_same_csr_bits(a.csr, ref)
+
+
 def film_states_1d():
     """(name, spec, lagged state): the 1D film cases the diagonal form must
     carry through assembly, shift, product and LU as CSR would."""
@@ -385,12 +432,7 @@ class TestDiagonalForm:
         offsets, data = banded.diagonals()
         assert np.array_equal(offsets, [-2, -1, 0, 1, 2])
         assert data.shape == (5, spec.grid.node_count)
-        ref = reference_operator_1d(u, spec)
-        if not np.all(np.isfinite(ref.data)):
-            # an inf mobility meets the Laplacian's zeros (inf * 0) where the
-            # sparse product skips them: scipy computes on the diagonals' entries
-            ref = sp.csr_matrix(banded.csr, copy=True)
-        return banded, ref
+        return banded, reference_operator_1d(u, spec)
 
     @pytest.mark.parametrize("spec,u", film_states_1d())
     def test_operator_matches_the_sparse_product(self, spec, u):
@@ -402,17 +444,14 @@ class TestDiagonalForm:
         for o, diagonal in zip(offsets, data):
             assert not np.any(np.delete(diagonal, np.arange(max(o, 0), n + min(o, 0))))
         assert banded.nnz == ref.nnz
-        if not np.all(np.isfinite(ref.data)):
-            # only the pattern is the product's (see with_oracle)
-            assert same_bits(banded.csr.indptr, ref.indptr)
-            assert same_bits(banded.csr.indices, ref.indices)
-            return
+        # an overflowed mobility's inf and NaN included: the stencil map
+        # skips the Laplacian's zeros, as the sparse product does
         assert_same_csr_bits(banded.csr, ref)
         # every slot on the matrix holds its entry
         dense = ref.toarray()
         for o, diagonal in zip(offsets, data):
             on = np.arange(max(o, 0), n + min(o, 0))
-            assert np.array_equal(diagonal[on], dense[on - o, on])
+            assert np.array_equal(diagonal[on], dense[on - o, on], equal_nan=True)
 
     @pytest.mark.parametrize("spec,u", film_states_1d())
     def test_matvec_norm_and_pattern(self, spec, u):
@@ -453,7 +492,7 @@ class TestDiagonalForm:
         spec = LubricationSpec(grid=Grid1D(-1.0, 1.0, 64),
                                initial=lambda x: np.maximum(default_initial_1d(x) - 0.2, 0.0))
         cfg = StepperConfig(dt=1e-6, t_end=3e-6, cutoff=CutoffParams(0.0))
-        # the per-grid Laplacian rows are built once, before any step
+        # the per-grid stencil map is built once, before any step
         a = assemble_lubrication_1d(spec.initial_field(), spec)
         assert np.any(np.diff(a.csr.indptr) == 0)  # dry rows store no diagonal
 
@@ -515,7 +554,7 @@ class TestDiagonalForm2D:
 
         spec = LubricationSpec.default_2d(40)
         cfg = StepperConfig(dt=1e-6, t_end=4e-4, cutoff=CutoffParams(0.0))
-        _laplacian_rows(spec.grid)  # built once per grid, before any step
+        _stencil_map(spec.grid)  # built once per grid, before any step
         step = [0]
         built, factored = Counter(), Counter()
 
@@ -539,19 +578,35 @@ class TestDiagonalForm2D:
 
 
 class TestLaplacianCache:
+    """The stencil map, read off the Laplacian's diagonals, is built once
+    per grid and shared by every assembly on it, so its arrays are
+    read-only."""
+
+    @staticmethod
+    def arrays(stencil_map):
+        offsets, product = stencil_map
+        return offsets, product.data, product.indices, product.indptr
+
     def test_one_build_per_grid(self):
-        assert _laplacian_rows(Grid1D(-1.0, 1.0, 64)) is _laplacian_rows(Grid1D(-1.0, 1.0, 64))
-        assert _laplacian_rows(Grid2D.square(-1.0, 1.0, 6)) is _laplacian_rows(Grid2D.square(-1.0, 1.0, 6))
-        assert _laplacian_rows(Grid1D(-1.0, 1.0, 64)) is not _laplacian_rows(Grid1D(-1.0, 1.0, 65))
+        _stencil_map.cache_clear()
+        grids = [Grid1D(-1.0, 1.0, 64), Grid2D.square(-1.0, 1.0, 6), Grid1D(-1.0, 1.0, 65)]
+        maps = [_stencil_map(grid) for grid in grids]
+        # equal grids, built apart, share the one map
+        assert _stencil_map(Grid1D(-1.0, 1.0, 64)) is maps[0]
+        assert _stencil_map(Grid2D.square(-1.0, 1.0, 6)) is maps[1]
+        assert maps[0] is not maps[2]
+        assert _stencil_map.cache_info().misses == 3
+        for stencil_map in maps:
+            assert not any(array.flags.writeable for array in self.arrays(stencil_map))
 
     def test_unchanged_by_a_run(self):
         for spec in (LubricationSpec.default_1d(64), LubricationSpec.default_2d(6)):
-            rows = _laplacian_rows(spec.grid)
-            before = [arr.copy() for arr in rows]
+            stencil_map = _stencil_map(spec.grid)
+            before = [array.copy() for array in self.arrays(stencil_map)]
             run_lubrication(spec, StepperConfig(dt=1e-6, t_end=1e-5, cutoff=CutoffParams(0.0)))
-            assert _laplacian_rows(spec.grid) is rows
-            for old, new in zip(before, rows):
-                assert np.array_equal(old, new)
+            assert _stencil_map(spec.grid) is stencil_map
+            for old, new in zip(before, self.arrays(stencil_map)):
+                assert same_bits(old, new)
                 assert not new.flags.writeable
 
 
