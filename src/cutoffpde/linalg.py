@@ -42,30 +42,29 @@ column entries up to 5.6e4 times larger (J = 160), where the symmetric
 strategy pivots off the diagonal and triples the fill.  The stepper factors
 the whole system, identity rows included (fill 1.96M against COLAMD's 3.30M
 on A at J = 160): a solve whose right-hand side holds the Dirichlet values
-there returns them there, and the residual is the whole system's.  The pivot threshold stays at SuperLU's
-default of 1.0 either way.
+there returns them there, and the residual is the whole system's.  The
+pivot threshold stays at SuperLU's default of 1.0 either way.
 
-Every solve checks the LU's answer against the system (max-norm residual
-against the system's default_tolerance) and refines it only while that
-check fails, so a returned solution is always a checked one.  An LU of the
-system itself gets one refinement sweep if its answer misses and fails after
-that; on the film and anisotropic systems its first answer verifies, so such
-a solve is one backsubstitution.  An LU may also serve a later, nearby matrix
-(the film's lagged operator moves little from one step to the next): the
-solve then refines against that matrix until its residual meets the
-matrix's own default_tolerance, and factors the matrix afresh once
-1 + STALE_SWEEPS_MAX sweeps have not got there.  Such a solve may start from
-a guess (the stepper's: the step's floored starting state plus the stage's
-extrapolated increments, the later stages' corrected by the step's
-earlier miss): its first backsubstitution then corrects the guess instead
-of solving the right-hand side from zero.  On the 40x40 film to t = 4e-4
-the stale LU's own answer misses by a median 2.2e6 tolerances, the guess
-by 4.7 and the corrected guess by 0.061, so fewer sweeps follow and the LU
-is outgrown less often.  A fresh LU ignores a guess, as the solve
-right after a refactor does: its own answer is far finer than a guess that
-merely passes the check.  Every solve reports the product a x that its
-check took of the returned x (SolveReport.product), which the stepper turns
-into the stage's slope instead of taking a product of its own.
+Every solve checks the LU's answer against a system (max-norm residual
+against that system's default_tolerance) and refines it only while that
+check fails.  A Factorization is the LU of the one matrix it was built from,
+and it never changes.  A solve of that matrix gets one refinement sweep if
+its answer misses and fails after that, so every answer it returns is a
+checked one; on the film and anisotropic systems its first answer verifies,
+so such a solve is one backsubstitution.  The same LU may serve another
+matrix of its dimension as a stale one (the film's lagged operator moves
+little from one step to the next): the solve refines against that matrix
+for at most 1 + STALE_SWEEPS_MAX sweeps, stopping once the residual meets
+the matrix's own default_tolerance, and it may start from a guess, which
+its first backsubstitution corrects instead of solving the right-hand side
+from zero.  It returns its last iterate either way and never raises over a
+miss: a report whose residual misses its tolerance says the LU was
+outgrown, and whether to factor that matrix afresh is the caller's
+decision.  A solve of the LU's own matrix ignores a guess: its own answer
+is far finer than a guess that merely passes the check.  Every solve
+reports the product a x that its check took of the returned x
+(SolveReport.product), which the stepper turns into the stage's slope
+instead of taking a product of its own.
 
 The steppers factor shifted systems I - a_ii*dt*L (identity_plus) and solve
 every implicit stage against them, shifted on their diagonals.  The 1D
@@ -89,7 +88,7 @@ from .grids import _require_finite
 
 BANDED_BANDWIDTH_MAX = 5
 #: refinement sweeps a solve against a matrix other than the factored one
-#: may take beyond the first before it factors that matrix afresh
+#: may take beyond the first before it returns its last iterate unverified
 STALE_SWEEPS_MAX = 3
 #: the banded LU pair, looked up once instead of per factorization
 _GBTRF, _GBTRS = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
@@ -184,18 +183,18 @@ def identity_plus(a: SparseMatrix, scale: float) -> SparseMatrix:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """How one verified solve went.  iterations counts the
-    backsubstitutions beyond the first, those on a stale LU included when
-    the solve outgrew it; refactored says it did, and factored its matrix
-    afresh.  product is a x, the product the check took of the returned x
-    with the system it was verified against (the new matrix after a
-    refactor), so a caller can reuse it."""
+    """How one checked solve went.  iterations counts the
+    backsubstitutions beyond the first.  residual_norm is the returned x's
+    relative residual against the system it was checked on, and tolerance
+    that system's; only a stale solve that outgrew its LU returns with
+    residual_norm <= tolerance false.  product is a x, the product the
+    check took of the returned x with that system, so a caller can reuse
+    it."""
 
     residual_norm: float
     iterations: int
     tolerance: float
     product: np.ndarray = field(repr=False, compare=False)
-    refactored: bool = False
 
 
 def default_tolerance(a: SparseMatrix) -> float:
@@ -227,8 +226,8 @@ def _diagonal_leads_columns(csc: sp.csc_matrix) -> bool:
 
 
 class Factorization:
-    """Reusable LU of one SparseMatrix; each solve re-verifies its residual,
-    against the factored matrix or a later one of the same dimension.
+    """Fixed LU of one SparseMatrix; each solve checks its residual,
+    against the factored matrix or another one of the same dimension.
 
     A banded matrix is factored as it is, its LAPACK band storage filled
     from its diagonals, with no CSR formed.  Any other is factored by
@@ -283,11 +282,6 @@ class Factorization:
             self.fill = self._splu.nnz
 
     @property
-    def matrix(self) -> SparseMatrix:
-        """The matrix this LU is of; solves of any other are stale ones."""
-        return self._a
-
-    @property
     def method(self) -> str:
         """"banded-lu" or "sparse-lu"."""
         return self._route.split("/")[0]
@@ -340,13 +334,14 @@ class Factorization:
         against a until its residual meets default_tolerance(a).  The first
         backsubstitution solves rhs, or, given a guess g, corrects it:
         x = g - LU^{-1}(a g - rhs).  If 1 + STALE_SWEEPS_MAX sweeps do not
-        get there (a non-finite guess never does), a is factored in place
-        (this object holds a's LU from then on) and solved as a fresh one,
-        from rhs.  A fresh LU ignores the guess; its answer still missing
-        the tolerance after one sweep raises SolveError.  Every solve takes
-        at least one backsubstitution, and SolveReport.iterations counts
-        those beyond the first; SolveReport.product is a x of the returned
-        x, taken by the check that passed it."""
+        get there (a non-finite guess never does), the last iterate is
+        returned with its missing residual in the report; the LU stays the
+        factored matrix's.  A solve of the factored matrix ignores the
+        guess; its answer still missing the tolerance after one sweep
+        raises SolveError.  Every solve takes at least one
+        backsubstitution, and SolveReport.iterations counts those beyond
+        the first; SolveReport.product is a x of the returned x, taken by
+        its last check."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self._a.dimension,):
             raise ValueError(
@@ -357,23 +352,17 @@ class Factorization:
         if not np.isfinite(top):
             _require_finite(rhs, "solve rhs")
         scale = max(1.0, top)
-        stale, refactored = 0, False
         if a is not None and a is not self._a:
             if a.dimension != self._a.dimension:
                 raise ValueError("a stale LU serves matrices of its own dimension only")
             tol = default_tolerance(a)
             x, ax, residual, sweeps = self._refine(a, rhs, scale, tol, 1 + STALE_SWEEPS_MAX,
                                                    guess)
-            if residual <= tol:
-                return x, SolveReport(residual, sweeps, tol, ax)
-            # the same construction as every other factorization, in place
-            self.__init__(a)
-            stale, refactored = 1 + sweeps, True
+            return x, SolveReport(residual, sweeps, tol, ax)
         x, ax, residual, sweeps = self._refine(self._a, rhs, scale, self._tol, 1)
         if not residual <= self._tol:
             raise SolveError(
                 f"solution failed verification: residual {residual:.3e} > tol "
                 f"{self._tol:.3e} ({self.method}, |A|_inf = {self._a.operator_norm_inf():.3e})"
             )
-        return x, SolveReport(residual, stale + sweeps, self._tol, ax, refactored)
-
+        return x, SolveReport(residual, sweeps, self._tol, ax)

@@ -534,8 +534,10 @@ class TestSolvePolicy:
 
 class TestStaleFactorization:
     """An LU kept for a later matrix: solves refine against that matrix until
-    its own tolerance is met, and factor it afresh when they cannot.  A
-    stale solve may start from a guess; a fresh one ignores it."""
+    its own tolerance is met, and return their last iterate with the miss in
+    the report when they cannot; the LU stays the one it was built as, and
+    a fresh one of the later matrix is the caller's to make.  A stale solve
+    may start from a guess; a fresh one ignores it."""
 
     @staticmethod
     def film_state(scale):
@@ -546,6 +548,19 @@ class TestStaleFactorization:
     def true_residual(a, x, rhs):
         return float(np.max(np.abs(a.matvec(x) - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
 
+    @staticmethod
+    def distant():
+        """A film system from a state far from the 16x16 initial film's,
+        which outgrows that film's LU."""
+        spec = LubricationSpec.default_2d(16)
+        state = TestStaleFactorization.film_state(5.0)
+        return identity_plus(assemble_lubrication_2d(Field(spec.grid, state), spec),
+                             -SDIRK3_GAMMA * 1e-4)
+
+    @staticmethod
+    def missed(report):
+        return not report.residual_norm <= report.tolerance
+
     def test_nearby_matrix_meets_its_tolerance(self, monkeypatch):
         a0 = shifted_film_2d()
         a1 = shifted_film_2d(self.film_state(1e-3))
@@ -553,7 +568,7 @@ class TestStaleFactorization:
         rhs = np.random.default_rng(7).normal(size=a1.dimension)
         calls = count_backsubstitutions(monkeypatch, f)
         x, report = f.solve(rhs, a1)
-        assert report.iterations > 0 and not report.refactored
+        assert report.iterations > 0 and not self.missed(report)
         assert len(calls) == 1 + report.iterations
         assert report.tolerance == default_tolerance(a1)
         assert self.true_residual(a1, x, rhs) <= default_tolerance(a1)
@@ -565,40 +580,48 @@ class TestStaleFactorization:
         assert again.iterations > 0
 
     def test_distant_matrix_refactors(self, monkeypatch):
-        a0 = shifted_film_2d()
-        spec = LubricationSpec.default_2d(16)
-        a1 = identity_plus(assemble_lubrication_2d(Field(spec.grid, self.film_state(5.0)), spec),
-                           -SDIRK3_GAMMA * 1e-4)
+        a0, a1 = shifted_film_2d(), self.distant()
         f = Factorization(a0)
         rhs = np.random.default_rng(8).normal(size=a1.dimension)
         calls = count_backsubstitutions(monkeypatch, f)
         x, report = f.solve(rhs, a1)
-        assert report.refactored
-        # the stale LU's answer and 1 + STALE_SWEEPS_MAX sweeps, then the
-        # fresh LU's answer, which verifies
-        assert report.iterations == 2 + STALE_SWEEPS_MAX == len(calls) - 1
-        assert report.residual_norm <= report.tolerance == default_tolerance(a1)
+        # the stale LU's answer and 1 + STALE_SWEEPS_MAX sweeps, the last
+        # iterate returned with its miss
+        assert self.missed(report) and report.tolerance == default_tolerance(a1)
+        assert report.iterations == 1 + STALE_SWEEPS_MAX == len(calls) - 1
+        assert report.residual_norm == self.true_residual(a1, x, rhs)
+        # a1's own LU, the caller's refactor, verifies its first answer
+        x, fresh = Factorization(a1).solve(rhs)
+        assert fresh.iterations == 0
         assert self.true_residual(a1, x, rhs) <= default_tolerance(a1)
-        # the object now holds a1's LU
-        _, fresh = f.solve(rhs, a1)
-        assert fresh.iterations == 0 and not fresh.refactored
+
+    def test_a_missed_solve_leaves_the_lu_as_it_was(self):
+        a0, a1 = shifted_film_2d(), self.distant()
+        f = Factorization(a0)
+        rhs = np.random.default_rng(14).normal(size=a0.dimension)
+        before, _ = f.solve(rhs)
+        f.solve(rhs, a1)  # misses: a1 has outgrown a0's LU
+        # still a0's LU: its own matrix is solved fresh, to the same bits
+        after, fresh = f.solve(rhs)
+        assert fresh.iterations == 0
+        assert after.tobytes() == before.tobytes()
 
     def test_report_carries_the_verified_product(self):
         """The product a solve reports is the check's a x of the returned x,
-        against the matrix it was verified on: the factored one, a nearby
-        stale one, or, after a refactor, the new one."""
+        against the matrix it was checked on: the factored one, a nearby
+        stale one, a distant one that outgrew the LU, or the distant one
+        on its own fresh LU."""
         a0 = shifted_film_2d()
         near = shifted_film_2d(self.film_state(1e-3))
-        spec = LubricationSpec.default_2d(16)
-        far = identity_plus(assemble_lubrication_2d(Field(spec.grid, self.film_state(5.0)), spec),
-                            -SDIRK3_GAMMA * 1e-4)
+        far = self.distant()
         rhs = np.random.default_rng(13).normal(size=a0.dimension)
         f = Factorization(a0)
-        for a, refactored in ((None, False), (near, False), (far, True)):
-            x, report = f.solve(rhs, a)
-            assert report.refactored == refactored
-            assert np.array_equal(report.product, (a or a0).matvec(x))
-        assert f.matrix is far
+        for fact, a, checked, missed in ((f, None, a0, False), (f, near, near, False),
+                                         (f, far, far, True),
+                                         (Factorization(far), None, far, False)):
+            x, report = fact.solve(rhs, a)
+            assert self.missed(report) == missed
+            assert np.array_equal(report.product, checked.matvec(x))
 
     def extrapolated(self, rhs):
         """(a4, guess): the film system four small moves from the 16x16
@@ -617,7 +640,7 @@ class TestStaleFactorization:
             f = Factorization(shifted_film_2d())
             calls = count_backsubstitutions(monkeypatch, f)
             x, report = f.solve(rhs, a4, g)
-            assert not report.refactored and len(calls) == 1 + report.iterations
+            assert len(calls) == 1 + report.iterations
             assert report.residual_norm <= report.tolerance == default_tolerance(a4)
             assert self.true_residual(a4, x, rhs) <= default_tolerance(a4)
             counts.append(len(calls))
@@ -632,7 +655,7 @@ class TestStaleFactorization:
         for other in (None, a):
             x, report = f.solve(rhs, other, np.full(a.dimension, np.nan))
             assert x.tobytes() == plain.tobytes()
-            assert report.iterations == 0 and not report.refactored
+            assert report.iterations == 0 and not self.missed(report)
         assert len(calls) == 2
 
     def test_non_finite_guess_refactors(self, monkeypatch):
@@ -641,12 +664,14 @@ class TestStaleFactorization:
         guess[5] = np.inf
         f = Factorization(shifted_film_2d())
         calls = count_backsubstitutions(monkeypatch, f)
-        x, report = f.solve(rhs, a4, guess)
+        _, report = f.solve(rhs, a4, guess)
         # a NaN residual misses every check: the guessed answer and
-        # 1 + STALE_SWEEPS_MAX sweeps, then the fresh LU's answer from rhs
-        assert report.refactored and f.matrix is a4
-        assert report.iterations == 2 + STALE_SWEEPS_MAX == len(calls) - 1
-        assert np.all(np.isfinite(x))
+        # 1 + STALE_SWEEPS_MAX sweeps, returned as a miss
+        assert self.missed(report) and math.isnan(report.residual_norm)
+        assert report.iterations == 1 + STALE_SWEEPS_MAX == len(calls) - 1
+        # the caller's fresh LU of a4 solves rhs without the guess
+        x, fresh = Factorization(a4).solve(rhs)
+        assert np.all(np.isfinite(x)) and fresh.iterations == 0
         assert self.true_residual(a4, x, rhs) <= default_tolerance(a4)
 
     def test_fresh_solve_reports_no_extra_sweeps(self):
@@ -654,7 +679,7 @@ class TestStaleFactorization:
         rhs = np.ones(a.dimension)
         for other in (None, a):
             _, report = Factorization(a).solve(rhs, other)
-            assert report.iterations == 0 and not report.refactored
+            assert report.iterations == 0 and not self.missed(report)
 
     def test_dimension_must_match(self):
         f = Factorization(tridiag(8, -1.0, 4.0, -1.0))

@@ -572,14 +572,20 @@ class TestOneStepperPerRun:
 
     def test_stale_solves_start_from_extrapolated_stages(self, monkeypatch):
         solves = []
-        solve = Factorization.solve
+        factored = {}  # each LU -> the matrix it was built from
+        init, solve = Factorization.__init__, Factorization.solve
+
+        def init_spy(fact, a):
+            init(fact, a)
+            factored[fact] = a
 
         def spy(fact, rhs, a=None, guess=None):
-            stale = fact.matrix is not a
+            stale = a is not None and factored[fact] is not a
             x, report = solve(fact, rhs, a, guess)
             solves.append((stale, guess, x.copy()))
             return x, report
 
+        monkeypatch.setattr(Factorization, "__init__", init_spy)
         monkeypatch.setattr(Factorization, "solve", spy)
         spec = LubricationSpec.default_2d(16)
         cfg = StepperConfig(dt=1e-6, t_end=3e-5, cutoff=CutoffParams(0.0))
@@ -623,10 +629,11 @@ class TestOneStepperPerRun:
         spoiled = 3 * 10 + 1  # the second stage of step 10
 
         def spy(fact, rhs, a=None, guess=None):
-            # a non-finite guess meets no tolerance, so that solve refactors
+            # a non-finite guess meets no tolerance, so that solve misses
+            # and the stepper refactors
             given = np.full_like(rhs, np.nan) if len(calls) == spoiled else guess
             x, report = solve(fact, rhs, a, given)
-            calls.append((guess, report.refactored))
+            calls.append((guess, not report.residual_norm <= report.tolerance))
             return x, report
 
         monkeypatch.setattr(Factorization, "solve", spy)
@@ -635,11 +642,15 @@ class TestOneStepperPerRun:
         _, trace, _ = run_lubrication(spec, cfg)
         guesses = [guess is not None for guess, _ in calls]
         assert guesses[spoiled - 1:spoiled + 1] == [True, True]
-        assert calls[spoiled][1] and not any(refactored for _, refactored in calls[:spoiled])
-        # the step's last stage solves on the fresh LU, from no guess; the
-        # next step's operator makes that LU stale again
-        assert guesses[spoiled + 1:spoiled + 5] == [False, True, True, True]
+        assert calls[spoiled][1] and not any(missed for _, missed in calls[:spoiled])
+        # the missed stage is solved again on the fresh LU, and so is the
+        # step's last stage, both from no guess; the next step's operator
+        # makes that LU stale again
+        assert guesses[spoiled + 1:spoiled + 6] == [False, False, True, True, True]
+        assert not any(missed for _, missed in calls[spoiled + 1:])
+        assert len(calls) == 3 * cfg.n_steps + 1
         assert trace.solver.factorizations == 2
+        assert trace.solver.solves == 3 * cfg.n_steps
         assert trace.solver.guessed == sum(guesses)
 
     def test_film2d_workload_counts(self):
