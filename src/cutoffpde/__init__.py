@@ -10,17 +10,8 @@ thin-film equation whose solution touches down and lifts off.
 # set before the submodule imports: harness records it in metadata.txt
 __version__ = "0.1.0"
 
-from .cutoff import CutoffParams, apply_floor, cutoff_delta, cutoff_nonneg, lemma_gap
-from .grids import (
-    Field,
-    Grid1D,
-    Grid2D,
-    l2_norm,
-    mass,
-    max_norm,
-    max_undershoot,
-    trapezoid_weights,
-)
+from .cutoff import CutoffParams, apply_floor, lemma_gap
+from .grids import Field, Grid1D, Grid2D, l2_norm, trapezoid_weights
 from .linalg import Factorization, SolveError, SparseMatrix
 from .stepping import (
     SDIRK3_GAMMA,
@@ -82,17 +73,12 @@ __all__ = [
     "assemble_lubrication_1d",
     "assemble_lubrication_2d",
     "convergence_study",
-    "cutoff_delta",
-    "cutoff_nonneg",
     "exact_field",
     "exact_solution",
     "forcing",
     "l2_norm",
     "lemma_gap",
     "loglog_slope",
-    "mass",
-    "max_norm",
-    "max_undershoot",
     "mobility",
     "regularization_comparison",
     "run",

@@ -12,8 +12,12 @@ analysis of cutoff-stabilized schemes rests on:
 * |max(f,delta) - max(f,0)| <= delta and
   |max(f,delta) - u| <= |f - u| + delta.
 
-These hold exactly in floating point (rounding is monotone), so the tests
-check them with no tolerance.
+apply_floor is the one implementation of both: the stepping loop
+(stepping.march) calls it between steps, and nothing else floors a run's
+state.  The inequalities hold exactly in floating point (rounding is
+monotone), so the tests check them on apply_floor itself with no
+tolerance; lemma_gap reports the slack of the first two for a field
+against a reference.
 """
 
 from __future__ import annotations
@@ -41,16 +45,6 @@ def apply_floor(values: np.ndarray, delta: float = 0.0) -> np.ndarray:
     are passed through unchanged."""
     _require_finite(values, "cutoff input")
     return np.where(values >= delta, values, delta)
-
-
-def cutoff_nonneg(f: Field) -> Field:
-    """Project onto the nonnegative cone: f_j -> max(f_j, 0)."""
-    return Field(f.grid, apply_floor(f.values, 0.0))
-
-
-def cutoff_delta(f: Field, params: CutoffParams) -> Field:
-    """Floor at params.delta: f_j -> max(f_j, delta)."""
-    return Field(f.grid, apply_floor(f.values, params.delta))
 
 
 def lemma_gap(f: Field, u: Field) -> tuple:

@@ -1,11 +1,12 @@
-"""Uniform Cartesian grids, nodal fields, and the discrete norms built on them.
+"""Uniform Cartesian grids, nodal fields, their quadrature and L2 norm.
 
 Grids are node-centered: a 1D grid with ``n_cells`` cells on [a, b] carries
 ``n_cells + 1`` nodes x_j = a + j*h, h = (b - a)/n_cells.  2D grids are tensor
 products with nodes stored flat in row-major order (y outer, x inner), i.e.
 the value at (x_i, y_j) sits at flat index ``j*(nx_cells+1) + i``.
 
-All integral quantities (l2_norm, mass) use trapezoidal weights, so boundary
+Integral quantities use trapezoid_weights: l2_norm here, and the masses a
+run records (stepping.march) and the touching area (lubrication).  Boundary
 nodes carry half weight (quarter weight at 2D corners).  This is the single
 quadrature convention used everywhere in the package; conservation statements
 for the flux-form operators are exact with respect to these weights.  The
@@ -167,30 +168,6 @@ def l2_norm(e: Field) -> float:
     _require_finite(e.values, "l2_norm argument")
     w = trapezoid_weights(e.grid)
     return float(math.sqrt(float(np.sum(w * (e.values * e.values)))))
-
-
-def max_norm(e: Field) -> float:
-    _require_finite(e.values, "max_norm argument")
-    return float(np.max(np.abs(e.values))) if e.values.size else 0.0
-
-
-def max_undershoot(f: Field) -> float:
-    """max(0, -min_j f_j); equals the max-norm distance between f and its
-    nonnegative cutoff."""
-    _require_finite(f.values, "max_undershoot argument")
-    return float(max(0.0, -float(np.min(f.values))))
-
-
-def mass(f: Field) -> float:
-    """Trapezoidal approximation of the integral of f over the domain."""
-    _require_finite(f.values, "mass argument")
-    return float(np.sum(trapezoid_weights(f.grid) * f.values))
-
-
-def domain_measure(grid: Grid) -> float:
-    if isinstance(grid, Grid1D):
-        return grid.b - grid.a
-    return (grid.bx - grid.ax) * (grid.by - grid.ay)
 
 
 def write_field_csv(f: Field, path):

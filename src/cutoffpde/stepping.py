@@ -161,6 +161,11 @@ def theta_tableau(theta: float) -> ButcherTableau:
     return ButcherTableau(a=a, b=np.array([1.0 - theta, theta]), c=np.array([0.0, 1.0]))
 
 
+def _require_positive_dt(dt: float):
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive, got {dt}")
+
+
 @dataclass(frozen=True)
 class StepperConfig:
     """Fixed-step run configuration; runs start at t = 0.
@@ -184,8 +189,7 @@ class StepperConfig:
     snapshot_every: Optional[int] = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        _require_positive_dt(self.dt)
         if not self.t_end > 0.0:
             raise ValueError("t_end must be positive")
         # an infinite t_end, or one whose step count overflows
@@ -285,12 +289,6 @@ class RunTrace:
                     f"{r.mass_pre:.17g},{r.mass_post:.17g},{r.residual:.17g}\n"
                 )
 
-    def snapshot_near(self, t: float, tol: float) -> Field:
-        for ts, f in self.snapshots:
-            if abs(ts - t) <= tol:
-                return f
-        raise KeyError(f"no snapshot within {tol} of t = {t}")
-
 
 @dataclass(frozen=True)
 class LinearProblem:
@@ -334,10 +332,12 @@ def theta_operator(problem: LinearProblem, dt: float, theta: float) -> tuple:
     (their L rows are zero); B0 keeps the interior identity only, so boundary
     values enter purely through the source, pinned at the new time level:
     F^n takes g from problem.source(t_n + dt).  source raises ValueError
-    when problem.source returns a vector of the wrong length.
+    when problem.source returns a vector of the wrong length.  dt must be
+    finite and positive, as StepperConfig requires.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
+    _require_positive_dt(dt)
     mask = problem.dirichlet_mask
     b1 = identity_plus(problem.l_matrix, -theta * dt)
     b0 = identity_plus(problem.l_matrix, (1.0 - theta) * dt)
@@ -556,7 +556,7 @@ def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig,
     weights = trapezoid_weights(grid)
     trace = RunTrace()
 
-    def mass_of(vals: np.ndarray) -> float:
+    def trapezoid_mass(vals: np.ndarray) -> float:
         # numpy's pairwise sum, not a BLAS dot: the digits must not depend
         # on how many threads BLAS splits the dot across
         return float(np.sum(weights * vals))
@@ -565,7 +565,7 @@ def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig,
         trace.records.append(StepRecord(
             step=step, t=t,
             min_pre=float(vals.min()), min_post=float(floored.min()),
-            mass_pre=mass_of(vals), mass_post=mass_of(floored),
+            mass_pre=trapezoid_mass(vals), mass_post=trapezoid_mass(floored),
             residual=residual,
         ))
         every = cfg.snapshot_every
@@ -639,8 +639,10 @@ def scheme_diagnostics(b1: SparseMatrix, b0: SparseMatrix, dt: float) -> SchemeD
     """Report |B1^{-1}|_inf, |B1^{-1} B0|_inf and the growth constant
     K = max(0, (|B1^{-1} B0|_inf - 1)/dt) they imply.
 
-    Forms B1^{-1} columnwise, so it is capped at dimension 2500.
+    Forms B1^{-1} columnwise, so it is capped at dimension 2500.  dt must
+    be finite and positive, as StepperConfig requires.
     """
+    _require_positive_dt(dt)
     n = b1.dimension
     if b0.dimension != n:
         raise ValueError("B0 and B1 dimensions differ")

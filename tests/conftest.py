@@ -100,6 +100,14 @@ def assert_shifts_as_csr(a, ref):
         assert_acts_as_csr(shifted, want)
 
 
+def snapshot_near(trace, t: float, tol: float) -> Field:
+    """The first snapshot of a RunTrace taken within tol of t."""
+    for ts, f in trace.snapshots:
+        if abs(ts - t) <= tol:
+            return f
+    raise KeyError(f"no snapshot within {tol} of t = {t}")
+
+
 def make_heat_problem(n_cells: int = 200) -> tuple:
     """Dirichlet heat equation u_t = u_xx on (0,1) with u0 = sin(pi x).
 

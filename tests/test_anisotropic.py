@@ -17,8 +17,10 @@ from cutoffpde.anisotropic import (
     exact_solution,
     forcing,
 )
+from cutoffpde.cutoff import CutoffParams
 from cutoffpde.grids import Field, Grid2D, l2_norm
 from cutoffpde.linalg import identity_plus
+from cutoffpde.stepping import StepperConfig, run
 
 from conftest import assert_acts_as_csr, assert_same_csr_bits, assert_shifts_as_csr
 
@@ -274,3 +276,14 @@ class TestAssembly:
         x, y = spec.grid.node_xy()
         assert np.array_equal(f.values, exact_solution(1.2, x, y))
         assert f.grid is spec.grid
+
+
+class TestSolverRoute:
+    def test_convection_dominated_rows_take_colamd(self):
+        # a drift this strong leaves the diagonals short of leading their
+        # columns, so SuperLU keeps its default COLAMD ordering; the linalg
+        # docstring gives the fill that symmetric mode would cost here
+        problem = assemble(AnisotropicSpec(Grid2D.square(0, 1, 10), convection=(5e4, 5e4)))
+        _, trace = run(problem, StepperConfig(dt=1e-2, t_end=2e-2, cutoff=CutoffParams(0.0)))
+        assert trace.solver.routes == ["sparse-lu/colamd"]
+        assert trace.solver.residual_max <= 1.0

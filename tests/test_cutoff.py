@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cutoffpde.cutoff import CutoffParams, apply_floor, cutoff_delta, cutoff_nonneg, lemma_gap
+from cutoffpde.cutoff import CutoffParams, apply_floor, lemma_gap
 from cutoffpde.grids import Field, Grid1D
 
 
@@ -33,50 +33,47 @@ class TestCutoffParams:
 
 
 class TestCutoffNonneg:
+    """apply_floor at delta = 0, the plain cutoff max(f, 0)."""
+
     def test_sign_cases(self):
-        out = cutoff_nonneg(field1d([-1.0, 0.5, 0.0]))
-        assert np.array_equal(out.values, [0.0, 0.5, 0.0])
+        out = apply_floor(np.array([-1.0, 0.5, 0.0]))
+        assert np.array_equal(out, [0.0, 0.5, 0.0])
 
     def test_identity_on_nonnegative(self):
-        f = field1d([0.0, 0.25, 1.5, 3.0])
-        out = cutoff_nonneg(f)
-        assert np.array_equal(out.values, f.values)
+        f = np.array([0.0, 0.25, 1.5, 3.0])
+        assert np.array_equal(apply_floor(f, 0.0), f)
 
     def test_everywhere_negative(self):
         grid = Grid1D(-1.0, 1.0, 10)
-        f = Field(grid, -np.abs(grid.nodes()))
-        assert np.array_equal(cutoff_nonneg(f).values, np.zeros(11))
+        assert np.array_equal(apply_floor(-np.abs(grid.nodes()), 0.0), np.zeros(11))
 
     def test_rejects_nan_naming_node(self):
         with pytest.raises(ValueError, match="node 2"):
-            cutoff_nonneg(field1d([0.0, 1.0, float("nan"), 2.0]))
+            apply_floor(np.array([0.0, 1.0, float("nan"), 2.0]), 0.0)
 
     def test_rejects_inf(self):
         with pytest.raises(ValueError, match="node 0"):
-            cutoff_nonneg(field1d([float("inf"), 1.0, 2.0]))
-
-    def test_preserves_grid(self):
-        f = field1d([-1.0, 2.0, 3.0])
-        assert cutoff_nonneg(f).grid == f.grid
+            apply_floor(np.array([float("inf"), 1.0, 2.0]), 0.0)
 
 
 class TestCutoffDelta:
+    """apply_floor at a configured delta, the floor max(f, delta)."""
+
     def test_floor_case(self):
-        out = cutoff_delta(field1d([0.05, 0.2, 0.3]), CutoffParams(0.1))
-        assert np.array_equal(out.values, [0.1, 0.2, 0.3])
+        out = apply_floor(np.array([0.05, 0.2, 0.3]), CutoffParams(0.1).delta)
+        assert np.array_equal(out, [0.1, 0.2, 0.3])
 
     def test_bound_attained(self):
-        f = field1d([-5.0, -5.0, -5.0])
+        f = np.full(3, -5.0)
         delta = 0.2
-        fd = cutoff_delta(f, CutoffParams(delta))
-        fp = cutoff_nonneg(f)
-        assert np.all(fd.values == 0.2)
-        assert np.max(np.abs(fd.values - fp.values)) == delta
+        fd = apply_floor(f, CutoffParams(delta).delta)
+        fp = apply_floor(f, 0.0)
+        assert np.all(fd == 0.2)
+        assert np.max(np.abs(fd - fp)) == delta
 
     def test_zero_delta_degenerates(self):
-        f = field1d([-1.0, 0.5, 2.0])
-        assert np.array_equal(
-            cutoff_delta(f, CutoffParams(0.0)).values, cutoff_nonneg(f).values)
+        f = np.array([-1.0, 0.5, 2.0])
+        assert np.array_equal(apply_floor(f, CutoffParams().delta), np.maximum(f, 0.0))
 
 
 class TestLemmaGap:

@@ -345,6 +345,15 @@ class TestCli:
         assert cli_main(["diagnostics", "-J", "4", "--theta", "1.5"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    # refused before a matrix is formed: an infinite dt scaling L would warn
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "inf"])
+    def test_diagnostics_refuses_a_step_that_is_not_positive(self, capsys, dt):
+        assert cli_main(["diagnostics", "-J", "4", "--dt", dt]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: dt must be positive")
+        assert "Traceback" not in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["aniso-run", "-J", "4", "--dt", "0.05", "--t-end", "inf"],
         ["aniso-run", "-J", "4", "--dt", "1e-300", "--t-end", "1e10"],

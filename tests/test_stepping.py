@@ -42,7 +42,7 @@ from cutoffpde.stepping import (
 
 from cutoffpde.cli import cli_main
 
-from conftest import make_heat_problem, same_bits, sparse_matrix
+from conftest import make_heat_problem, same_bits, snapshot_near, sparse_matrix
 
 
 def stability(tab: ButcherTableau, z: complex) -> complex:
@@ -285,6 +285,11 @@ class TestThetaOperator:
         with pytest.raises(ValueError, match="theta"):
             theta_operator(self.masked_problem(), dt=0.1, theta=2.0)
 
+    def test_dt_checked(self):
+        for dt in (0.0, -0.01, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                theta_operator(self.masked_problem(), dt=dt, theta=1.0)
+
 
 class TestRunMatchesStabilityFunction:
     """On du/dt = lam*u every mode advances by R(lam*dt) per step, so a run
@@ -369,10 +374,10 @@ class TestSnapshots:
         _, trace = run(problem, cfg)
         times = [ts for ts, _ in trace.snapshots]
         assert times == pytest.approx([0.0, 0.2, 0.3, 0.4], abs=1e-12)
-        got = trace.snapshot_near(0.3, 1e-9)
+        got = snapshot_near(trace, 0.3, 1e-9)
         assert got.values == pytest.approx(0.7, abs=1e-15)
         with pytest.raises(KeyError):
-            trace.snapshot_near(0.123, 1e-9)
+            snapshot_near(trace, 0.123, 1e-9)
 
 
 class TestThetaRunMatchesMatrixPair:
@@ -974,6 +979,12 @@ class TestSchemeDiagnostics:
             d = scheme_diagnostics(b1, b0, dt)
             assert d.norm_b1inv_b0 <= 1.0 + 1e-10
             assert d.k_implied == 0.0
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
+    def test_rejects_a_step_that_is_not_positive(self, dt):
+        eye = sparse_matrix(sp.identity(3))
+        with pytest.raises(ValueError, match="dt must be positive"):
+            scheme_diagnostics(eye, eye, dt)
 
     def test_size_cap(self):
         n = DIAGNOSTICS_SIZE_CAP + 1
