@@ -16,12 +16,16 @@ diagonal by diagonal, in ascending column order from 0.0, as scipy's CSR
 product does, so it gives CSR's bits.  CSR (sorted column indices, no
 explicit zeros) is dia_array.tocsr(), formed once per matrix when a caller
 asks for it: SuperLU, the scheme diagnostics and tests read it.  LAPACK's
-band storage is column-aligned as DIA is, so banded LU fills it by copying
-each diagonal into one row.
+band storage is column-aligned as DIA is, so banded LU fills it with one
+indexed assignment, each diagonal into one row.
 
-Solves are direct: systems whose bandwidth is at most BANDED_BANDWIDTH_MAX
-on each side go through LAPACK banded LU (gbtrf/gbtrs), everything else
-through SuperLU.  SuperLU factors the transpose A^T, which is A's CSR arrays
+Solves are direct: a system whose stored offsets reach at most
+BANDED_BANDWIDTH_MAX on each side of the main diagonal goes through LAPACK
+banded LU (gbtrf/gbtrs), everything else through SuperLU.  The stored
+stencil alone picks the route, as an operator is its stencil: the values
+are not scanned, so a stored diagonal that holds only zeros still counts.
+An entirely dry 1D film keeps all five diagonals in its band; a dry 2D film
+takes SuperLU.  SuperLU factors the transpose A^T, which is A's CSR arrays
 read as CSC (no copy), and solves transposed (trans="T"), which returns the
 x of A x = b.  Its transposed triangular solves gather where the plain ones
 scatter: on the same LU they take 0.64-0.91 times as long on the whole
@@ -167,11 +171,6 @@ class SparseMatrix:
     def _norm(self) -> float:
         return float(self.abs_row_sums().max(initial=0.0))
 
-    def bandwidth(self) -> tuple:
-        """(lower, upper) bandwidth of the stored entries."""
-        used = self._offsets[self._data.any(axis=1)]
-        return (int(-used.min(initial=0)), int(used.max(initial=0)))
-
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
 
@@ -236,7 +235,8 @@ class Factorization:
     """Fixed LU of one SparseMatrix; each solve checks its residual,
     against the factored matrix or another one of the same dimension.
 
-    A banded matrix is factored as it is, its LAPACK band storage filled
+    A matrix whose stored offsets reach at most BANDED_BANDWIDTH_MAX off
+    the main diagonal is factored as it is, its LAPACK band storage filled
     from its diagonals, with no CSR formed.  Any other is factored by
     SuperLU as its transpose, A's CSR arrays read as CSC, and solved
     transposed, so every backsubstitution still returns the x of A x = b.
@@ -246,17 +246,15 @@ class Factorization:
     def __init__(self, a: SparseMatrix):
         self._a = a
         self._tol = default_tolerance(a)
-        kl, ku = a.bandwidth()
+        offsets, data = a.diagonals()
+        kl, ku = -offsets[0], offsets[-1]
         n = a.dimension
         if max(kl, ku) <= BANDED_BANDWIDTH_MAX:
             self._route = "banded-lu"
             # LAPACK band storage, ab[kl + ku + i - j, j] = A[i, j], is
             # column-aligned as the DIA data is: each diagonal is one row
             ab = np.zeros((2 * kl + ku + 1, n), order="F")
-            offsets, data = a.diagonals()
-            for o, diagonal in zip(offsets, data):
-                if -kl <= o <= ku:
-                    ab[kl + ku - o] = diagonal
+            ab[kl + ku - offsets] = data
             # a zero on the diagonals may be -0.0, which CSR never stores
             ab += 0.0
             # Fortran-ordered and overwritten, so f2py copies nothing

@@ -55,7 +55,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .cutoff import CutoffParams
 from .grids import Field, Grid1D, Grid2D, trapezoid_weights
 from .linalg import SparseMatrix
 from .stepping import StepperConfig, march
@@ -378,10 +377,13 @@ def run_lubrication(spec: LubricationSpec, cfg: StepperConfig) -> tuple:
     from the floored state, take one step of cfg.tableau (stages share the
     step's shifted system), record statistics.  Snapshots default to every
     SNAPSHOT_EVERY_DEFAULT steps.  Returns (final_field, trace,
-    singularity_record); the final field is post-cutoff.  Refuses to start
-    without a cutoff when epsilon = 0 since the bare mobility rejects
-    negative arguments; a mollified run without cutoff whose state goes
-    negative stops with a DivergenceError carrying the trace.
+    singularity_record); the final field is post-cutoff.  The record scans
+    the cadence snapshots alone (StepperConfig.on_cadence): a field stored
+    at a requested snapshot time goes to trace.snapshots but moves no
+    touchdown.  Refuses to start without a cutoff when epsilon = 0 since
+    the bare mobility rejects negative arguments; a mollified run without
+    cutoff whose state goes negative stops with a DivergenceError carrying
+    the trace.
     """
     if cfg.cutoff is None and spec.mobility.epsilon == 0.0:
         raise ValueError(
@@ -394,7 +396,9 @@ def run_lubrication(spec: LubricationSpec, cfg: StepperConfig) -> tuple:
     assemble = assemble_lubrication_1d if isinstance(grid, Grid1D) else assemble_lubrication_2d
     final, trace = march(grid, spec.initial_field().values.copy(), cfg,
                          lambda floored: assemble(Field(grid, floored), spec))
-    record_sing = track_singularity(trace.snapshots)
+    # the cadence alone: a requested time must not move the touchdown
+    record_sing = track_singularity([(t, f) for t, f in trace.snapshots
+                                     if cfg.on_cadence(round(t / cfg.dt))])
     for r in trace.records:
         if r.min_pre <= 0.0:
             record_sing.onset_precutoff_time = r.t

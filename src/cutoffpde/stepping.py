@@ -9,13 +9,14 @@ floored state for the thin film), records pre- and post-cutoff statistics,
 and returns the post-cutoff state.
 
 Every step of a run is taken by one stage solver, ``DirkStepper``, built
-once per run and driven by the tableau of the run's StepperConfig: a stiffly
-accurate diagonally implicit Runge-Kutta tableau with a single nonzero
-diagonal value, so one shifted system I - a_ii*dt*L serves all implicit
-stages of a step.  Dirichlet nodes keep identity rows in it, and the stages
+once per run, before its first operator, and driven by the tableau of the
+run's StepperConfig: a stiffly accurate diagonally implicit Runge-Kutta
+tableau with a single nonzero diagonal value, so one shifted system
+I - a_ii*dt*L serves all implicit stages of a step.  Dirichlet nodes keep identity rows in it, and the stages
 solve it whole with the boundary values on those rows; one source callback
 supplies both the interior source and those values, as the paper's F^n
-does.  The stepper owns that system, its LU and the reuse policy: an
+does.  The stepper owns that system, its LU and the reuse policy.  Every
+operator of a run, the first included, reaches it through ``use``: an
 operator handed over again is neither shifted nor factored again; a new one
 is shifted on its diagonals, and factored when the LU in hand is a banded
 one (it costs about two backsubstitutions; the 1D film's operator is
@@ -175,10 +176,11 @@ class StepperConfig:
     disables flooring entirely; CutoffParams(0.0) is the plain nonnegative
     cutoff.  Every factorization checks its solves against its own
     scale-aware tolerance (linalg.default_tolerance).  snapshot_every stores
-    the post-cutoff state every k-th step (in addition to any explicit
-    snapshot_times).  A t_end or a snapshot time that is not finite, and a
-    step count t_end / dt that overflows or exceeds STEPS_MAX, raise
-    ValueError.
+    the post-cutoff state every k-th step (on_cadence), in addition to the
+    steps within half a step of a snapshot time (is_snapshot_time).  A
+    t_end or a snapshot time that is not finite, a snapshot time more than
+    half a step outside [0, t_end], which no step would match, and a step
+    count t_end / dt that overflows or exceeds STEPS_MAX, raise ValueError.
     """
 
     dt: float
@@ -197,6 +199,11 @@ class StepperConfig:
             raise ValueError(f"t_end = {self.t_end} and dt = {self.dt} give no finite step count")
         if not np.all(np.isfinite(self.snapshot_times)):
             raise ValueError(f"snapshot_times must be finite, got {self.snapshot_times}")
+        # a time no step comes within half a step of would store nothing
+        half = 0.5 * self.dt
+        if not all(-half <= t <= self.t_end + half for t in self.snapshot_times):
+            raise ValueError(f"snapshot_times must lie within half a step of "
+                             f"[0, t_end = {self.t_end}], got {self.snapshot_times}")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be a positive step count")
         if any(t2 <= t1 for t1, t2 in zip(self.snapshot_times, self.snapshot_times[1:])):
@@ -214,6 +221,10 @@ class StepperConfig:
                 f"t_end = {self.t_end} is not an integer multiple of dt = {self.dt}"
             )
         return k
+
+    def on_cadence(self, step: int) -> bool:
+        """Whether snapshot_every stores the state after step `step`."""
+        return self.snapshot_every is not None and step % self.snapshot_every == 0
 
     def is_snapshot_time(self, t: float) -> bool:
         """Whether t is within half a step of one of snapshot_times."""
@@ -402,11 +413,14 @@ class DirkStepper:
     step starts with no miss, and a stage solved on a fresh LU takes no
     guess.  A banded LU and an operator handed over once are never stale,
     so neither keeps any.
-    A dirichlet_mask without a source raises ValueError, as the held values
-    come from the source.
+    The stepper is built with no operator, so its refusals come before one
+    is assembled: a tableau that dirk_plan refuses, and a dirichlet_mask
+    without a source (the held values come from the source), raise
+    ValueError.  Every operator, the first included, comes in through
+    ``use``.
     """
 
-    def __init__(self, tableau: ButcherTableau, l_matrix: SparseMatrix, dt: float,
+    def __init__(self, tableau: ButcherTableau, dt: float,
                  source: Callable[[float], np.ndarray] = None,
                  dirichlet_mask: np.ndarray = None):
         gamma, self._live = tableau.dirk_plan
@@ -423,7 +437,6 @@ class DirkStepper:
         self.stats = SolverStats()
         self._l = self._system = self._fact = self._history = self._start = self._miss = None
         self._stale = False
-        self.use(l_matrix)
 
     def use(self, l_matrix: SparseMatrix):
         """Take l_matrix as the operator of the steps that follow.  The
@@ -542,10 +555,12 @@ def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig,
           operator_for: Callable[[np.ndarray], SparseMatrix], **stage_terms) -> tuple:
     """Advance from t = 0 to t_end with fixed dt; the one loop every run uses.
 
-    Per step: floor the current state (if a cutoff is configured), hand
-    operator_for(floored) to the run's one DirkStepper (built on the first
-    step with cfg.tableau and stage_terms: source, dirichlet_mask), take the
-    step, record pre- and post-cutoff statistics of the new state.  Returns
+    The run's one DirkStepper is built from cfg.tableau and stage_terms
+    (source, dirichlet_mask) before the first record, so its refusals come
+    before any operator is built.  Per step: floor the current state (if a
+    cutoff is configured), hand operator_for(floored) to the stepper's
+    ``use``, take the step, record pre- and post-cutoff statistics of the
+    new state and store the snapshots cfg asks for.  Returns
     (final_field, trace) where the final field is post-cutoff and
     trace.solver holds the stepper's counts.  A non-finite initial state
     raises ValueError before the first step.  A ValueError from operator_for
@@ -554,7 +569,6 @@ def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig,
     trace.
     """
     weights = trapezoid_weights(grid)
-    trace = RunTrace()
 
     def trapezoid_mass(vals: np.ndarray) -> float:
         # numpy's pairwise sum, not a BLAS dot: the digits must not depend
@@ -568,14 +582,14 @@ def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig,
             mass_pre=trapezoid_mass(vals), mass_post=trapezoid_mass(floored),
             residual=residual,
         ))
-        every = cfg.snapshot_every
-        if (every is not None and step % every == 0) or cfg.is_snapshot_time(t):
+        if cfg.on_cadence(step) or cfg.is_snapshot_time(t):
             trace.snapshots.append((t, Field(grid, floored.copy())))
 
     _require_finite(initial, "initial state")
+    stepper = DirkStepper(cfg.tableau, cfg.dt, **stage_terms)
+    trace = RunTrace(solver=stepper.stats)
     floored = _floor_values(initial, cfg.cutoff)
     record(0, 0.0, initial, floored, 0.0)
-    stepper = None
     for n in range(cfg.n_steps):
         t_n = n * cfg.dt
         try:
@@ -583,11 +597,7 @@ def march(grid: Grid, initial: np.ndarray, cfg: StepperConfig,
         except ValueError as err:
             raise DivergenceError(f"no step possible from t = {t_n}: {err}", trace) from err
         try:
-            if stepper is None:
-                stepper = DirkStepper(cfg.tableau, l_matrix, cfg.dt, **stage_terms)
-                trace.solver = stepper.stats
-            else:
-                stepper.use(l_matrix)
+            stepper.use(l_matrix)
             values, residual = stepper.step(floored, t_n)
         except SolveError as err:
             raise DivergenceError(

@@ -369,6 +369,12 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
 
+    def test_snapshot_time_no_step_reaches_exits_one(self, capsys):
+        assert cli_main(["lub1d", "-J", "16", "--t-end", "1e-5", "--snapshots", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: snapshot_times must lie within half a step")
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_infinite_horizon_prints_no_traceback(self, tmp_path):
         argv = ["aniso-run", "-J", "4", "--dt", "0.05", "--t-end", "inf"]
         with pytest.raises(subprocess.CalledProcessError) as info:

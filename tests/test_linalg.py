@@ -96,15 +96,10 @@ class TestSparseMatrix:
         assert a.operator_norm_inf() == 7.0
         assert sparse_matrix(sp.csr_matrix((4, 4))).operator_norm_inf() == 0.0
 
-    def test_bandwidth(self):
-        assert tridiag(6, 1.0, 4.0, 1.0).bandwidth() == (1, 1)
-        lower = sparse_matrix(sp.coo_matrix(([1.0, 1.0], ([3, 0], [0, 0])), shape=(5, 5)))
-        assert lower.bandwidth() == (3, 0)
-        assert sparse_matrix(sp.csr_matrix((4, 4))).bandwidth() == (0, 0)
-
     def test_norm_and_bandwidth_read_the_stored_pattern(self):
-        # a random pattern with an empty row: the diagonals its entries span,
-        # and norm, product and bandwidth as scipy gives them on its CSR
+        # a random pattern with an empty row: the diagonals its entries span
+        # (the band the LU route reads), and norm and product as scipy gives
+        # them on its CSR
         rng = np.random.default_rng(11)
         dense = rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)
         dense[4] = 0.0
@@ -134,7 +129,7 @@ class TestSparseMatrix:
         assert a.dimension == 4 and a.nnz == 0
         assert same_bits(a.matvec(np.arange(1.0, 5.0)), np.zeros(4))
         assert a.operator_norm_inf() == 0.0
-        assert a.bandwidth() == (0, 0)
+        assert np.array_equal(a.diagonals()[0], [0])
         assert np.array_equal(a.to_dense(), np.zeros((4, 4)))
         for scale in SCALES:
             assert_same_csr_bits(identity_plus(a, scale).csr, sp.identity(4, format="csr"))
@@ -242,7 +237,7 @@ def dia_matrices(draw):
 class TestDiaLayoutMatchesScipy:
     """Any matrix in the DIA layout, and its shifts, compute what scipy
     computes on the CSR matrix of the same entries, bit for bit: product,
-    CSR arrays, norm, entry count, bandwidth.  This pins scipy's private
+    CSR arrays, norm, entry count.  This pins scipy's private
     DIA loop that the product and the norm run."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -427,7 +422,7 @@ class TestTransposedSolve:
             a = shifted_film_2d(TestSparseOrderingChoice.dry_patch_state())
             return a, "sparse-lu/symmetric"
         a = nonsymmetric_colamd_matrix()
-        assert max(a.bandwidth()) > BANDED_BANDWIDTH_MAX
+        assert max(np.abs(a.diagonals()[0])) > BANDED_BANDWIDTH_MAX
         return a, "sparse-lu/colamd"
 
     @pytest.mark.parametrize("name", ["convection whole system", "film", "nonsymmetric colamd"])
@@ -720,12 +715,24 @@ class TestSolvers:
         cols = list(range(n)) + [7, 0]
         vals = [10.0] * n + [1.0, 1.0]
         a = sparse_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
-        assert max(a.bandwidth()) > BANDED_BANDWIDTH_MAX
+        assert np.array_equal(a.diagonals()[0], [-7, 0, 7])
         rhs = np.arange(1.0, n + 1.0)
         f = Factorization(a)
         x, _ = f.solve(rhs)
         assert f.method == "sparse-lu"
         assert np.allclose(x, np.linalg.solve(a.to_dense(), rhs), rtol=1e-12)
+
+    def test_route_follows_the_stored_offsets(self):
+        # zeros on the stored diagonals +-7: the stencil, not the values,
+        # puts the matrix past BANDED_BANDWIDTH_MAX
+        n = 12
+        data = np.zeros((3, n))
+        data[1] = 4.0
+        a = SparseMatrix(np.array([-7, 0, 7]), data)
+        f = Factorization(a)
+        assert f.route == "sparse-lu/symmetric"
+        x, report = f.solve(np.arange(1.0, n + 1.0))
+        assert np.array_equal(x, np.arange(1.0, n + 1.0) / 4.0) and report.iterations == 0
 
     @pytest.mark.parametrize("seed", [17, 18])
     def test_full_bandwidth_takes_sparse_route(self, seed):
@@ -737,7 +744,7 @@ class TestSolvers:
         if seed == 17:
             np.fill_diagonal(dense, 1.0 + np.abs(dense).sum(axis=1))
         a = sparse_matrix(dense)
-        assert a.bandwidth() == (n - 1, n - 1) and a.diagonals()[1].shape == (2 * n - 1, n)
+        assert np.array_equal(a.diagonals()[0], np.arange(1 - n, n))
         f = Factorization(a)
         assert f.route == ("sparse-lu/symmetric" if seed == 17 else "sparse-lu/colamd")
         assert f.fill == n * (n + 1)
@@ -746,8 +753,8 @@ class TestSolvers:
 
     def test_banded_route_with_identity_rows_matches_splu(self):
         # identity rows (Dirichlet nodes) inside a pentadiagonal band: the
-        # band array is filled from the diagonals the stored entries span,
-        # so empty off-diagonals in a row must leave the band zero there
+        # band array is filled from the stored diagonals, so empty
+        # off-diagonals in a row must leave the band zero there
         n = 30
         rng = np.random.default_rng(5)
         dense = np.zeros((n, n))
@@ -758,7 +765,7 @@ class TestSolvers:
             dense[i] = 0.0
             dense[i, i] = 1.0
         a = sparse_matrix(dense)
-        assert a.bandwidth() == (2, 2)
+        assert np.array_equal(a.diagonals()[0], np.arange(-2, 3))
         rhs = rng.normal(size=n)
         f = Factorization(a)
         x, report = f.solve(rhs)

@@ -1,6 +1,7 @@
 """Thin-film mobility, assembly, touching-set tracking, and the 1D/2D drivers."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from cutoffpde.cutoff import CutoffParams
 from cutoffpde.grids import Field, Grid1D, Grid2D, trapezoid_weights
-from cutoffpde.linalg import Factorization, SolveError, SparseMatrix, identity_plus
+from cutoffpde.linalg import Factorization, SolveError, identity_plus
 from cutoffpde.lubrication import (
     SNAPSHOT_EVERY_DEFAULT,
     ZERO_PLATEAU_MIN_WIDTH,
@@ -29,7 +30,7 @@ from cutoffpde.lubrication import (
     track_singularity,
 )
 from cutoffpde.lubrication import _laplacian_1d, _laplacian_2d, _stencil_map
-from cutoffpde.stepping import SDIRK3_GAMMA, DivergenceError, StepperConfig
+from cutoffpde.stepping import DivergenceError, StepperConfig
 
 from conftest import (
     SCALES,
@@ -477,6 +478,13 @@ class TestDiagonalForm:
             if isinstance(want, str):
                 assert got == want
                 continue
+            if banded.nnz == 0:
+                # an all-dry film stores five empty diagonals, and its band
+                # keeps them: CSR's route, report and answer, fill 7n not n
+                assert got[0] == want[0] == "banded-lu" and got[2] == want[2]
+                assert same_bits(got[3], want[3])
+                assert (got[1], want[1]) == (7 * banded.dimension, banded.dimension)
+                continue
             assert got[:3] == want[:3] and got[0] == "banded-lu"
             for part, wanted in zip(got[3:], want[3:]):
                 assert same_bits(part, wanted)
@@ -811,6 +819,17 @@ class TestRunLubrication:
         # the recorded pre-cutoff onset is the first record with min_pre <= 0
         first = next(r.t for r in trace.records if r.min_pre <= 0.0)
         assert rec.onset_precutoff_time == first
+
+    def test_requested_snapshot_leaves_the_singularity_record(self):
+        # only the cadence feeds the record: a requested time near touchdown
+        # must not move the onset or add a series row
+        spec = LubricationSpec.default_1d(100)
+        cfg = StepperConfig(dt=1e-5, t_end=1.5e-3, cutoff=CutoffParams(0.0))
+        _, plain_trace, plain = run_lubrication(spec, cfg)
+        _, trace, asked = run_lubrication(spec, replace(cfg, snapshot_times=(7.4e-4,)))
+        assert asked == plain
+        assert len(trace.snapshots) == len(plain_trace.snapshots) + 1
+        snapshot_near(trace, 7.4e-4, 0.5 * cfg.dt)
 
     def test_mass_drift_before_onset(self):
         spec = LubricationSpec.default_1d(100)

@@ -83,6 +83,15 @@ def step_linear(b1: SparseMatrix, b0: SparseMatrix, source, u: Field,
     return Field(u.grid, x)
 
 
+def stepper_using(tableau: ButcherTableau, l_matrix: SparseMatrix, dt: float,
+                  **stage_terms) -> DirkStepper:
+    """A DirkStepper with l_matrix in use, as march hands a run's operator
+    to its stepper."""
+    stepper = DirkStepper(tableau, dt, **stage_terms)
+    stepper.use(l_matrix)
+    return stepper
+
+
 def scalar_problem(lam: float, initial) -> LinearProblem:
     """du/dt = lam*u at every node of a 3-node grid, no boundary rows."""
     grid = Grid1D(0.0, 1.0, 2)
@@ -226,6 +235,14 @@ class TestStepperConfig:
         # finite, but about 1e290 steps
         with pytest.raises(ValueError, match="t_end = 1e-10 and dt = 1e-300 ask for more"):
             StepperConfig(dt=1e-300, t_end=1e-10)
+
+    def test_snapshot_times_no_step_reaches_rejected(self):
+        for times in ((-2e-6,), (1.0,), (5e-6, 1.2e-5)):
+            with pytest.raises(ValueError, match="within half a step of"):
+                StepperConfig(dt=1e-6, t_end=1e-5, snapshot_times=times)
+        # a time within half a step of the first or last step matches it
+        cfg = StepperConfig(dt=1e-6, t_end=1e-5, snapshot_times=(-4e-7, 1.04e-5))
+        assert cfg.is_snapshot_time(0.0) and cfg.is_snapshot_time(1e-5)
 
     def test_snapshot_time_is_within_half_a_step(self):
         cfg = StepperConfig(dt=0.1, t_end=1.0, snapshot_times=(0.3, 0.7))
@@ -461,17 +478,34 @@ class TestDirkStepperValidation:
     def test_rejects_unsupported_tableaux(self, a, b, c, match):
         tab = ButcherTableau(a=np.array(a), b=np.array(b), c=np.array(c))
         with pytest.raises(ValueError, match=match):
-            DirkStepper(tab, sparse_matrix(sp.identity(3)), 0.1)
+            DirkStepper(tab, 0.1)
+
+    def test_refused_tableau_stops_a_run_before_its_first_operator(self, monkeypatch):
+        # the stepper is built before the first step, so its refusal comes
+        # before any film is assembled
+        from cutoffpde import lubrication
+
+        calls = []
+
+        def counted(u, spec):
+            calls.append(u)
+            return assemble_lubrication_1d(u, spec)
+
+        monkeypatch.setattr(lubrication, "assemble_lubrication_1d", counted)
+        midpoint = ButcherTableau(a=np.array([[0.5]]), b=np.array([1.0]), c=np.array([0.5]))
+        cfg = StepperConfig(dt=1e-6, t_end=1e-5, cutoff=CutoffParams(0.0), tableau=midpoint)
+        with pytest.raises(ValueError, match="stiffly accurate"):
+            run_lubrication(LubricationSpec.default_1d(16), cfg)
+        assert calls == []
 
     def test_mask_without_source_is_refused(self):
         # the values held on Dirichlet nodes come from the source callback
         problem = assemble(AnisotropicSpec.pure_diffusion(Grid2D.square(0.0, 1.0, 4)))
         with pytest.raises(ValueError, match="dirichlet_mask needs the source callback"):
-            DirkStepper(sdirk3_tableau(), problem.l_matrix, 0.1,
-                        dirichlet_mask=problem.dirichlet_mask)
+            DirkStepper(sdirk3_tableau(), 0.1, dirichlet_mask=problem.dirichlet_mask)
         # an empty mask holds nothing, so it needs no source
-        stepper = DirkStepper(sdirk3_tableau(), problem.l_matrix, 0.1,
-                              dirichlet_mask=np.zeros_like(problem.dirichlet_mask))
+        stepper = stepper_using(sdirk3_tableau(), problem.l_matrix, 0.1,
+                                dirichlet_mask=np.zeros_like(problem.dirichlet_mask))
         values, _ = stepper.step(problem.initial_values.copy(), 0.0)
         assert np.all(np.isfinite(values))
 
@@ -495,7 +529,7 @@ class TestStepHelpers:
     def test_sdirk3_step_matches_stability(self):
         lam, dt = -2.0, 0.2
         u0 = np.array([1.0, -1.0, 0.5])
-        stepper = DirkStepper(sdirk3_tableau(), sparse_matrix(sp.diags([lam, lam, lam])), dt)
+        stepper = stepper_using(sdirk3_tableau(), sparse_matrix(sp.diags([lam, lam, lam])), dt)
         u1, _ = stepper.step(u0, 0.0)
         r = stability(sdirk3_tableau(), lam * dt).real
         assert np.allclose(u1, r * u0, rtol=1e-13)
@@ -505,7 +539,7 @@ class TestStepHelpers:
         # exact for polynomial sources up to degree two
         dt = 0.3
         zero = sparse_matrix(sp.csr_matrix((3, 3)))
-        stepper = DirkStepper(sdirk3_tableau(), zero, dt, source=lambda t: np.full(3, t * t))
+        stepper = stepper_using(sdirk3_tableau(), zero, dt, source=lambda t: np.full(3, t * t))
         u1, _ = stepper.step(np.zeros(3), 0.0)
         assert np.allclose(u1, dt**3 / 3.0, rtol=1e-12)
 
@@ -528,7 +562,7 @@ class TestOneStepperPerRun:
     def fresh_every_step(initial, cfg, operator_for, **stage_terms):
         floored = apply_floor(initial, cfg.cutoff.delta)
         for n in range(cfg.n_steps):
-            stepper = DirkStepper(cfg.tableau, operator_for(floored), cfg.dt, **stage_terms)
+            stepper = stepper_using(cfg.tableau, operator_for(floored), cfg.dt, **stage_terms)
             values, _ = stepper.step(floored, n * cfg.dt)
             floored = apply_floor(values, cfg.cutoff.delta)
         return floored
@@ -713,8 +747,8 @@ class TestWholeSystemSolve:
     def test_boundary_nodes_hold_g_exactly(self, tableau):
         problem = self.problem()
         mask, dt = problem.dirichlet_mask, 1e-2
-        stepper = DirkStepper(tableau, problem.l_matrix, dt, source=problem.source,
-                              dirichlet_mask=mask)
+        stepper = stepper_using(tableau, problem.l_matrix, dt, source=problem.source,
+                                dirichlet_mask=mask)
         # the LU's own answer on the Dirichlet nodes, before the stepper
         # sets them
         answers = []
@@ -863,7 +897,7 @@ class TestStageSlopesReuseTheCheck:
     @staticmethod
     def products_of_one_step(monkeypatch, tableau, case):
         l_matrix, u, dt, terms = case
-        stepper = DirkStepper(tableau, l_matrix, dt, **terms)
+        stepper = stepper_using(tableau, l_matrix, dt, **terms)
         operands = []
         matvec = SparseMatrix.matvec
 
@@ -894,7 +928,7 @@ class TestStageSlopesReuseTheCheck:
     @pytest.mark.parametrize("case", ["film_1d", "dry_film_2d", "anisotropic"])
     def test_slope_is_l_x_plus_f(self, case):
         l_matrix, u, dt, terms = getattr(self, case)()
-        stepper = DirkStepper(sdirk3_tableau(), l_matrix, dt, **terms)
+        stepper = stepper_using(sdirk3_tableau(), l_matrix, dt, **terms)
         slopes = []
         slope = stepper._slope
 
